@@ -16,10 +16,10 @@ import csv
 import io
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, det, laurent_ring, wedge_indices, wedge_metric
+from .linalg import Mat, laurent_ring, wedge_indices, wedge_metric
 from .presaito import Report
 from .projective import build_pn
 from .rings import Laurent, fraction_to_str
@@ -61,10 +61,6 @@ def complement_partition(lam: Partition, r: int, n: int) -> Partition:
     return normalize_partition(tuple(width - padded[r - 1 - j] for j in range(r)))
 
 
-def _delta(r: int) -> tuple[int, ...]:
-    return tuple(range(r - 1, -1, -1))
-
-
 # ---------------------------------------------------------------------------
 # Alternants and Schur polynomials in y_1..y_r over Q[q]
 # ---------------------------------------------------------------------------
@@ -74,13 +70,9 @@ def yq_vars(r: int) -> tuple[str, ...]:
     return ("q",) + tuple(f"y{i}" for i in range(1, r + 1))
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _desc_sort_sign(vals: Sequence[int]) -> int:
+    """The sign of the permutation sorting distinct values into decreasing order."""
+    return (-1) ** sum(a < b for a, b in combinations(vals, 2))
 
 
 def alternant(mu: Sequence[int], r: int) -> Laurent:
@@ -89,54 +81,44 @@ def alternant(mu: Sequence[int], r: int) -> Laurent:
         raise ValueError("exponent vector must have one entry per variable")
     if any(mu[i] <= mu[i + 1] for i in range(r - 1)):
         raise ValueError("exponents must be strictly decreasing")
-    terms = {}
-    for perm in permutations(range(r)):
-        exps = (0,) + tuple(mu[perm[i]] for i in range(r))
-        terms[exps] = Fraction(_perm_sign(perm))
-    return Laurent(yq_vars(r), terms)
+    return Laurent(yq_vars(r), {(0,) + exps: Fraction(_desc_sort_sign(exps))
+                                for exps in permutations(mu)})
 
 
 def vandermonde(r: int) -> Laurent:
-    return alternant(_delta(r), r)
+    return alternant(tuple(range(r - 1, -1, -1)), r)
 
 
-def _complete_homogeneous(k: int, r: int) -> Laurent:
-    """h_k in y_1..y_r, by the one-variable-at-a-time recurrence."""
-    vars_ = yq_vars(r)
-    if k < 0:
-        return Laurent.zero(vars_)
-    # table[m] = h over the first m variables, updated in place per degree
-    prev = [Laurent.const(vars_, 1)]
-    for deg in range(1, k + 1):
-        prev.append(Laurent.zero(vars_))
-    for m in range(1, r + 1):
-        ym = Laurent.gen(vars_, f"y{m}")
-        cur = [prev[0]]
-        for deg in range(1, k + 1):
-            cur.append(prev[deg] + ym * cur[deg - 1])
-        prev = cur
-    return prev[k]
+def _tableau_weights(lam: Partition, r: int,
+                     memo: dict) -> dict[tuple[int, ...], int]:
+    """The weights w of SSYT(lam, [r]) with their multiplicities K_{lam, w}.
+
+    Branching rule: the entries r fill a horizontal strip lam/kappa
+    (lam_(i+1) <= kappa_i <= lam_i, kappa in r-1 rows), and kappa carries a
+    tableau in 1..r-1.  ``memo`` keeps each (lam, r) of one computation.
+    """
+    if len(lam) > r:
+        return {}
+    if not lam:
+        return {(0,) * r: 1}
+    if (lam, r) not in memo:
+        out: dict[tuple[int, ...], int] = {}
+        below = lam[1:] + (0,)
+        for kappa in product(*(range(below[i], lam[i] + 1)
+                               for i in range(min(len(lam), r - 1)))):
+            kappa = tuple(p for p in kappa if p)
+            for w, k in _tableau_weights(kappa, r - 1, memo).items():
+                w += (sum(lam) - sum(kappa),)
+                out[w] = out.get(w, 0) + k
+        memo[lam, r] = out
+    return memo[lam, r]
 
 
 def schur_poly(lam: Partition, r: int) -> Laurent:
-    """s_lambda as a polynomial, by the Jacobi-Trudi determinant in the h's."""
+    """s_lambda as a polynomial: the sum of K_{lambda, w} y^w over tableau weights."""
     lam = normalize_partition(lam)
-    if len(lam) > r:
-        return Laurent.zero(yq_vars(r))
-    if not lam:
-        return Laurent.const(yq_vars(r), 1)
-    ell = len(lam)
-    hs = {}
-    rows = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            k = lam[i] - i + j
-            if k not in hs:
-                hs[k] = _complete_homogeneous(k, r)
-            row.append(hs[k])
-        rows.append(row)
-    return det(Mat(rows), laurent_ring(yq_vars(r)))
+    return Laurent(yq_vars(r), {(0,) + w: Fraction(k)
+                                for w, k in _tableau_weights(lam, r, {}).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +126,25 @@ def schur_poly(lam: Partition, r: int) -> Laurent:
 # ---------------------------------------------------------------------------
 
 
+def _straighten(exps: Sequence[int], n: int) -> tuple[int, int, tuple[int, ...]] | None:
+    """a_exps = sign * q^carries * a_(lambda + delta) under y^(n+1) -> q.
+
+    Each exponent is lowered into [0, n], one q per wrap; a repeated residue
+    kills the alternant (None), and the rest sort decreasingly with a sign.
+    Returns (sign, carries, I) with I = indices_from_partition(lambda).
+    """
+    rem = [e % (n + 1) for e in exps]
+    if len(set(rem)) < len(rem):
+        return None
+    carries = (sum(exps) - sum(rem)) // (n + 1)
+    return _desc_sort_sign(rem), carries, tuple(sorted(rem))
+
+
 def _swap12(P: Laurent) -> Laurent:
     terms = {}
     for e, c in P.terms.items():
         terms[(e[0], e[2], e[1]) + e[3:]] = c
     return Laurent(P.vars, terms)
-
-
-def _sort_desc_sign(vals: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    lst = list(vals)
-    sign = 1
-    for i in range(len(lst)):
-        m = max(range(i, len(lst)), key=lambda j: lst[j])
-        if m != i:
-            lst[i], lst[m] = lst[m], lst[i]
-            sign = -sign
-    return sign, tuple(lst)
 
 
 def bialternant_reduce(P: Laurent, r: int, n: int) -> dict[Partition, Laurent]:
@@ -175,32 +160,25 @@ def bialternant_reduce(P: Laurent, r: int, n: int) -> dict[Partition, Laurent]:
         raise ValueError(f"expected a polynomial in {vars_}")
     if r >= 2 and _swap12(P) != -P:
         raise ValueError("input is not antisymmetric")
-    delta = _delta(r)
     acc: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     for exps, coef in P.terms.items():
         qe, ys = exps[0], exps[1:]
         if any(e < 0 for e in ys):
             raise ValueError("negative y-exponent; the input must be "
                              "polynomial in the y's")
-        k = 0
-        rem = []
-        for e in ys:
-            k += e // (n + 1)
-            rem.append(e % (n + 1))
-        if len(set(rem)) < r:
+        st = _straighten(ys, n)
+        if st is None:
             continue
-        sign, mu = _sort_desc_sign(rem)
-        bucket = acc.setdefault(mu, {})
-        key = (qe + k,)
+        sign, carries, I = st
+        bucket = acc.setdefault(I, {})
+        key = (qe + carries,)
         bucket[key] = bucket.get(key, Fraction(0)) + sign * coef
     rfact = math.factorial(r)
     out: dict[Partition, Laurent] = {}
-    for mu, bucket in acc.items():
+    for I, bucket in acc.items():
         coeff = Laurent(("q",), {e: c / rfact for e, c in bucket.items()})
-        if coeff.is_zero():
-            continue
-        lam = normalize_partition(tuple(m - d for m, d in zip(mu, delta)))
-        out[lam] = coeff
+        if not coeff.is_zero():
+            out[partition_from_indices(I, r)] = coeff
     return out
 
 
@@ -298,23 +276,36 @@ def _ordered_pairs(parts: list[Partition]) -> Iterator[tuple[Partition, Partitio
 
 
 def alt_structure_constants(r: int, n: int) -> QLRTable:
-    """Products [s_lam s_mu Delta] reduced and twisted by q -> (-1)^(r-1) q."""
+    """Products [s_lam s_mu Delta] reduced and twisted by q -> (-1)^(r-1) q.
+
+    By the bialternant formula s_lam * a_(mu+delta) is the sum of
+    a_(mu+delta+w) over the tableau weights w of SSYT(lam, [r]) with
+    multiplicity K_{lam, w}; each such alternant straightens in one step.
+    The product commutes, so the factor with fewer weights is expanded.
+    """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    parts = rect_partitions(r, n)
-    delta = _delta(r)
+    part_of = {I: partition_from_indices(I, r) for I in wedge_indices(n + 1, r)}
+    parts = list(part_of.values())
+    shifted = {lam: I[::-1] for I, lam in part_of.items()}
+    memo: dict = {}
+    weights = {lam: _tableau_weights(lam, r, memo) for lam in parts}
     entries = {}
-    schur_cache = {lam: schur_poly(lam, r) for lam in parts}
     for lam, mu in _ordered_pairs(parts):
-        padded = tuple(mu) + (0,) * (r - len(mu))
-        P = schur_cache[lam] * alternant(
-            tuple(p + d for p, d in zip(padded, delta)), r)
-        cls_ = bialternant_reduce(P, r, n)
-        for nu, cf in cls_.items():
-            if r % 2 == 0:
-                cf = cf.scale_var("q", -1)
+        a, b = (lam, mu) if len(weights[lam]) <= len(weights[mu]) else (mu, lam)
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
+        for w, k in weights[a].items():
+            st = _straighten([s + x for s, x in zip(shifted[b], w)], n)
+            if st is None:
+                continue
+            sign, carries, I = st
+            bucket = acc.setdefault(I, {})
+            twisted = sign * k * (-1) ** ((r - 1) * carries)
+            bucket[carries] = bucket.get(carries, 0) + twisted
+        for I, bucket in acc.items():
+            cf = Laurent(("q",), {(e,): Fraction(c) for e, c in bucket.items()})
             if not cf.is_zero():
-                entries[(lam, mu, nu)] = cf
+                entries[(lam, mu, part_of[I])] = cf
     return QLRTable(r, n, entries)
 
 

@@ -772,6 +772,11 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
     params = tuple(doc.get("params", ()))
     order = doc.get("order")
     d = doc["rank"]
+    if type(d) is not int or d < 1:
+        raise ValueError(f"rank must be a positive integer, got {d!r}")
+    w = doc.get("w")
+    if w is not None and type(w) not in (int, str):
+        raise ValueError(f"w must be a rational string or an integer, got {w!r}")
     qvars = params + tuple(n for n, k in zip(names, kinds) if k != "series")
     svars = tuple(n for n, k in zip(names, kinds) if k == "series")
 
@@ -798,7 +803,7 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
         B0=dec_matrix(doc["B0"]),
         C={n: dec_matrix(doc["C"][n]) for n in names},
         G=(dec_fraction_matrix(doc["G"]) if doc.get("G") is not None else None),
-        w=(fraction_from_str(doc["w"]) if doc.get("w") is not None else None),
+        w=(fraction_from_str(w) if w is not None else None),
         order=order, params=params)
 
 

@@ -162,6 +162,24 @@ class TestPnAndVerify:
         assert code == 2
         assert "could not parse" in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("w", [1], "w must be a rational string or an integer"),
+        ("rank", 1.5, "rank must be a positive integer"),
+    ], ids=["w-list", "rank-float"])
+    def test_verify_rejects_mistyped_field(self, capsys, tmp_path,
+                                           field, value, message):
+        fam_path = tmp_path / "p1.json"
+        run(["pn", "--n", "1", "--out", str(fam_path)], capsys)
+        doc = json.loads(fam_path.read_text())
+        doc[field] = value
+        fam_path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", "--family", str(fam_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("altfrob: error: ") and message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestHm:
     @pytest.fixture()

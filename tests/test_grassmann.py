@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -78,10 +79,27 @@ class TestSchurAndAlternants:
 
     def test_schur_bialternant_identity(self):
         # s_lambda * Delta == a_{lambda + delta}
-        for lam in [(2,), (1, 1), (2, 1), (2, 2)]:
-            padded = lam + (0,) * (2 - len(lam))
-            mu = (padded[0] + 1, padded[1])
-            assert schur_poly(lam, 2) * vandermonde(2) == alternant(mu, 2)
+        for r in range(2, 5):
+            for lam in rect_partitions(r, 6):
+                mu = indices_from_partition(lam, r)[::-1]
+                assert schur_poly(lam, r) * vandermonde(r) == alternant(mu, r), lam
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 5)
+                                     for n in range(r, 7)])
+    def test_tableau_weights(self, r, n):
+        for lam in rect_partitions(r, n):
+            kostka = {e[1:]: c for e, c in schur_poly(lam, r).terms.items()}
+            padded = lam + (0,) * (r - len(lam))
+            weyl = Fraction(1)
+            for i in range(r):
+                for j in range(i + 1, r):
+                    weyl *= Fraction(padded[i] - padded[j] + j - i, j - i)
+            assert sum(kostka.values()) == weyl, lam
+            for w, c in kostka.items():
+                assert c.denominator == 1 and c > 0
+                assert sum(w) == sum(lam)
+                for v in set(permutations(w)):
+                    assert kostka.get(v) == c, (lam, w, v)
 
     def test_alternant_requires_strict_decrease(self):
         with pytest.raises(ValueError):
@@ -170,7 +188,8 @@ class TestAnchorProducts:
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4)
-                                     for n in range(r, 6)])
+                                     for n in range(r, 6)]
+                             + [(4, n) for n in range(4, 8)])
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
 
@@ -205,7 +224,6 @@ class TestTableInvariants:
                         assert got == lr_count(nu, lam, mu), (r, n, lam, mu, nu)
 
     def test_frobenius_symmetry(self, tables):
-        from itertools import permutations
         for (r, n), T in tables.items():
             parts = T.basis()
 
