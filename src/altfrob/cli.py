@@ -33,7 +33,8 @@ from pathlib import Path
 from .deform import InvariantViolation, gw_pn2, hm_extend, problem_from_json, wdvv_oracle
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
 from .linalg import charpoly, laurent_ring
-from .mirror import compare_quantum_gm, gm_wedge, jacobian_algebra, mirror_brieskorn, mirror_f, mult_f_matrix
+from .mirror import (NotTame, compare_quantum_gm, gm_wedge, jacobian_algebra, mirror_brieskorn,
+                     mirror_f, mult_f_matrix)
 from .presaito import check_metric, check_pre_saito, dumps_family, loads_family
 from .projective import pn_small_family
 from .rings import Laurent, fraction_to_str
@@ -73,6 +74,20 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    bad = [k for k in doc if k not in DEFAULTS]
+    if bad:
+        raise UsageError(f"unknown config keys in {path}: {', '.join(sorted(bad))}")
+    for key, value in doc.items():
+        if key == "format":
+            ok, expected = value in FORMATS, f"one of {', '.join(FORMATS)}"
+        elif key == "out":
+            ok, expected = value is None or isinstance(value, str), "a string or null"
+        elif key == "K":
+            ok, expected = value is None or type(value) is int, "an integer or null"
+        else:
+            ok, expected = type(value) is int, "an integer"
+        if not ok:
+            raise UsageError(f"config file {path}: {key} must be {expected}, got {value!r}")
     return doc
 
 
@@ -98,7 +113,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def _note(settings: Settings, message: str) -> None:
@@ -209,10 +227,8 @@ def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
         text = _dumps(table.to_json())
     elif fmt == "csv":
         text = table.to_csv()
-    elif fmt == "pretty":
-        text = _pretty_table(table)
     else:
-        raise UsageError(f"unknown format {fmt!r} (expected one of {', '.join(FORMATS)})")
+        text = _pretty_table(table)
     _emit(text, settings.get("out"))
     return 0
 
@@ -235,6 +251,8 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
     if n < 1:
         raise UsageError("--n must be at least 1")
     box_max = settings.get("B_max", flag_name="b_max")
+    if box_max < 1:
+        raise UsageError("--b-max must be at least 1")
 
     if args.compare:
         rs = [args.wedge] if args.wedge is not None else list(range(1, n + 1))
@@ -421,13 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _load_config(args.config)
-        bad = [k for k in config if k not in DEFAULTS]
-        if bad:
-            raise UsageError(
-                f"unknown config keys in {args.config}: {', '.join(sorted(bad))}")
         settings = Settings(args, config)
         return args.handler(args, settings)
-    except UsageError as exc:
+    except (UsageError, NotTame) as exc:
         print(f"altfrob: error: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

@@ -29,13 +29,14 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, inv_series
-from .presaito import BaseVar, PreSaitoFamily, _demote_qfrac_mat, frobenius_data
+from .presaito import BaseVar, PreSaitoFamily, frobenius_data
 from .projective import pn_small_family
 from .rings import (
     Laurent,
     QFrac,
     Series,
     as_fraction,
+    demote,
     fraction_from_str,
     fraction_to_str,
 )
@@ -219,7 +220,7 @@ def hm_extend(problem: DeformationProblem,
                 [_apply_word(gens, w, omega_col).column_vector() for w in words])
             U = Mat.from_columns(
                 [_apply_word(gens, w, data).column_vector() for w in words])
-            D = _demote_qfrac_mat(U @ inv_series(T))
+            D = (U @ inv_series(T)).map(demote)
             for M, name in zip(gens, gen_names):
                 _assert_commutes(D, M, name, yname, k)
             if k == K:

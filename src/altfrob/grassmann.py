@@ -194,7 +194,7 @@ class QLRTable:
     output partition nu; coefficients are nonzero Laurent polynomials in q.
     """
 
-    __slots__ = ("r", "n", "entries", "_order")
+    __slots__ = ("r", "n", "entries", "_order", "_products")
 
     def __init__(self, r: int, n: int,
                  entries: dict[tuple[Partition, Partition, Partition], Laurent]):
@@ -202,6 +202,9 @@ class QLRTable:
         self.n = n
         self.entries = dict(entries)
         self._order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
+        self._products: dict[tuple[Partition, Partition], dict[Partition, Laurent]] = {}
+        for (lam, mu, nu), cf in self.entries.items():
+            self._products.setdefault((lam, mu), {})[nu] = cf
 
     def _canon(self, lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
         if self._order[lam] <= self._order[mu]:
@@ -214,9 +217,7 @@ class QLRTable:
     def product(self, lam, mu) -> dict[Partition, Laurent]:
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
-        a, b = self._canon(lam, mu)
-        return {nu: cf for (l2, m2, nu), cf in self.entries.items()
-                if (l2, m2) == (a, b)}
+        return dict(self._products.get(self._canon(lam, mu), {}))
 
     def entry(self, lam, mu, nu) -> Laurent:
         a, b = self._canon(normalize_partition(lam), normalize_partition(mu))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import Laurent, QFrac, Series
+from .rings import Laurent, QFrac, Series, demote, is_zero
 
 
 class NoSolution(Exception):
@@ -41,11 +41,6 @@ class Ring:
         self.zero = zero
         self.one = one
 
-    def from_int(self, n: int):
-        if isinstance(self.one, (int, Fraction)):
-            return Fraction(n)
-        return self.one * n
-
 
 RATIONAL_RING = Ring(Fraction(0), Fraction(1))
 
@@ -56,12 +51,6 @@ def laurent_ring(variables: tuple[str, ...]) -> Ring:
 
 def qfrac_ring(variables: tuple[str, ...]) -> Ring:
     return Ring(QFrac.const(variables, 0), QFrac.const(variables, 1))
-
-
-def series_ring_desc(variables: tuple[str, ...], order: int,
-                     qvars: tuple[str, ...]) -> Ring:
-    return Ring(Series.zero(variables, order),
-                Series.const(variables, order, Laurent.const(qvars, 1)))
 
 
 class Mat:
@@ -172,11 +161,8 @@ class Mat:
     def map(self, fn: Callable) -> "Mat":
         return Mat([[fn(a) for a in r] for r in self.rows])
 
-    def commutator(self, other: "Mat") -> "Mat":
-        return self @ other - other @ self
-
     def is_zero(self) -> bool:
-        return all(_is_zero(a) for r in self.rows for a in r)
+        return all(is_zero(a) for r in self.rows for a in r)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -193,19 +179,6 @@ class Mat:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         return Mat([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
-
-def _is_zero(a) -> bool:
-    if isinstance(a, (int, Fraction)):
-        return a == 0
-    return a.is_zero()
-
-
-def mat_power(M: Mat, k: int, ring: Ring) -> Mat:
-    out = Mat.identity(M.nrows, ring)
-    for _ in range(k):
-        out = out @ M
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +219,7 @@ def poly_str(coeffs: Sequence, var: str = "z") -> str:
     d = len(coeffs) - 1
     parts = []
     for k, c in enumerate(coeffs):
-        if _is_zero(c):
+        if is_zero(c):
             continue
         power = d - k
         cs = str(c)
@@ -278,38 +251,48 @@ def _field_inv(a):
     return a.inverse()
 
 
+def row_reduce(rows: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
+
+    Entries must support exact division (Fraction or QFrac); columns past
+    ``ncols`` are carried along.  Returns the pivot columns: row k then has
+    a 1 in column pivots[k], every other row a 0 there, and the rows past
+    len(pivots) vanish on the first ``ncols`` columns.
+    """
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if not is_zero(rows[r][col])), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = _field_inv(rows[rank][col])
+        rows[rank] = [a * inv for a in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not is_zero(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return pivots
+
+
 def solve_field(A: Mat, B: Mat) -> Mat:
     """Solve A @ X = B over a field; raise NoSolution / AmbiguousSystem.
 
     The entries of ``A`` and ``B`` must support exact division (Fraction or
     QFrac).  Use ``lift_qfrac`` first for Laurent matrices.
     """
-    n, m = A.shape
-    k = B.ncols
+    m = A.ncols
     rows = [list(ar) + list(br) for ar, br in zip(A.rows, B.rows)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, n) if not _is_zero(rows[r][col])), None)
-        if piv is None:
-            raise AmbiguousSystem(f"free column {col}")
-        rows[row], rows[piv] = rows[piv], rows[row]
-        inv = _field_inv(rows[row][col])
-        rows[row] = [a * inv for a in rows[row]]
-        for r in range(n):
-            if r != row and not _is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if any(not _is_zero(rows[r][m + j]) for j in range(k)):
-            raise NoSolution("inconsistent system")
+    pivots = row_reduce(rows, m)
     if len(pivots) < m:
-        raise AmbiguousSystem("rank-deficient system")
-    return Mat([rows[i][m:] for i in range(m)])
+        free = next(c for c in range(m) if c not in pivots)
+        raise AmbiguousSystem(f"free column {free}")
+    if any(not is_zero(a) for r in rows[m:] for a in r[m:]):
+        raise NoSolution("inconsistent system")
+    return Mat([r[m:] for r in rows[:m]])
 
 
 def inv_field(A: Mat) -> Mat:
@@ -317,62 +300,17 @@ def inv_field(A: Mat) -> Mat:
     if A.nrows != A.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = A.nrows
-    rows = [list(r) for r in A.rows]
-    aug = [rows[i] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           if isinstance(rows[i][0], (int, Fraction)) else
-           rows[i] + [_one_like(rows[i][0]) if i == j else _zero_like(rows[i][0])
-                      for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not _is_zero(aug[r][col])), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _field_inv(aug[col][col])
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(n):
-            if r != col and not _is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return Mat([aug[i][n:] for i in range(n)])
-
-
-def _zero_like(a):
-    if isinstance(a, (int, Fraction)):
-        return Fraction(0)
-    if isinstance(a, QFrac):
-        return QFrac.const(a.num.vars, 0)
-    raise TypeError(f"no zero for {type(a).__name__}")
-
-
-def _one_like(a):
-    if isinstance(a, (int, Fraction)):
-        return Fraction(1)
-    if isinstance(a, QFrac):
-        return QFrac.const(a.num.vars, 1)
-    raise TypeError(f"no one for {type(a).__name__}")
+    zero = A[0, 0] * 0 if n else 0  # the zero of the entry field
+    aug = [list(r) + [zero + 1 if i == j else zero for j in range(n)]
+           for i, r in enumerate(A.rows)]
+    if len(row_reduce(aug, n)) < n:
+        raise ZeroDivisionError("singular matrix")
+    return Mat([r[n:] for r in aug])
 
 
 def rank_field(A: Mat) -> int:
     """Rank over a field, by row echelon elimination."""
-    rows = [list(r) for r in A.rows]
-    n, m = A.shape
-    rank = 0
-    for col in range(m):
-        piv = next((r for r in range(rank, n) if not _is_zero(rows[r][col])), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _field_inv(rows[rank][col])
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(n):
-            if r != rank and not _is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+    return len(row_reduce([list(r) for r in A.rows], A.ncols))
 
 
 # -- Laurent matrices: lift to the fraction field and back -------------------
@@ -382,40 +320,13 @@ def lift_qfrac(M: Mat) -> Mat:
     return M.map(lambda a: a if isinstance(a, QFrac) else QFrac.from_laurent(a))
 
 
-def demote_laurent(M: Mat) -> Mat:
-    return M.map(lambda a: a.as_laurent() if isinstance(a, QFrac) else a)
-
-
 def solve_laurent(A: Mat, B: Mat) -> Mat:
     """Solve over Q(q) for Laurent-entried A, B; demote when denominators cancel."""
-    X = solve_field(lift_qfrac(A), lift_qfrac(B))
-
-    def down(a: QFrac):
-        v = a.try_laurent()
-        return v if v is not None else a
-    return X.map(down)
+    return solve_field(lift_qfrac(A), lift_qfrac(B)).map(demote)
 
 
 def inv_laurent(A: Mat) -> Mat:
-    X = inv_field(lift_qfrac(A))
-
-    def down(a: QFrac):
-        v = a.try_laurent()
-        return v if v is not None else a
-    return X.map(down)
-
-
-def solve_linear(A: Mat, b: Mat) -> Mat:
-    """Solve A @ X = b, dispatching on the entry type of A.
-
-    Fraction and QFrac entries solve directly over the field; Laurent
-    entries go through the fraction field and demote on the way back.
-    Raises NoSolution / AmbiguousSystem like the underlying solvers.
-    """
-    sample = A[0, 0]
-    if isinstance(sample, Laurent):
-        return solve_laurent(A, b)
-    return solve_field(A, b)
+    return inv_field(lift_qfrac(A)).map(demote)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +336,6 @@ def solve_linear(A: Mat, b: Mat) -> Mat:
 
 def series_constant_slice(M: Mat) -> Mat:
     """Drop all positive-order terms, returning a Laurent-entried matrix."""
-    def slice0(s: Series) -> Laurent:
-        c = s.constant_slice()
-        if c is None:
-            raise ValueError("series entry has no recorded constant term ring")
-        return c
     out = []
     qvars = None
     for r in M.rows:
@@ -460,12 +366,8 @@ def inv_series(M: Mat) -> Mat:
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
     M0 = series_constant_slice(M)
-    V0_frac = inv_field(lift_qfrac(M0))
-
-    def up(a: QFrac) -> Series:
-        v = a.try_laurent()
-        return Series.const(svars, order, v if v is not None else a)
-    V0 = V0_frac.map(up)
+    V0 = inv_field(lift_qfrac(M0)).map(
+        lambda a: Series.const(svars, order, demote(a)))
 
     def lift_series(s: Series) -> Series:
         return s.map_coeffs(lambda c: QFrac.from_laurent(c)
@@ -476,7 +378,8 @@ def inv_series(M: Mat) -> Mat:
     Ms = M.map(lift_series) if need_frac else M
     V0s = V0.map(lift_series) if need_frac else V0
 
-    ring = Ring(Series.zero(svars, order), _series_one_like(Ms))
+    coeff = next(c for r in Ms.rows for s in r for c in s.terms.values())
+    ring = Ring(Series.zero(svars, order), Series.const(svars, order, coeff * 0 + 1))
     ident = Mat.identity(M.nrows, ring)
     N = ident - (V0s @ Ms)
     acc = ident
@@ -486,27 +389,7 @@ def inv_series(M: Mat) -> Mat:
         if power.is_zero():
             break
         acc = acc + power
-    result = acc @ V0s
-
-    def down(s: Series) -> Series:
-        def dc(c):
-            if isinstance(c, QFrac):
-                v = c.try_laurent()
-                return v if v is not None else c
-            return c
-        return s.map_coeffs(dc)
-    return result.map(down)
-
-
-def _series_one_like(M: Mat) -> Series:
-    for row in M.rows:
-        for s in row:
-            for c in s.terms.values():
-                if isinstance(c, QFrac):
-                    return Series.const(s.vars, s.order,
-                                        QFrac.const(c.num.vars, 1))
-                return Series.const(s.vars, s.order, Laurent.const(c.vars, 1))
-    raise ValueError("cannot infer coefficient ring from a zero matrix")
+    return (acc @ V0s).map(demote)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +460,7 @@ def wedge_of_sum(B: Mat, r: int, ring: Ring) -> Mat:
         for p in range(r):
             for k in range(d):
                 coeff = B[k, I[p]]
-                if _is_zero(coeff):
+                if is_zero(coeff):
                     continue
                 target = I[:p] + (k,) + I[p + 1:]
                 sorted_sign = _sort_with_sign(target)

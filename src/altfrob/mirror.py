@@ -19,12 +19,11 @@ from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
 from .linalg import (RATIONAL_RING, Mat, charpoly, det, kron_sum,
-                     laurent_ring, rank_field, wedge_indices, wedge_of_sum)
+                     laurent_ring, rank_field, row_reduce, wedge_indices,
+                     wedge_of_sum)
 from .presaito import Report, wedge_restrict
 from .projective import build_pn, pn_small_family
-from .rings import Laurent, QFrac, fraction_from_str, fraction_to_str
-
-QVARS = ("q",)
+from .rings import QVARS, Laurent, QFrac, fraction_to_str
 
 
 def _as_qlaurent(value) -> Laurent:
@@ -40,128 +39,34 @@ def _as_qlaurent(value) -> Laurent:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly:
-    """A Laurent polynomial in u_1..u_n with coefficients in Q[q]."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict):
-        self.n = n
-        clean = {}
-        for exps, coef in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n:
-                raise ValueError(f"exponent {exps} has length != {n}")
-            coef = _as_qlaurent(coef)
-            if not coef.is_zero():
-                clean[exps] = coef
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "LaurentPoly":
-        return cls(n, {})
-
-    @classmethod
-    def monomial(cls, n: int, exps: Sequence[int], coef=1) -> "LaurentPoly":
-        return cls(n, {tuple(exps): coef})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms)
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, Laurent.zero(QVARS)) + c
-        return LaurentPoly(self.n, terms)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.n != other.n:
-            raise ValueError("mixed variable counts")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                terms[e] = terms.get(e, Laurent.zero(QVARS)) + prod
-        return LaurentPoly(self.n, terms)
-
-    def shift(self, m: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial u^m."""
-        return LaurentPoly(self.n, {
-            tuple(a + b for a, b in zip(e, m)): c
-            for e, c in self.terms.items()})
-
-    def scale(self, coef) -> "LaurentPoly":
-        coef = _as_qlaurent(coef)
-        return LaurentPoly(self.n, {e: c * coef for e, c in self.terms.items()})
-
-    def logderiv(self, i: int) -> "LaurentPoly":
-        """u_i * d/du_i, the torus-invariant derivative."""
-        return LaurentPoly(self.n, {e: c * e[i] for e, c in self.terms.items()
-                                    if e[i] != 0})
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(f"u{i + 1}^{x}" for i, x in enumerate(e) if x != 0)
-            parts.append(f"({c})" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        items = []
-        for e, c in sorted(self.terms.items()):
-            items.append({"exp": list(e),
-                          "coef": [[p, fraction_to_str(v)]
-                                   for (p,), v in c.sorted_terms()]})
-        return {"n": self.n, "terms": items}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LaurentPoly":
-        terms = {}
-        for item in doc["terms"]:
-            coef = Laurent(QVARS, {(p,): fraction_from_str(v)
-                                   for p, v in item["coef"]})
-            terms[tuple(item["exp"])] = coef
-        return cls(doc["n"], terms)
+def torus_vars(n: int) -> tuple[str, ...]:
+    """The variables (q, u1, ..., un) of Laurent polynomials on the n-torus over Q[q]."""
+    return QVARS + tuple(f"u{i}" for i in range(1, n + 1))
 
 
-def mirror_f(n: int) -> LaurentPoly:
+def mirror_f(n: int) -> Laurent:
     """u_1 + ... + u_n + q/(u_1...u_n), the torus mirror of projective n-space."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    terms = {}
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        terms[tuple(e)] = 1
-    terms[(-1,) * n] = Laurent.gen(QVARS, "q")
-    return LaurentPoly(n, terms)
+    terms = {(0,) + tuple(int(i == j) for j in range(n)): Fraction(1)
+             for i in range(n)}
+    terms[(1,) + (-1,) * n] = Fraction(1)
+    return Laurent(torus_vars(n), terms)
 
 
-def torus_relations(f: LaurentPoly) -> list[LaurentPoly]:
+def torus_relations(f: Laurent) -> list[Laurent]:
     """The generators u_i df/du_i (times u_i) of the Jacobian ideal."""
-    return [f.logderiv(i) for i in range(f.n)]
+    return [f.log_deriv(v) for v in f.vars[1:]]
+
+
+def _by_u(g: Laurent) -> dict[tuple[int, ...], Laurent]:
+    """g as {u-exponents: coefficient in Q[q, 1/q]}, for g over torus_vars(n)."""
+    if g.vars[:1] != QVARS:
+        raise ValueError(f"expected a Laurent polynomial over {QVARS} + torus variables")
+    split: dict = {}
+    for e, c in g.terms.items():
+        split.setdefault(e[1:], {})[e[:1]] = c
+    return {u: Laurent(QVARS, terms) for u, terms in split.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -172,22 +77,8 @@ def torus_relations(f: LaurentPoly) -> list[LaurentPoly]:
 def _kernel_vector(rows: list[tuple[Fraction, ...]], n: int):
     """One kernel generator of an (n-1)-row system, or None if rank < n-1."""
     mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    rr = 0
-    for col in range(n):
-        piv = next((i for i in range(rr, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rr], mat[piv] = mat[piv], mat[rr]
-        pv = mat[rr][col]
-        mat[rr] = [x / pv for x in mat[rr]]
-        for i in range(len(mat)):
-            if i != rr and mat[i][col] != 0:
-                fac = mat[i][col]
-                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[rr])]
-        pivots.append(col)
-        rr += 1
-    if rr != n - 1:
+    pivots = row_reduce(mat, n)
+    if len(pivots) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
@@ -197,7 +88,7 @@ def _kernel_vector(rows: list[tuple[Fraction, ...]], n: int):
     return tuple(vec)
 
 
-def convenience_witness(f: LaurentPoly) -> str | None:
+def convenience_witness(f: Laurent) -> str | None:
     """None when 0 is interior to the Newton polytope, else a witness message.
 
     The test is exact and complete: the positive hull of the support is all
@@ -205,8 +96,8 @@ def convenience_witness(f: LaurentPoly) -> str | None:
     support points has the whole support on one closed side.  Any violated
     hyperplane is an extreme ray certificate.
     """
-    n = f.n
-    S = [s for s in f.terms if any(s)]
+    n = len(f.vars) - 1
+    S = [s for s in _by_u(f) if any(s)]
     if not S:
         return "empty support"
     rank = rank_field(Mat([[Fraction(x) for x in s] for s in S]))
@@ -225,14 +116,14 @@ def convenience_witness(f: LaurentPoly) -> str | None:
     return None
 
 
-def is_convenient(f: LaurentPoly) -> bool:
+def is_convenient(f: Laurent) -> bool:
     return convenience_witness(f) is None
 
 
-def kouchnirenko_bound(f: LaurentPoly) -> int:
+def kouchnirenko_bound(f: Laurent) -> int:
     """n! times the Newton volume, for supports that are full simplices."""
-    S = [s for s in f.terms]
-    n = f.n
+    S = list(_by_u(f))
+    n = len(f.vars) - 1
     if len(S) != n + 1:
         raise ValueError("the volume shortcut needs a simplex support "
                          f"(n+1 points), got {len(S)}")
@@ -256,6 +147,10 @@ def _flag_monomials(n: int) -> list[tuple[int, ...]]:
     return flags
 
 
+class NotTame(ValueError):
+    """The Jacobian quotient did not stabilize within the largest box tried."""
+
+
 class _Echelon(NamedTuple):
     dim: int
     free: list[tuple[int, ...]]
@@ -263,7 +158,7 @@ class _Echelon(NamedTuple):
     reach: int
 
 
-def _box_echelon(rels: Sequence[LaurentPoly], n: int, B: int) -> _Echelon:
+def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     """Row-reduce all relation shifts supported in the padded box [-B-1,B+1]^n.
 
     Columns are ranked most-preferred first: flag monomials, then the rest
@@ -325,13 +220,13 @@ def _box_echelon(rels: Sequence[LaurentPoly], n: int, B: int) -> _Echelon:
             uses.setdefault(c, set()).add(piv)
 
     for rel in rels:
-        supp = list(rel.terms)
-        mins = [min(s[j] for s in supp) for j in range(n)]
-        maxs = [max(s[j] for s in supp) for j in range(n)]
+        terms = {s: QFrac.from_laurent(c) for s, c in _by_u(rel).items()}
+        mins = [min(s[j] for s in terms) for j in range(n)]
+        maxs = [max(s[j] for s in terms) for j in range(n)]
         ranges = [range(-R - mins[j], R - maxs[j] + 1) for j in range(n)]
         for m in product(*ranges):
-            insert({tuple(a + b for a, b in zip(s, m)):
-                    QFrac.from_laurent(c) for s, c in rel.terms.items()})
+            insert({tuple(a + b for a, b in zip(s, m)): c
+                    for s, c in terms.items()})
 
     free = [m for m in order[:n_inner] if m not in rewrites]
     return _Echelon(len(free), free, rewrites, R)
@@ -348,10 +243,10 @@ class JacobianAlgebra:
 
     __slots__ = ("f", "n", "dim", "basis", "dressing", "box", "_ech")
 
-    def __init__(self, f: LaurentPoly, dim: int, basis, box: int,
+    def __init__(self, f: Laurent, dim: int, basis, box: int,
                  ech: _Echelon):
         self.f = f
-        self.n = f.n
+        self.n = len(f.vars) - 1
         self.dim = dim
         self.basis = tuple(basis)
         self.dressing = tuple(0 if not any(m) else 1 for m in self.basis)
@@ -386,17 +281,17 @@ class JacobianAlgebra:
             return {exps: QFrac.const(QVARS, 1)}
         return dict(rw)
 
-    def reduce_poly(self, g: LaurentPoly) -> dict:
+    def reduce_poly(self, g: Laurent) -> dict:
         vec: dict = {}
         qzero = QFrac.const(QVARS, 0)
-        for exps, coef in g.terms.items():
+        for exps, coef in _by_u(g).items():
             lifted = QFrac.from_laurent(coef)
             for b, v in self.reduce_monomial(exps).items():
                 vec[b] = vec.get(b, qzero) + lifted * v
         return {b: v for b, v in vec.items() if not v.is_zero()}
 
 
-def jacobian_algebra(f: LaurentPoly, box: int = 1, box_max: int = 8,
+def jacobian_algebra(f: Laurent, box: int = 1, box_max: int = 8,
                      expected_dim: int | None = None) -> JacobianAlgebra:
     """The Jacobian quotient of f, computed exactly by box stabilization.
 
@@ -410,23 +305,22 @@ def jacobian_algebra(f: LaurentPoly, box: int = 1, box_max: int = 8,
     if witness is not None:
         raise ValueError(f"f is not convenient: {witness}")
     rels = torus_relations(f)
+    n = len(f.vars) - 1
     dims: list[int] = []
-    last: _Echelon | None = None
     for B in range(box, box_max + 1):
-        ech = _box_echelon(rels, f.n, B)
+        ech = _box_echelon(rels, n, B)
         dims.append(ech.dim)
-        last = ech
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             if expected_dim is not None and ech.dim != expected_dim:
                 raise ValueError(
                     f"stabilized dimension {ech.dim} does not match the "
                     f"expected value {expected_dim}")
             return JacobianAlgebra(f, ech.dim, ech.free, B, ech)
-    raise ValueError(f"not tame in box [-{box_max},{box_max}]^{f.n}: "
-                     f"dimensions {dims} did not stabilize")
+    raise NotTame(f"not tame in box [-{box_max},{box_max}]^{n}: "
+                  f"dimensions {dims} did not stabilize")
 
 
-def mult_f_matrix(J: JacobianAlgebra, g: LaurentPoly | None = None) -> Mat:
+def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
     """The matrix of multiplication by g (default: by f) on the dressed basis.
 
     Column j holds the coordinates of g * q^(a_j) u^(m_j); the dressing
@@ -435,12 +329,12 @@ def mult_f_matrix(J: JacobianAlgebra, g: LaurentPoly | None = None) -> Mat:
     """
     if g is None:
         g = J.f
-    if g.n != J.n:
-        raise ValueError("variable counts differ")
+    if g.vars != J.f.vars:
+        raise ValueError(f"variables differ: {g.vars} vs {J.f.vars}")
     cols = []
     index = {m: k for k, m in enumerate(J.basis)}
     for j, (mj, aj) in enumerate(zip(J.basis, J.dressing)):
-        vec = J.reduce_poly(g.shift(mj))
+        vec = J.reduce_poly(g * Laurent(g.vars, {(0,) + mj: Fraction(1)}))
         col = [Laurent.zero(QVARS)] * J.dim
         for b, v in vec.items():
             if b not in index:

@@ -46,11 +46,12 @@ from .linalg import (
 from .rings import (
     Exponents,
     Laurent,
-    QFrac,
     Series,
     as_fraction,
+    demote,
     fraction_from_str,
     fraction_to_str,
+    is_zero,
 )
 
 VAR_KINDS = ("q", "laurent", "series")
@@ -271,12 +272,6 @@ class Report:
         return "\n".join([self.title] + self.lines())
 
 
-def _entry_zero(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero()
-
-
 def _truncated(x, k: int | None):
     if k is None or not isinstance(x, Series):
         return x
@@ -288,7 +283,7 @@ def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
     for i in range(A.nrows):
         for j in range(A.ncols):
             x = _truncated(A[i, j] - B[i, j], k)
-            if _entry_zero(x):
+            if is_zero(x):
                 continue
             if isinstance(x, Series):
                 e, c = x.sorted_terms()[0]
@@ -438,7 +433,7 @@ class PointStructure:
         """The diagonal of R_inf as integers; raises when not of that shape."""
         for i in range(self.d):
             for j in range(self.d):
-                if i != j and not _entry_zero(self.Rinf[i, j]):
+                if i != j and not is_zero(self.Rinf[i, j]):
                     raise ValueError("R_inf is not diagonal")
         out = []
         for i in range(self.d):
@@ -472,7 +467,7 @@ def trivial_deformation(P: PointStructure, var: str = "lambda") -> PreSaitoFamil
 
     def spread(i: int, j: int) -> Laurent:
         x = P.R0[i, j]
-        if _entry_zero(x):
+        if is_zero(x):
             return Laurent.zero(qvars)
         return x.promote(qvars) * lam ** (1 + dvals[i] - dvals[j])
 
@@ -618,34 +613,12 @@ class FrobeniusData:
         self.gmat = gmat
         self.ring_desc = ring_desc
 
-    def product_matrix(self, name: str) -> Mat:
-        return self.products[name]
-
-    def c_upper(self, i: str, j: str, k: str):
-        """Structure constant c_{ij}^k with indices given by variable names."""
-        jj, kk = self.names.index(j), self.names.index(k)
-        return self.products[i][kk, jj]
-
     def c_lower(self, i: str, j: str, k: str):
         """The g-lowered constant c_{ijk} = g(d_i * d_j, d_k)."""
         if self.gmat is None:
             raise ValueError("no metric available")
         jj, kk = self.names.index(j), self.names.index(k)
         return (self.gmat @ self.products[i])[kk, jj]
-
-
-def _demote_qfrac_mat(M: Mat) -> Mat:
-    def down_coeff(c):
-        if isinstance(c, QFrac):
-            v = c.try_laurent()
-            return v if v is not None else c
-        return c
-
-    def down(x):
-        if isinstance(x, Series):
-            return x.map_coeffs(down_coeff)
-        return down_coeff(x)
-    return M.map(down)
 
 
 def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
@@ -672,18 +645,18 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
             raise NotPrimitive("period map is singular at the origin") from None
     else:
         try:
-            phi_inv = _demote_qfrac_mat(inv_field(lift_qfrac(phi)))
+            phi_inv = inv_field(lift_qfrac(phi)).map(demote)
         except ZeroDivisionError:
             raise NotPrimitive("period map is singular") from None
     products = {}
     for n in names:
         Pn = phi_inv @ (-F.C[n]) @ phi
-        products[n] = _demote_qfrac_mat(Pn)
-    unit = _demote_qfrac_mat(phi_inv @ omega_col).column_vector()
-    euler = _demote_qfrac_mat(phi_inv @ (F.B0 @ omega_col)).column_vector()
+        products[n] = Pn.map(demote)
+    unit = (phi_inv @ omega_col).map(demote).column_vector()
+    euler = (phi_inv @ (F.B0 @ omega_col)).map(demote).column_vector()
     gmat = None
     if F.G is not None:
-        gmat = _demote_qfrac_mat(phi.transpose() @ F.G @ phi)
+        gmat = (phi.transpose() @ F.G @ phi).map(demote)
     return FrobeniusData(names, phi, products, unit, euler, gmat, ring)
 
 
@@ -766,6 +739,8 @@ def family_to_json(F: PreSaitoFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> PreSaitoFamily:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a family must be a JSON object, got {type(doc).__name__}")
     names = list(doc["vars"])
     kinds = list(doc.get("kinds") or ["q"] * len(names))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))

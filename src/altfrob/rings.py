@@ -22,8 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-Rational = Fraction
-
 Exponents = tuple[int, ...]
 
 
@@ -496,7 +494,7 @@ class Series:
         for e, c in terms.items():
             if sum(e) > order:
                 continue
-            if _scalar_is_zero(c):
+            if is_zero(c):
                 continue
             kept[e] = c
         self.terms = kept
@@ -522,13 +520,6 @@ class Series:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self):
-        """The coefficient at exponent 0 (a scalar of the coefficient ring)."""
-        key = (0,) * len(self.vars)
-        if key in self.terms:
-            return self.terms[key]
-        return None  # caller supplies its own zero scalar
-
     def _check(self, other: "Series") -> None:
         if self.vars != other.vars or self.order != other.order:
             raise ValueError("series ring mismatch")
@@ -543,7 +534,7 @@ class Series:
         for e, c in other.terms.items():
             if e in terms:
                 s = terms[e] + c
-                if _scalar_is_zero(s):
+                if is_zero(s):
                     del terms[e]
                 else:
                     terms[e] = s
@@ -661,10 +652,6 @@ class Series:
                 terms[lifted] = c
         return Series(self.vars, self.order, terms)
 
-    def max_var_degree(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
         idx = [self.vars.index(n) for n in names]
@@ -705,10 +692,24 @@ class Series:
     __repr__ = __str__
 
 
-def _scalar_is_zero(value) -> bool:
+def is_zero(value) -> bool:
+    """Zero test for any scalar of the tower, rationals included."""
     if isinstance(value, (int, Fraction)):
         return value == 0
     return value.is_zero()
+
+
+def demote(value):
+    """A QFrac whose denominator cancels becomes its Laurent value.
+
+    Series are demoted coefficientwise; every other scalar passes through.
+    """
+    if isinstance(value, Series):
+        return value.map_coeffs(demote)
+    if isinstance(value, QFrac):
+        lau = value.try_laurent()
+        return lau if lau is not None else value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +737,6 @@ class SeriesRing:
 
     def const(self, value: int | Fraction) -> Series:
         return Series.const(self.vars, self.order, Laurent.const(self.qvars, value))
-
-    def laurent(self, value: Laurent) -> Series:
-        return Series.const(self.vars, self.order, value)
 
     def gen(self, name: str) -> Series:
         return Series.gen(self.vars, self.order, name, Laurent.const(self.qvars, 1))

@@ -16,6 +16,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_one_line_usage_error(code, out, err, message):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("altfrob: error: ") and message in err
+    assert err.count("\n") == 1
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(["grassmann", "--r", "2", "--n", "3", "--bogus"], capsys)
@@ -44,6 +51,19 @@ class TestExitCodes:
         code, _, err = run(["verify", "--family", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert "not found" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mirror", "--n", "2", "--b-max", "0"], "--b-max must be at least 1"),
+        (["mirror", "--n", "2", "--b-max", "2"], "did not stabilize"),
+        (["mirror", "--n", "2", "--compare", "--b-max", "2"], "did not stabilize"),
+    ], ids=["zero", "algebra", "compare"])
+    def test_mirror_box_bound(self, capsys, argv, message):
+        assert_one_line_usage_error(*run(argv, capsys), message)
+
+    def test_out_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "counts.txt"
+        code, out, err = run(["gw", "--dmax", "1", "--out", str(target)], capsys)
+        assert_one_line_usage_error(code, out, err, "cannot write")
 
 
 class TestPinnedOutputs:
@@ -180,6 +200,12 @@ class TestPnAndVerify:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_verify_rejects_non_object_family(self, capsys, tmp_path):
+        fam_path = tmp_path / "list.json"
+        fam_path.write_text("[1]")
+        code, out, err = run(["verify", "--family", str(fam_path)], capsys)
+        assert_one_line_usage_error(code, out, err, "must be a JSON object")
+
 
 class TestHm:
     @pytest.fixture()
@@ -241,6 +267,28 @@ class TestConfigFile:
         code, _, err = run(["gw", "--dmax", "1"], capsys)
         assert code == 2
         assert "JSON object" in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"verbosity": "x"}', "verbosity must be an integer"),
+        ('{"B_max": "x"}', "B_max must be an integer"),
+        ('{"seed": 1.5}', "seed must be an integer"),
+        ('{"K": true}', "K must be an integer or null"),
+        ('{"format": "xml"}', "format must be one of json, csv, pretty"),
+        ('{"out": 5}', "out must be a string or null"),
+    ], ids=["verbosity", "B_max", "seed", "K", "format", "out"])
+    def test_mistyped_config_value_is_rejected(self, capsys, tmp_path, monkeypatch,
+                                               doc, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "altfrob.json").write_text(doc)
+        assert_one_line_usage_error(*run(["gw", "--dmax", "1"], capsys), message)
+
+    def test_every_config_key_accepts_its_type(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "altfrob.json").write_text(json.dumps(
+            {"K": None, "B_max": 3, "format": "json", "out": None,
+             "seed": 1, "verbosity": 0}))
+        code, out, _ = run(["gw", "--dmax", "1"], capsys)
+        assert code == 0 and out == "N=[1]\n"
 
     def test_explicit_config_path(self, capsys, tmp_path):
         cfg = tmp_path / "other.json"
