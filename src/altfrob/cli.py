@@ -320,16 +320,14 @@ def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
     initial = _read_family(args.family)
     doc = _read_json(args.psi, "problem")
     K = settings.get("K", flag_name="order")
-    if K is not None:
-        stored = doc.get("order")
-        if stored is not None and K > stored:
-            raise UsageError(
-                f"--order {K} exceeds the problem data's order {stored}")
-        doc = {**doc, "order": K}
     try:
         problem = problem_from_json(initial, doc)
+        if K is not None and K < problem.order:
+            problem = problem_from_json(initial, {**doc, "order": K})
     except (KeyError, ValueError) as exc:
         raise UsageError(f"could not parse problem file {args.psi}: {exc}")
+    if K is not None and K > problem.order:
+        raise UsageError(f"--order {K} exceeds the problem data's order {problem.order}")
     _note(settings, f"extending through order {problem.order}")
     try:
         extended = hm_extend(problem)

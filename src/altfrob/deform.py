@@ -574,9 +574,23 @@ def problem_to_json(p: DeformationProblem) -> dict:
 
 
 def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
+    """Decode a problem document; a mistyped field raises ValueError."""
     from .presaito import _decode_entry
-    new_vars = tuple(doc["newVars"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"a problem must be a JSON object, got {type(doc).__name__}")
     order = doc["order"]
+    if type(order) is not int:
+        raise ValueError(f"order must be an integer, got {order!r}")
+    if not isinstance(doc["newVars"], list) or \
+            any(type(v) is not str for v in doc["newVars"]):
+        raise ValueError(f"newVars must be a list of strings, got {doc['newVars']!r}")
+    if not isinstance(doc["psi"], list):
+        raise ValueError(f"psi must be a list, got {doc['psi']!r}")
+    if not isinstance(doc["omega"], list) or \
+            any(type(x) not in (int, str) for x in doc["omega"]):
+        raise ValueError("omega must be a list of rational strings or integers, "
+                         f"got {doc['omega']!r}")
+    new_vars = tuple(doc["newVars"])
     svars_all = initial.svars + new_vars
     psi = tuple(_decode_entry(item, initial.qvars, svars_all, order)
                 for item in doc["psi"])

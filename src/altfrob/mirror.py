@@ -2,10 +2,12 @@
 
 The mirror of projective n-space is f = u_1 + ... + u_n + q/(u_1...u_n) on
 the n-torus over Q[q].  Its Jacobian algebra is computed exactly by linear
-algebra in a growing exponent box, multiplication by f in a dressed monomial
-basis reproduces the small quantum connection matrix, and exterior powers of
-the resulting lattice are compared against the wedge of the quantum side
-through characteristic polynomials.  A separate Newton-identity route
+algebra in a growing exponent box: f is quasi-homogeneous (deg u_i = 1,
+deg q = n+1), so the box is row-reduced at q = 1 over the rationals and
+each q-power is read back off the grading.  Multiplication by f in a
+dressed monomial basis reproduces the small quantum connection matrix, and
+exterior powers of the resulting lattice are compared against the wedge of
+the quantum side through characteristic polynomials.  A separate Newton-identity route
 computes subset-sum characteristic polynomials straight from eigenvalue
 symmetric functions, so the wedge spectra are checked twice.
 """
@@ -23,7 +25,7 @@ from .linalg import (RATIONAL_RING, Mat, charpoly, det, kron_sum,
                      wedge_of_sum)
 from .presaito import Report, wedge_restrict
 from .projective import build_pn, pn_small_family
-from .rings import QVARS, Laurent, QFrac, fraction_to_str
+from .rings import QVARS, Laurent, fraction_to_str
 
 
 def _as_qlaurent(value) -> Laurent:
@@ -158,6 +160,29 @@ class _Echelon(NamedTuple):
     reach: int
 
 
+def _grading(f: Laurent) -> tuple[tuple[int, ...], int]:
+    """Weights (w, w_q), w_q > 0, for which every term q^k u^a of f has the
+    same degree w.a + w_q*k.
+
+    Such a grading exists iff the q-exponent of f's terms is an affine
+    function k = alpha.a + beta of their u-exponents, found by one small
+    rational solve; w_q is the least positive integer making w = -w_q*alpha
+    integral.  The relations u_i df/du_i are then homogeneous too.
+    """
+    n = len(f.vars) - 1
+    rows = [[Fraction(x) for x in e[1:]] + [Fraction(1), Fraction(e[0])]
+            for e in f.terms]
+    pivots = row_reduce(rows, n + 1)
+    if any(r[-1] for r in rows[len(pivots):]):
+        raise ValueError("f has no quasi-homogeneous grading: its q-exponents "
+                         "are not an affine function of its u-exponents")
+    alpha = [Fraction(0)] * (n + 1)
+    for r, col in zip(rows, pivots):
+        alpha[col] = r[-1]
+    wq = math.lcm(*(a.denominator for a in alpha[:n]))
+    return tuple(int(-a * wq) for a in alpha[:n]), wq
+
+
 def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     """Row-reduce all relation shifts supported in the padded box [-B-1,B+1]^n.
 
@@ -167,10 +192,17 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     of the inner box form the greedy monomial basis and the quotient
     dimension is read off from the inner box alone.  The one-shell padding
     is what lets relation chains leave the inner box and come back.
+
+    The relations must be homogeneous for a ``_grading`` of f, and the
+    reduction runs at q = 1 over the rationals.  That is exact: putting
+    q = t^(w_q) and scaling column u^a by t^(w.a) turns the system over
+    Q(q) into this one times invertible diagonals, so every step pivots on
+    the same column, and a rewrite value v of u^p on u^c stands for
+    v * q^k with w.p = w.c + w_q*k (see ``JacobianAlgebra.reduce_monomial``).
     """
     R = B + 1
 
-    def grading(e):
+    def graded_lex(e):
         return (sum(map(abs, e)), e)
 
     flags = _flag_monomials(n)
@@ -179,11 +211,10 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     shell = [m for m in product(range(-R, R + 1), repeat=n)
              if max(map(abs, m)) > B]
     order = flags + sorted((m for m in inner if m not in flagset),
-                           key=grading) + sorted(shell, key=grading)
+                           key=graded_lex) + sorted(shell, key=graded_lex)
     rank = {m: i for i, m in enumerate(order)}
     n_inner = len(inner)
 
-    qzero = QFrac.const(QVARS, 0)
     rewrites: dict = {}
     uses: dict = {}
 
@@ -192,22 +223,22 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
         for col, val in row.items():
             if col in rewrites:
                 for c2, v2 in rewrites[col].items():
-                    acc[c2] = acc.get(c2, qzero) + val * v2
+                    acc[c2] = acc.get(c2, 0) + val * v2
             else:
-                acc[col] = acc.get(col, qzero) + val
-        acc = {c: v for c, v in acc.items() if not v.is_zero()}
+                acc[col] = acc.get(col, 0) + val
+        acc = {c: v for c, v in acc.items() if v}
         if not acc:
             return
         piv = max(acc, key=rank.__getitem__)
         pval = acc.pop(piv)
-        rw = {c: -(v / pval) for c, v in acc.items()}
+        rw = {c: -v / pval for c, v in acc.items()}
         for user in list(uses.get(piv, ())):
             other = rewrites[user]
             coef = other.pop(piv)
             uses[piv].discard(user)
             for c, v in rw.items():
-                new = other.get(c, qzero) + coef * v
-                if new.is_zero():
+                new = other.get(c, 0) + coef * v
+                if not new:
                     if c in other:
                         del other[c]
                         uses[c].discard(user)
@@ -220,7 +251,8 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
             uses.setdefault(c, set()).add(piv)
 
     for rel in rels:
-        terms = {s: QFrac.from_laurent(c) for s, c in _by_u(rel).items()}
+        # graded: each u-exponent carries one q-power, which q = 1 drops
+        terms = {e[1:]: c for e, c in rel.terms.items()}
         mins = [min(s[j] for s in terms) for j in range(n)]
         maxs = [max(s[j] for s in terms) for j in range(n)]
         ranges = [range(-R - mins[j], R - maxs[j] + 1) for j in range(n)]
@@ -241,10 +273,10 @@ class JacobianAlgebra:
     everything else).
     """
 
-    __slots__ = ("f", "n", "dim", "basis", "dressing", "box", "_ech")
+    __slots__ = ("f", "n", "dim", "basis", "dressing", "box", "_ech", "_grading")
 
     def __init__(self, f: Laurent, dim: int, basis, box: int,
-                 ech: _Echelon):
+                 ech: _Echelon, grading: tuple[tuple[int, ...], int]):
         self.f = f
         self.n = len(f.vars) - 1
         self.dim = dim
@@ -252,6 +284,7 @@ class JacobianAlgebra:
         self.dressing = tuple(0 if not any(m) else 1 for m in self.basis)
         self.box = box
         self._ech = ech
+        self._grading = grading
 
     def labels(self) -> tuple[str, ...]:
         out = []
@@ -273,21 +306,32 @@ class JacobianAlgebra:
         self._ech = ech
 
     def reduce_monomial(self, exps: Sequence[int]) -> dict:
-        """Coordinates of the class of u^exps on the free monomials."""
+        """Coordinates of the class of u^exps on the free monomials.
+
+        Each coordinate is a Laurent monomial v*q^k: the echelon holds v,
+        and the grading fixes k by w.exps = w.c + w_q*k for free monomial c.
+        """
         exps = tuple(exps)
         self._ensure_reach(max(map(abs, exps)) if exps else 0)
         rw = self._ech.rewrites.get(exps)
         if rw is None:
-            return {exps: QFrac.const(QVARS, 1)}
-        return dict(rw)
+            return {exps: Laurent.const(QVARS, 1)}
+        w, wq = self._grading
+        out = {}
+        for c, v in rw.items():
+            k, rest = divmod(sum(wi * (a - b) for wi, a, b in zip(w, exps, c)), wq)
+            if rest:
+                raise ValueError(f"u^{exps} rewrites onto u^{c} at the "
+                                 f"non-integral q-power {k + Fraction(rest, wq)}")
+            out[c] = Laurent(QVARS, {(k,): v})
+        return out
 
     def reduce_poly(self, g: Laurent) -> dict:
+        """Coordinates of the class of g on the free monomials, in Q[q, 1/q]."""
         vec: dict = {}
-        qzero = QFrac.const(QVARS, 0)
         for exps, coef in _by_u(g).items():
-            lifted = QFrac.from_laurent(coef)
             for b, v in self.reduce_monomial(exps).items():
-                vec[b] = vec.get(b, qzero) + lifted * v
+                vec[b] = vec.get(b, 0) + coef * v
         return {b: v for b, v in vec.items() if not v.is_zero()}
 
 
@@ -299,11 +343,13 @@ def jacobian_algebra(f: Laurent, box: int = 1, box_max: int = 8,
     three consecutive boxes agree; the support must be convenient (0 in the
     interior of the Newton polytope) for the quotient to be finite at all.
     When ``expected_dim`` is given (for example the Kouchnirenko volume
-    bound), a mismatch with the stabilized dimension raises.
+    bound), a mismatch with the stabilized dimension raises.  f must also be
+    quasi-homogeneous (see ``_grading``); otherwise this raises ValueError.
     """
     witness = convenience_witness(f)
     if witness is not None:
         raise ValueError(f"f is not convenient: {witness}")
+    grading = _grading(f)
     rels = torus_relations(f)
     n = len(f.vars) - 1
     dims: list[int] = []
@@ -315,7 +361,7 @@ def jacobian_algebra(f: Laurent, box: int = 1, box_max: int = 8,
                 raise ValueError(
                     f"stabilized dimension {ech.dim} does not match the "
                     f"expected value {expected_dim}")
-            return JacobianAlgebra(f, ech.dim, ech.free, B, ech)
+            return JacobianAlgebra(f, ech.dim, ech.free, B, ech, grading)
     raise NotTame(f"not tame in box [-{box_max},{box_max}]^{n}: "
                   f"dimensions {dims} did not stabilize")
 
@@ -333,7 +379,7 @@ def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
         raise ValueError(f"variables differ: {g.vars} vs {J.f.vars}")
     cols = []
     index = {m: k for k, m in enumerate(J.basis)}
-    for j, (mj, aj) in enumerate(zip(J.basis, J.dressing)):
+    for mj, aj in zip(J.basis, J.dressing):
         vec = J.reduce_poly(g * Laurent(g.vars, {(0,) + mj: Fraction(1)}))
         col = [Laurent.zero(QVARS)] * J.dim
         for b, v in vec.items():
@@ -341,14 +387,7 @@ def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
                 raise ValueError(f"the product leaves the basis at {b}; "
                                  "the box is too small for this multiplier")
             k = index[b]
-            diff = aj - J.dressing[k]
-            dressed = v if diff == 0 else \
-                v * Laurent(QVARS, {(diff,): Fraction(1)})
-            lau = dressed.try_laurent()
-            if lau is None:
-                raise ValueError(f"entry ({k},{j}) has a q denominator: "
-                                 f"{dressed}")
-            col[k] = lau
+            col[k] = v * Laurent.gen(QVARS, "q", aj - J.dressing[k])
         cols.append(col)
     return Mat.from_columns(cols)
 
@@ -367,20 +406,29 @@ class BrieskornPoint(NamedTuple):
     labels: tuple[str, ...]
 
 
-@lru_cache(maxsize=None)
 def mirror_brieskorn(n: int, box_max: int = 8) -> BrieskornPoint:
     """The lattice of the mirror of projective n-space.
 
     R0 is multiplication by f on the dressed Jacobian basis; the residue at
     infinity is -diag(0..n) on the same basis, matching the cohomological
-    grading of the flag classes.
+    grading of the flag classes.  Cached on (n, box_max), however the call
+    spells them.
     """
+    return _mirror_brieskorn(n, box_max)
+
+
+@lru_cache(maxsize=None)
+def _mirror_brieskorn(n: int, box_max: int) -> BrieskornPoint:
     f = mirror_f(n)
     J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
     R0 = mult_f_matrix(J)
     ring = laurent_ring(QVARS)
     Rinf = Mat.diag([Laurent.const(QVARS, -k) for k in range(n + 1)], ring)
     return BrieskornPoint(n + 1, R0, Rinf, J.labels())
+
+
+# the hit and miss counts stay readable under the public name
+mirror_brieskorn.cache_info = _mirror_brieskorn.cache_info
 
 
 def ts_tensor(A: BrieskornPoint, B: BrieskornPoint) -> BrieskornPoint:

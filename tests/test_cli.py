@@ -243,6 +243,28 @@ class TestHm:
         assert code == 2
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("field,value,flags,message", [
+        ("order", "x", [], "order must be an integer"),
+        ("order", "x", ["--order", "2"], "order must be an integer"),
+        ("order", True, [], "order must be an integer"),
+        ("newVars", 5, [], "newVars must be a list of strings"),
+        ("newVars", [1], [], "newVars must be a list of strings"),
+        ("psi", 3, [], "psi must be a list"),
+        ("omega", [0.5, 1], [], "omega must be a list of rational strings or integers"),
+        ("omega", "1", [], "omega must be a list of rational strings or integers"),
+    ], ids=["order-str", "order-str-with-flag", "order-bool", "newVars-int",
+            "newVars-int-list", "psi-int", "omega-float", "omega-str"])
+    def test_mistyped_problem_field_is_rejected(self, capsys, inputs,
+                                                field, value, flags, message):
+        fam_path, psi_path = inputs
+        doc = json.loads(psi_path.read_text())
+        doc[field] = value
+        psi_path.write_text(json.dumps(doc))
+        code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                              *flags], capsys)
+        assert_one_line_usage_error(code, out, err, message)
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_sets_format_and_flag_overrides(self, capsys, tmp_path, monkeypatch):

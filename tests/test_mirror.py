@@ -7,6 +7,7 @@ import pytest
 from altfrob.linalg import Mat, charpoly, laurent_ring
 from altfrob.mirror import (
     BrieskornPoint,
+    _grading,
     compare_quantum_gm,
     convenience_witness,
     gm_wedge,
@@ -105,11 +106,45 @@ class TestJacobianAlgebra:
 
     def test_reduce_monomial_reaches_outside_the_box(self):
         J = jacobian_algebra(mirror_f(1))
-        far = J.reduce_monomial((2 * J.box + 2,))
-        # u^k is q^ceil(k/2) times a basis monomial, here an even power
-        ((b, v),) = far.items()
-        assert b in J.basis
-        assert v.try_laurent() is not None
+        B = J.box
+        # u^2 = q in the quotient, so u^(2B+2) is q^(B+1) times the unit
+        assert J.reduce_monomial((2 * B + 2,)) == {(0,): Q ** (B + 1)}
+
+    def test_non_integral_q_power_raises(self):
+        J = jacobian_algebra(mirror_f(1))
+        J._grading = ((1,), 4)  # a wrong grading: u^2 = q would need q^(1/2)
+        with pytest.raises(ValueError, match="non-integral q-power 1/2"):
+            J.reduce_monomial((2,))
+
+
+class TestGrading:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mirror_grading(self, n):
+        assert _grading(mirror_f(n)) == ((1,) * n, n + 1)
+
+    def test_weighted_mirror(self):
+        # u1 + u2 + q/(u1 u2^2): deg u1 = deg u2 = 1, deg q = 4
+        f = torus_poly(2, {(1, 0): 1, (0, 1): 1})
+        f = f + Laurent(f.vars, {(1, -1, -2): Fraction(1)})
+        assert _grading(f) == ((1, 1), 4)
+        J = jacobian_algebra(f, expected_dim=kouchnirenko_bound(f))
+        assert (J.dim, kouchnirenko_bound(f), J.box) == (4, 4, 3)
+        assert J.basis == ((0, 0), (-1, -1), (0, -1), (0, 1))
+        M = mult_f_matrix(J)
+        assert M == Mat([[ZERO, ZERO, 2 * Q, ZERO],
+                         [ZERO, ZERO, ZERO, 4 * Q],
+                         [ZERO, qc(4), ZERO, ZERO],
+                         [2 * Laurent.gen(QV, "q", -1), ZERO, ZERO, ZERO]])
+        assert charpoly(M, QRING) == [ONE, ZERO, ZERO, ZERO, -64 * Q]
+
+    def test_ungraded_f_raises(self):
+        # u + q/u + q^2/u^2: the q-exponents 0, 1, 2 at u-exponents 1, -1, -2
+        f = Laurent(torus_vars(1), {(0, 1): Fraction(1), (1, -1): Fraction(1),
+                                    (2, -2): Fraction(1)})
+        with pytest.raises(ValueError, match="no quasi-homogeneous grading"):
+            _grading(f)
+        with pytest.raises(ValueError, match="no quasi-homogeneous grading"):
+            jacobian_algebra(f)
 
 
 class TestMultiplication:
@@ -196,6 +231,15 @@ class TestQuantumComparison:
     def test_all_small_wedges_agree(self, r, n):
         rep = compare_quantum_gm(r, n)
         assert rep.ok, "\n".join(rep.lines())
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_all_wedges_agree_at_n5(self, r):
+        rep = compare_quantum_gm(r, 5)
+        assert rep.ok, "\n".join(rep.lines())
+
+    def test_brieskorn_cache_ignores_spelling(self):
+        assert mirror_brieskorn(3) is mirror_brieskorn(3, box_max=8)
+        assert mirror_brieskorn(3) is mirror_brieskorn(3, 8)
 
     def test_projective_plane_charpoly_value(self):
         W = gm_wedge(mirror_brieskorn(2), 2)
