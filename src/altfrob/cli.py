@@ -27,10 +27,10 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .deform import InvariantViolation, gw_pn2, hm_extend, problem_from_json, wdvv_oracle
+from .deform import (InvariantViolation, NotPrePrimitive, gw_pn2, hm_extend, problem_from_json,
+                     wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
 from .linalg import charpoly, laurent_ring
 from .mirror import (NotTame, compare_quantum_gm, gm_wedge, jacobian_algebra, mirror_brieskorn,
@@ -333,6 +333,8 @@ def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
         extended = hm_extend(problem)
     except InvariantViolation as exc:
         raise CheckFailed(f"extension failed: {exc}")
+    except (ValueError, NotPrePrimitive) as exc:
+        raise UsageError(f"cannot extend {args.family} by {args.psi}: {exc}")
     _emit(dumps_family(extended), settings.get("out"))
     return 0
 

@@ -12,8 +12,12 @@ are recovered by integrating
 
 The word basis is found once per variable by a greedy shortlex Krylov search
 at the closed point (all deformation variables zero, generic q), which also
-certifies the cyclicity of omega.  Internal commutation invariants are
-asserted at every order; their failure means inconsistent input data.
+certifies the cyclicity of omega.  The commutation invariant [D', M] = 0 for
+every known matrix M is asserted once per stage, covering every order: the
+order-k step only adds terms at y^(k+1), so the final D' and matrices agree
+with those of order k through y^k, and the lowest order at which the final
+commutator is nonzero is the first order at which the invariant fails.  Its
+failure means inconsistent input data.
 
 The same machinery specializes to the universal big-quantum family of
 projective space (tautological period data) and, with the potential and the
@@ -28,8 +32,8 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Mat, inv_series
-from .presaito import BaseVar, PreSaitoFamily, frobenius_data
+from .linalg import Mat, inv_series, lift_qfrac, series_constant_slice
+from .presaito import BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data
 from .projective import pn_small_family
 from .rings import (
     Laurent,
@@ -90,15 +94,6 @@ def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_point_matrix(M: Mat, qvars: tuple[str, ...]) -> Mat:
-    def down(x):
-        if isinstance(x, Series):
-            c = x.constant_slice()
-            x = c if c is not None else Laurent.zero(qvars)
-        return QFrac.from_laurent(x)
-    return M.map(down)
-
-
 def _reduce_against(vec: list[QFrac], rows: list[tuple[int, list[QFrac]]]):
     v = list(vec)
     for piv, row in rows:
@@ -153,26 +148,20 @@ def _apply_word(generators: Sequence[Mat], word: tuple[int, ...],
 # ---------------------------------------------------------------------------
 
 
-def _dscalar_by_kind(x: Series, var: BaseVar) -> Series:
-    if var.kind == "series":
-        return x.deriv(var.name)
-    if var.kind == "q":
-        return x.map_coeffs(lambda c: c.log_deriv(var.name))
-    return x.map_coeffs(lambda c: c.deriv(var.name))
+def _assert_commutes(D: Mat, gens: Sequence[Mat], names: Sequence[str],
+                     yvar: str, k: int) -> None:
+    """Raise for the lowest order m <= k of yvar at which some [D', M] is nonzero.
 
-
-def _trunc_var(x: Series, name: str, k: int) -> Series:
-    i = x.vars.index(name)
-    return Series(x.vars, x.order, {e: c for e, c in x.terms.items() if e[i] <= k})
-
-
-def _assert_commutes(D: Mat, M: Mat, name: str, yvar: str, k: int) -> None:
-    comm = D @ M - M @ D
-    for i in range(comm.nrows):
-        for j in range(comm.ncols):
-            if not _trunc_var(comm[i, j], yvar, k).is_zero():
-                raise InvariantViolation(
-                    f"[D', {name}] != 0 at order {k} of {yvar}, entry ({i},{j})")
+    The witness is the first generator, then the first entry, failing at m.
+    """
+    comms = [D @ M - M @ D for M in gens]
+    for m in range(k + 1):
+        for comm, name in zip(comms, names):
+            for i in range(comm.nrows):
+                for j in range(comm.ncols):
+                    if not comm[i, j].truncate(m, yvar).is_zero():
+                        raise InvariantViolation(
+                            f"[D', {name}] != 0 at order {m} of {yvar}, entry ({i},{j})")
 
 
 def hm_extend(problem: DeformationProblem,
@@ -181,7 +170,9 @@ def hm_extend(problem: DeformationProblem,
 
     ``reverse_generators`` reverses the generator alphabet of the word-basis
     search; by the uniqueness of the correspondence the output family must
-    not depend on it (exercised in tests).
+    not depend on it (exercised in tests).  Raises InvariantViolation for
+    inconsistent data, NotPrePrimitive when omega is not cyclic, and
+    ValueError when a slice of D' has a genuine q-denominator.
     """
     F0 = problem.initial
     K = problem.order
@@ -189,11 +180,7 @@ def hm_extend(problem: DeformationProblem,
     qvars = F0.qvars
     d = F0.d
 
-    def up(x) -> Series:
-        if isinstance(x, Series):
-            return x.promote(svars_all, K)
-        return Series.const(svars_all, K, x)
-
+    up = _promote_entries(qvars, svars_all, K)
     base: list[BaseVar] = list(F0.base)
     C: dict[str, Mat] = {v.name: F0.C[v.name].map(up) for v in base}
     B0 = F0.B0.map(up)
@@ -211,24 +198,25 @@ def hm_extend(problem: DeformationProblem,
         gen_names = [f"C({v.name})" for v in base] + ["B0"]
         if reverse_generators:
             gens, gen_names = gens[::-1], gen_names[::-1]
-        gens_qf = [_closed_point_matrix(M, qvars) for M in gens]
+        gens_qf = [lift_qfrac(series_constant_slice(M, qvars)) for M in gens]
         words = word_basis(gens_qf, omega_qf, d)
 
-        D = None
         for k in range(K + 1):
             T = Mat.from_columns(
                 [_apply_word(gens, w, omega_col).column_vector() for w in words])
             U = Mat.from_columns(
                 [_apply_word(gens, w, data).column_vector() for w in words])
             D = (U @ inv_series(T)).map(demote)
-            for M, name in zip(gens, gen_names):
-                _assert_commutes(D, M, name, yname, k)
+            Dk = D.map(lambda s: s.coeff_of_var(yname, k))
+            if any(isinstance(c, QFrac)
+                   for r in Dk.rows for s in r for c in s.terms.values()):
+                _assert_commutes(D, gens, gen_names, yname, k)
+                raise ValueError(f"D' leaves Q[q, 1/q] at order {k} of {yname}")
             if k == K:
                 break
-            Dk = D.map(lambda s: s.coeff_of_var(yname, k))
             scale = Fraction(1, k + 1)
             for v in base:
-                piece = Dk.map(lambda s, _v=v: _dscalar_by_kind(s, _v))
+                piece = Dk.map(lambda s, _v=v: dscalar(s, _v.name, _v.kind))
                 C[v.name] = C[v.name] + piece.map(
                     lambda s: s.times_var(yname, k + 1)).scale(scale)
             bpiece = (Binf @ Dk - Dk @ Binf) - Dk
@@ -237,6 +225,7 @@ def hm_extend(problem: DeformationProblem,
             gens = [C[v.name] for v in base] + [B0]
             if reverse_generators:
                 gens = gens[::-1]
+        _assert_commutes(D, gens, gen_names, yname, K)
         newvar = BaseVar(yname, "series")
         base.append(newvar)
         C[yname] = D
@@ -394,14 +383,14 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
         for b in names:
             for c in names:
                 for l_ in names:
-                    lhs = _dscalar_by_kind(low[(a, b, c)], _basevar(F, l_))
-                    rhs = _dscalar_by_kind(low[(l_, b, c)], _basevar(F, a))
+                    lhs = dscalar(low[(a, b, c)], l_, F.kind_of(l_))
+                    rhs = dscalar(low[(l_, b, c)], a, F.kind_of(a))
                     # a derivative in a formal direction is exact only one
                     # order below the family truncation
                     m = K
                     if "series" in (F.kind_of(l_), F.kind_of(a)):
                         m -= 1
-                    if not _truncate_total(lhs - rhs, m).is_zero():
+                    if not (lhs - rhs).truncate(m).is_zero():
                         raise InvariantViolation(
                             f"nabla c is not symmetric at ({a},{b},{c},{l_})")
 
@@ -475,7 +464,7 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
     for (a, b, c), mat_c in low.items():
         dd = phi
         for nm in (a, b, c):
-            dd = _dscalar_by_kind(dd, _basevar(F, nm))
+            dd = dscalar(dd, nm, F.kind_of(nm))
         keys = set(mat_c.terms) | {e for e in dd.terms if sum(e) <= K}
         for exps in sorted(keys):
             cv = mat_c.coeff(exps)
@@ -490,15 +479,6 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
                         f"d3 potential mismatch at c_{{{a}{b}{c}}}, "
                         f"q^{dpow} t^{list(exps)}")
     return phi
-
-
-def _basevar(F: PreSaitoFamily, name: str) -> BaseVar:
-    return next(v for v in F.base if v.name == name)
-
-
-def _truncate_total(s: Series, k: int) -> Series:
-    return Series(s.vars, s.order,
-                  {e: c for e, c in s.terms.items() if sum(e) <= k})
 
 
 def gw_pn2(dmax: int) -> list[int]:

@@ -49,10 +49,6 @@ def laurent_ring(variables: tuple[str, ...]) -> Ring:
     return Ring(Laurent.zero(variables), Laurent.const(variables, 1))
 
 
-def qfrac_ring(variables: tuple[str, ...]) -> Ring:
-    return Ring(QFrac.const(variables, 0), QFrac.const(variables, 1))
-
-
 class Mat:
     """An immutable dense matrix with exact entries."""
 
@@ -334,25 +330,10 @@ def inv_laurent(A: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def series_constant_slice(M: Mat) -> Mat:
-    """Drop all positive-order terms, returning a Laurent-entried matrix."""
-    out = []
-    qvars = None
-    for r in M.rows:
-        for s in r:
-            for c in s.terms.values():
-                qvars = c.vars
-                break
-            if qvars:
-                break
-        if qvars:
-            break
-    if qvars is None:
-        raise ValueError("cannot infer coefficient ring of an all-zero matrix")
+def series_constant_slice(M: Mat, qvars: tuple[str, ...]) -> Mat:
+    """Drop all positive-order terms, giving a matrix over Laurent(qvars)."""
     zero = Laurent.zero(qvars)
-    for r in M.rows:
-        out.append([s.constant_slice() or zero for s in r])
-    return Mat(out)
+    return M.map(lambda s: s.constant_slice() or zero)
 
 
 def inv_series(M: Mat) -> Mat:
@@ -361,13 +342,16 @@ def inv_series(M: Mat) -> Mat:
     The constant slice is inverted over Q(q); the rest follows from the
     finite Neumann expansion, which terminates at the truncation order.
     Entries of the result are Series with QFrac coefficients demoted to
-    Laurent wherever the denominator cancels.
+    Laurent wherever the denominator cancels.  A singular constant slice,
+    the zero matrix included, raises ZeroDivisionError.
     """
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
-    M0 = series_constant_slice(M)
-    V0 = inv_field(lift_qfrac(M0)).map(
-        lambda a: Series.const(svars, order, demote(a)))
+    coeff = next((c for r in M.rows for s in r for c in s.terms.values()), None)
+    if coeff is None:
+        raise ZeroDivisionError("singular matrix")
+    V0 = inv_laurent(series_constant_slice(M, coeff.vars)).map(
+        lambda a: Series.const(svars, order, a))
 
     def lift_series(s: Series) -> Series:
         return s.map_coeffs(lambda c: QFrac.from_laurent(c)

@@ -335,7 +335,7 @@ class JacobianAlgebra:
         return {b: v for b, v in vec.items() if not v.is_zero()}
 
 
-def jacobian_algebra(f: Laurent, box: int = 1, box_max: int = 8,
+def jacobian_algebra(f: Laurent, box_max: int = 8,
                      expected_dim: int | None = None) -> JacobianAlgebra:
     """The Jacobian quotient of f, computed exactly by box stabilization.
 
@@ -353,7 +353,7 @@ def jacobian_algebra(f: Laurent, box: int = 1, box_max: int = 8,
     rels = torus_relations(f)
     n = len(f.vars) - 1
     dims: list[int] = []
-    for B in range(box, box_max + 1):
+    for B in range(1, box_max + 1):
         ech = _box_echelon(rels, n, B)
         dims.append(ech.dim)
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:

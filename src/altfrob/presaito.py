@@ -28,17 +28,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import (
     Mat,
     Ring,
     inv_field,
+    inv_laurent,
     inv_series,
     kron,
     kron_sum,
     laurent_ring,
-    lift_qfrac,
     wedge_indices,
     wedge_metric,
     wedge_of_sum,
@@ -64,6 +64,21 @@ class BaseVar(NamedTuple):
 
 class NotPrimitive(Exception):
     """The period map of the proposed primitive section is not invertible."""
+
+
+def dscalar(x, name: str, kind: str):
+    """The derivation of a base direction applied to a Laurent or Series entry.
+
+    A "q" direction acts by q*d/dq, a "laurent" one by d/dlambda, both on the
+    coefficients of a Series; a "series" direction differentiates the series.
+    """
+    if kind == "series":
+        if not isinstance(x, Series):
+            raise TypeError("series derivation on a non-series entry")
+        return x.deriv(name)
+    if isinstance(x, Series):
+        return x.map_coeffs(lambda c: dscalar(c, name, kind))
+    return x.log_deriv(name) if kind == "q" else x.deriv(name)
 
 
 class PreSaitoFamily:
@@ -126,11 +141,7 @@ class PreSaitoFamily:
         raise KeyError(name)
 
     def ring(self) -> Ring:
-        if self.svars:
-            zero = Series.zero(self.svars, self.order)
-            one = Series.const(self.svars, self.order, Laurent.const(self.qvars, 1))
-            return Ring(zero, one)
-        return laurent_ring(self.qvars)
+        return _ring_for(self.qvars, self.svars, self.order)
 
     def const(self, value: int | Fraction):
         """The constant scalar of the entry ring with rational value."""
@@ -144,22 +155,9 @@ class PreSaitoFamily:
 
     # -- derivations -------------------------------------------------------------
 
-    def dscalar(self, x, name: str):
-        kind = self.kind_of(name)
-        if kind == "series":
-            if not isinstance(x, Series):
-                raise TypeError("series derivation on a non-series entry")
-            return x.deriv(name)
-        if self.svars:
-            if kind == "q":
-                return x.map_coeffs(lambda c: c.log_deriv(name))
-            return x.map_coeffs(lambda c: c.deriv(name))
-        if kind == "q":
-            return x.log_deriv(name)
-        return x.deriv(name)
-
     def dmat(self, M: Mat, name: str) -> Mat:
-        return M.map(lambda x: self.dscalar(x, name))
+        kind = self.kind_of(name)
+        return M.map(lambda x: dscalar(x, name, kind))
 
     # -- structural helpers --------------------------------------------------------
 
@@ -200,30 +198,6 @@ class PreSaitoFamily:
                                  remap(self.G) if self.G is not None else None,
                                  self.w, self.order, self.params)
         return out
-
-    def restrict_zero(self, names: Iterable[str]) -> "PreSaitoFamily":
-        """Set series directions to zero and remove them from the base."""
-        names = tuple(names)
-        for n in names:
-            if self.kind_of(n) != "series":
-                raise ValueError(f"{n} is not a series direction")
-        kept = tuple(v for v in self.base if v.name not in names)
-        kept_svars = tuple(v.name for v in kept if v.kind == "series")
-
-        def restrict(M: Mat) -> Mat:
-            def entry(s: Series):
-                s0 = s.restrict_zero(names)
-                if kept_svars:
-                    return s0.promote(kept_svars, self.order)
-                c = s0.constant_slice()
-                return c if c is not None else Laurent.zero(self.qvars)
-            return M.map(entry)
-
-        return PreSaitoFamily(
-            kept, self.d, restrict(self.Binf), restrict(self.B0),
-            {v.name: restrict(self.C[v.name]) for v in kept},
-            restrict(self.G) if self.G is not None else None,
-            self.w, self.order if kept_svars else None, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +246,13 @@ class Report:
         return "\n".join([self.title] + self.lines())
 
 
-def _truncated(x, k: int | None):
-    if k is None or not isinstance(x, Series):
-        return x
-    return Series(x.vars, x.order, {e: c for e, c in x.terms.items() if sum(e) <= k})
-
-
 def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
     """First nonzero coefficient of A - B, truncated to total degree k."""
     for i in range(A.nrows):
         for j in range(A.ncols):
-            x = _truncated(A[i, j] - B[i, j], k)
+            x = A[i, j] - B[i, j]
+            if k is not None and isinstance(x, Series):
+                x = x.truncate(k)
             if is_zero(x):
                 continue
             if isinstance(x, Series):
@@ -485,8 +455,8 @@ def trivial_deformation(P: PointStructure, var: str = "lambda") -> PreSaitoFamil
 # ---------------------------------------------------------------------------
 
 
-def _promote_entries(F: PreSaitoFamily, qvars: tuple[str, ...],
-                     svars: tuple[str, ...], order: int | None):
+def _promote_entries(qvars: tuple[str, ...], svars: tuple[str, ...],
+                     order: int | None):
     def up(x):
         if isinstance(x, Series):
             y = x.map_coeffs(lambda c: c.promote(qvars))
@@ -513,8 +483,8 @@ def tensor(F1: PreSaitoFamily, F2: PreSaitoFamily) -> PreSaitoFamily:
     order = F1.order if F1.order is not None else F2.order
     qvars = F1.qvars + F2.qvars
     svars = F1.svars + F2.svars
-    up1 = _promote_entries(F1, qvars, svars, order)
-    up2 = _promote_entries(F2, qvars, svars, order)
+    up1 = _promote_entries(qvars, svars, order)
+    up2 = _promote_entries(qvars, svars, order)
     ring = _ring_for(qvars, svars, order)
     id1 = Mat.identity(F1.d, ring)
     id2 = Mat.identity(F2.d, ring)
@@ -602,16 +572,15 @@ def wedge_restrict(P: PointStructure, r: int,
 class FrobeniusData:
     """Flat-frame product data extracted from a family and a primitive omega."""
 
-    __slots__ = ("names", "phi", "products", "unit", "euler", "gmat", "ring_desc")
+    __slots__ = ("names", "phi", "products", "unit", "euler", "gmat")
 
-    def __init__(self, names, phi, products, unit, euler, gmat, ring_desc):
+    def __init__(self, names, phi, products, unit, euler, gmat):
         self.names = names
         self.phi = phi
         self.products = products
         self.unit = unit
         self.euler = euler
         self.gmat = gmat
-        self.ring_desc = ring_desc
 
     def c_lower(self, i: str, j: str, k: str):
         """The g-lowered constant c_{ijk} = g(d_i * d_j, d_k)."""
@@ -634,7 +603,6 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
     if len(names) != F.d:
         raise NotPrimitive(
             f"need {F.d} base directions for a rank-{F.d} family, have {len(names)}")
-    ring = F.ring()
     omega_col = Mat.column([x if not isinstance(x, (int, Fraction)) else F.const(x)
                             for x in omega])
     phi = Mat.from_columns([((-F.C[n]) @ omega_col).column_vector() for n in names])
@@ -645,7 +613,7 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
             raise NotPrimitive("period map is singular at the origin") from None
     else:
         try:
-            phi_inv = inv_field(lift_qfrac(phi)).map(demote)
+            phi_inv = inv_laurent(phi)
         except ZeroDivisionError:
             raise NotPrimitive("period map is singular") from None
     products = {}
@@ -657,7 +625,7 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
     gmat = None
     if F.G is not None:
         gmat = (phi.transpose() @ F.G @ phi).map(demote)
-    return FrobeniusData(names, phi, products, unit, euler, gmat, ring)
+    return FrobeniusData(names, phi, products, unit, euler, gmat)
 
 
 # ---------------------------------------------------------------------------

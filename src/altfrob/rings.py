@@ -652,6 +652,15 @@ class Series:
                 terms[lifted] = c
         return Series(self.vars, self.order, terms)
 
+    def truncate(self, k: int, name: str | None = None) -> "Series":
+        """Drop the terms of total degree above k, or of degree above k in ``name``."""
+        if name is None:
+            return Series(self.vars, self.order,
+                          {e: c for e, c in self.terms.items() if sum(e) <= k})
+        i = self.vars.index(name)
+        return Series(self.vars, self.order,
+                      {e: c for e, c in self.terms.items() if e[i] <= k})
+
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
         idx = [self.vars.index(n) for n in names]

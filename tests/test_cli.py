@@ -265,6 +265,27 @@ class TestHm:
         assert_one_line_usage_error(code, out, err, message)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("omega", ["1", "1"], "D' leaves Q[q, 1/q] at order 0 of y"),
+        ("psi", [[{"exps": [0], "coef": [[0, "1"]]}],
+                 [{"exps": [1], "coef": [[0, "2"]]}]],
+         "psi must vanish when the new variables do"),
+        ("omega", ["1"], "omega must have one coordinate per rank"),
+        ("newVars", ["q"], "duplicate base variable names"),
+        ("omega", ["0", "0"], "omega generates a proper invariant subspace"),
+    ], ids=["q-denominator", "psi-constant-term", "omega-short", "newVars-q",
+            "omega-zero"])
+    def test_unusable_problem_is_an_input_error(self, capsys, inputs,
+                                                field, value, message):
+        fam_path, psi_path = inputs
+        doc = json.loads(psi_path.read_text())
+        doc[field] = value
+        psi_path.write_text(json.dumps(doc))
+        code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path)],
+                             capsys)
+        assert_one_line_usage_error(code, out, err, message)
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_sets_format_and_flag_overrides(self, capsys, tmp_path, monkeypatch):

@@ -223,7 +223,47 @@ class TestProblemSerialization:
         psi = (Series.zero(svars, 3),
                Series.gen(svars, 3, "t", Laurent.const(qv, 1)))
         prob = DeformationProblem(bad, ("t",), psi, (F(1), F(0)), 3)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as err:
+            hm_extend(prob)
+        assert str(err.value) == "[D', B0] != 0 at order 0 of t, entry (0,0)"
+
+    @pytest.mark.parametrize("matrix,psi_index,omega,order,message", [
+        ("Binf", 1, (1, 0), 3, "[D', B0] != 0 at order 1 of t, entry (0,0)"),
+        # D' also has a q-denominator here: the invariant is reported first
+        ("B0", 0, (1, 1), 2, "[D', B0] != 0 at order 0 of t, entry (0,1)"),
+    ], ids=["order-1", "before-q-denominator"])
+    def test_invariant_names_the_first_failing_order(self, matrix, psi_index,
+                                                     omega, order, message):
+        from altfrob.presaito import PreSaitoFamily
+
+        fam = pn_small_family(1)
+        qv = ("q",)
+        mats = {"Binf": fam.Binf, "B0": fam.B0}
+        rows = [list(r) for r in mats[matrix].rows]
+        rows[0][0] = rows[0][0] + Laurent.const(qv, 1)
+        mats[matrix] = Mat(rows)
+        bad = PreSaitoFamily(fam.base, 2, mats["Binf"], mats["B0"], dict(fam.C),
+                             fam.G, fam.w)
+        svars = ("t",)
+        psi = tuple(Series.gen(svars, order, "t", Laurent.const(qv, 1)) if i == psi_index
+                    else Series.zero(svars, order) for i in range(2))
+        prob = DeformationProblem(bad, ("t",), psi, tuple(map(F, omega)), order)
+        with pytest.raises(InvariantViolation) as err:
+            hm_extend(prob)
+        assert str(err.value) == message
+
+    def test_q_denominator_in_d_prime_is_rejected(self):
+        from altfrob.presaito import PreSaitoFamily
+
+        # no base direction differentiates D', so nothing else would notice
+        qv = ("q",)
+        one, zero = Laurent.const(qv, 1), Laurent.zero(qv)
+        fam = PreSaitoFamily((), 2, Mat([[zero, zero], [zero, -one]]),
+                             Mat([[zero, Laurent.gen(qv, "q") * 2], [one * 2, zero]]),
+                             {}, params=qv)
+        psi = (Series.zero(("y",), 2), Series.gen(("y",), 2, "y", one))
+        prob = DeformationProblem(fam, ("y",), psi, (F(1), F(1)), 2)
+        with pytest.raises(ValueError, match=r"D' leaves Q\[q, 1/q\] at order 0 of y"):
             hm_extend(prob)
 
 

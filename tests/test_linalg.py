@@ -142,6 +142,12 @@ def test_inv_series_with_q_constant_slice():
     assert (M @ Minv)[0, 0] == R.one
 
 
+def test_inv_series_of_zero_matrix_is_singular():
+    zero = SeriesRing(("x",), 2, ("q",)).zero
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        inv_series(Mat([[zero, zero], [zero, zero]]))
+
+
 def test_kron_and_kron_sum_on_diagonals():
     A = Mat.diag([F(2), F(3)], RATIONAL_RING)
     B = Mat.diag([F(5), F(7)], RATIONAL_RING)

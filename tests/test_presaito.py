@@ -214,6 +214,15 @@ def test_frobenius_requires_square_period_map():
         frobenius_data(pn_small_family(2), build_pn(2).omega)
 
 
+def test_frobenius_rejects_vanishing_series_period_map():
+    from altfrob.rings import Series
+    zero = Mat([[Series.zero(("t",), 2)]])
+    fam = PreSaitoFamily(base=(BaseVar("t", "series"),), d=1, Binf=zero, B0=zero,
+                         C={"t": zero}, order=2)
+    with pytest.raises(NotPrimitive):
+        frobenius_data(fam, (1,))
+
+
 def test_frobenius_data_on_t0_extended_p1():
     # rank-2 family over (q, t0): C(t0) = -I extends the P^1 q-line family
     fam = pn_small_family(1)
