@@ -72,9 +72,13 @@ class DeformationProblem(NamedTuple):
 
 
 def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
+    taken = {v.name: "base variable" for v in p.initial.base}
+    taken.update((name, "parameter") for name in p.initial.params)
+    for name in p.new_vars:
+        if name in taken:
+            raise ValueError(f"new variable {name!r} collides with a {taken[name]}")
+        taken[name] = "new variable"
     svars_all = p.initial.svars + tuple(p.new_vars)
-    if len(set(svars_all)) != len(svars_all):
-        raise ValueError("new variable names collide")
     if len(p.psi) != p.initial.d:
         raise ValueError("psi must have one coordinate per rank")
     for s in p.psi:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import Laurent, QFrac, Series, demote, is_zero
+from .rings import Laurent, QFrac, Series, demote, is_zero, series_dot
 
 
 class NoSolution(Exception):
@@ -130,6 +130,9 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         bt = tuple(zip(*other.rows))
+        if self.ncols and all(type(a) is Series for m in (self, other)
+                              for r in m.rows for a in r):
+            return Mat([[series_dot(list(zip(r, c))) for c in bt] for r in self.rows])
         out = []
         for r in self.rows:
             out_row = []

@@ -39,6 +39,7 @@ from .linalg import (
     kron,
     kron_sum,
     laurent_ring,
+    series_constant_slice,
     wedge_indices,
     wedge_metric,
     wedge_of_sum,
@@ -161,27 +162,21 @@ class PreSaitoFamily:
 
     # -- structural helpers --------------------------------------------------------
 
-    def entry_is_constant(self, x) -> bool:
-        """Constant in every base direction (parameters allowed to remain)."""
-        direction_qvars = tuple(v.name for v in self.base if v.kind != "series")
-        if isinstance(x, Series):
-            if any(any(e) for e in x.terms):
-                return False
-            c = x.constant_slice()
-            x = c if c is not None else Laurent.zero(self.qvars)
-        return all(x.degree_range(v) == (0, 0) for v in direction_qvars)
+    def _constant_slice(self, M: Mat) -> Mat:
+        """M over Laurent(qvars): a Series entry keeps only its constant term."""
+        return series_constant_slice(M, self.qvars) if self.svars else M
 
     def matrix_is_constant(self, M: Mat) -> bool:
-        return all(self.entry_is_constant(x) for r in M.rows for x in r)
+        """Constant in every base direction (parameters allowed to remain)."""
+        if self.svars and any(any(e) for r in M.rows for s in r for e in s.terms):
+            return False
+        directions = [v.name for v in self.base if v.kind != "series"]
+        return all(x.degree_range(v) == (0, 0)
+                   for r in self._constant_slice(M).rows for x in r for v in directions)
 
     def constant_fraction_matrix(self, M: Mat) -> Mat:
         """Extract the rational matrix underlying a constant matrix."""
-        def down(x) -> Fraction:
-            if isinstance(x, Series):
-                c = x.constant_slice()
-                x = c if c is not None else Laurent.zero(self.qvars)
-            return x.as_fraction()
-        return M.map(down)
+        return self._constant_slice(M).map(Laurent.as_fraction)
 
     def reorder_base(self, names: Sequence[str]) -> "PreSaitoFamily":
         """Permute the declared base order (series entries are re-indexed)."""

@@ -14,13 +14,20 @@ never truncated, carries negative powers, and its natural derivation is
 ring; it only appears inside linear solves and is demoted back to ``Laurent``
 whenever the denominator cancels.
 
+Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
+matrix product, goes through one fused, truncation-aware accumulation,
+``series_dot``: it skips the pairs of terms past the truncation order and
+builds each output coefficient once, with no intermediate ``Series`` sums.
+
 No floating point is used anywhere; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from math import lcm
+from operator import add
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -555,21 +562,7 @@ class Series:
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
-        self._check(other)
-        order = self.order
-        terms: dict[Exponents, object] = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > order:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if e in terms:
-                    terms[e] = terms[e] + prod
-                else:
-                    terms[e] = prod
-        return Series(self.vars, order, terms)
+        return series_dot([(self, other)])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Laurent, QFrac)):
@@ -699,6 +692,72 @@ class Series:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
+    """The sum of a * b over (Series, Series) pairs of one ring, truncated once.
+
+    Each right operand's terms are bucketed by total degree, so a left term
+    of degree d meets only the buckets up to ``order - d``.  When every
+    coefficient is a Laurent polynomial in one variable tuple, the products
+    accumulate on flat (series exponents, Laurent exponents) keys as integer
+    numerator/denominator pairs, and each output coefficient is built once.
+    Any other coefficients (Fraction, QFrac, Laurent polynomials in differing
+    variables) multiply and add as scalars.
+    """
+    first = pairs[0][0]
+    svars, order = first.vars, first.order
+    live = []
+    lvars = set()
+    for a, b in pairs:
+        first._check(a)
+        first._check(b)
+        if a.terms and b.terms:
+            live.append((a, b))
+            for s in (a, b):
+                for c in s.terms.values():
+                    lvars.add(c.vars if type(c) is Laurent else None)
+    flat = len(lvars) == 1 and None not in lvars
+
+    def coeff(c):
+        if not flat:
+            return c
+        return [(k, f.numerator, f.denominator) for k, f in c.terms.items()]
+
+    acc: dict = {}
+    for a, b in live:
+        buckets: list[list] = [[] for _ in range(order + 1)]
+        for e2, c2 in b.terms.items():
+            buckets[sum(e2)].append((e2, coeff(c2)))
+        for e1, c1 in a.terms.items():
+            c1 = coeff(c1)
+            for bucket in buckets[:order - sum(e1) + 1]:
+                for e2, c2 in bucket:
+                    e = tuple(map(add, e1, e2))
+                    if not flat:
+                        prod = c1 * c2
+                        acc[e] = acc[e] + prod if e in acc else prod
+                        continue
+                    for k1, n1, d1 in c1:
+                        for k2, n2, d2 in c2:
+                            key = (e, tuple(map(add, k1, k2)))
+                            n, d = n1 * n2, d1 * d2
+                            cur = acc.get(key)
+                            if cur is None:
+                                acc[key] = [n, d]
+                            elif cur[1] == d:
+                                cur[0] += n
+                            else:
+                                den = lcm(cur[1], d)
+                                cur[0] = cur[0] * (den // cur[1]) + n * (den // d)
+                                cur[1] = den
+    if not flat:
+        return Series(svars, order, acc)
+    (qvars,) = lvars
+    grouped: dict[Exponents, dict] = {}
+    for (e, k), (n, d) in acc.items():
+        grouped.setdefault(e, {})[k] = Fraction(n, d)
+    return Series(svars, order, {e: Laurent(qvars, t) for e, t in grouped.items()})
 
 
 def is_zero(value) -> bool:

@@ -271,7 +271,7 @@ class TestHm:
                  [{"exps": [1], "coef": [[0, "2"]]}]],
          "psi must vanish when the new variables do"),
         ("omega", ["1"], "omega must have one coordinate per rank"),
-        ("newVars", ["q"], "duplicate base variable names"),
+        ("newVars", ["q"], "new variable 'q' collides with a base variable"),
         ("omega", ["0", "0"], "omega generates a proper invariant subspace"),
     ], ids=["q-denominator", "psi-constant-term", "omega-short", "newVars-q",
             "omega-zero"])

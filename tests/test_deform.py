@@ -186,8 +186,8 @@ class TestCurveCounts:
     def test_gw_matches_oracle_through_degree_3(self):
         assert gw_pn2(3) == wdvv_oracle(3) == [1, 1, 12]
 
-    def test_gw_matches_oracle_through_degree_5(self):
-        assert gw_pn2(5) == wdvv_oracle(5)
+    def test_gw_matches_oracle_through_degree_12(self):
+        assert gw_pn2(12) == wdvv_oracle(12)
 
 
 class TestProblemSerialization:
@@ -209,6 +209,30 @@ class TestProblemSerialization:
         prob = DeformationProblem(fam, ("t0",), bad, (F(1), F(0)), 3)
         with pytest.raises(ValueError):
             hm_extend(prob)
+
+    @pytest.mark.parametrize("qkind,new_vars,message", [
+        ("base", ("t0", "q"), "new variable 'q' collides with a base variable"),
+        ("param", ("q",), "new variable 'q' collides with a parameter"),
+        ("base", ("t0", "t0"), "new variable 't0' collides with a new variable"),
+    ], ids=["base", "parameter", "repeated"])
+    def test_colliding_new_variable_fails_before_extension(self, monkeypatch, qkind,
+                                                           new_vars, message):
+        import altfrob.deform as deform
+        from altfrob.presaito import PreSaitoFamily
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the extension started")
+
+        monkeypatch.setattr(deform, "_promote_entries", no_work)
+        monkeypatch.setattr(deform, "word_basis", no_work)
+        fam = pn_small_family(1)
+        if qkind == "param":
+            fam = PreSaitoFamily((), 2, fam.Binf, fam.B0, {}, params=("q",))
+        psi = tuple(Series.zero(new_vars, 2) for _ in range(2))
+        prob = DeformationProblem(fam, new_vars, psi, (F(1), F(0)), 2)
+        with pytest.raises(ValueError) as err:
+            hm_extend(prob)
+        assert str(err.value) == message
 
     def test_corrupted_initial_family_trips_an_invariant(self):
         from altfrob.presaito import PreSaitoFamily

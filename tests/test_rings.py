@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altfrob.rings import Laurent, QFrac, Series, SeriesRing, qlaurent
+from altfrob.linalg import Mat
+from altfrob.rings import Laurent, QFrac, Series, SeriesRing, qlaurent, series_dot
 
 
 def test_laurent_basic_arithmetic():
@@ -166,3 +167,117 @@ def test_series_promote():
     big = x.promote(("x", "y"), 4)
     R2 = SeriesRing(("x", "y"), 4, ("q",))
     assert big == R2.gen("x")
+
+
+# -- fused Series products against pairwise products -------------------------
+
+
+def reference_dot(pairs):
+    """Sum of a * b built from pairwise coefficient products and Series sums.
+
+    Series() drops the terms past the truncation order and the zero sums.
+    """
+    total = Series.zero(pairs[0][0].vars, pairs[0][0].order)
+    for a, b in pairs:
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+        total = total + Series(a.vars, a.order, terms)
+    return total
+
+
+SVARS = ("t0", "t1", "t2")
+QVAR_CHOICES = [("q",), ("lam", "q")]
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def series_rings(draw):
+    """(series variables, order, Laurent variables): 1-3 variables, orders 0-4."""
+    return (SVARS[:draw(st.integers(1, 3))], draw(st.integers(0, 4)),
+            draw(st.sampled_from(QVAR_CHOICES)))
+
+
+@st.composite
+def series(draw, ring):
+    """A Series over Laurent coefficients, negative q-powers and cancellations allowed."""
+    svars, order, qvars = ring
+    laurent = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * len(qvars)),
+                              small_fractions, max_size=3)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, order)] * len(svars)),
+                                 laurent.map(lambda t: Laurent(qvars, t)), max_size=6))
+    return Series(svars, order, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_mul_matches_pairwise_reference(data):
+    ring = data.draw(series_rings())
+    a, b = data.draw(series(ring)), data.draw(series(ring))
+    assert a * b == reference_dot([(a, b)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_series_matmul_matches_pairwise_reference(data, n, m, p):
+    ring = data.draw(series_rings())
+    A = Mat([[data.draw(series(ring)) for _ in range(m)] for _ in range(n)])
+    B = Mat([[data.draw(series(ring)) for _ in range(p)] for _ in range(m)])
+    got = A @ B
+    for i in range(n):
+        for j in range(p):
+            assert got[i, j] == reference_dot(list(zip(A.row(i), B.col(j))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_series_dot_over_qfrac_and_fraction_coefficients(data):
+    svars, order, _ = data.draw(series_rings())
+    ring = (svars, order, ("q",))
+    q = Laurent.gen(("q",), "q")
+    a, b, c = (data.draw(series(ring)) for _ in range(3))
+    qa = a.map_coeffs(lambda x: QFrac(x, q + 2))
+    qb = b.map_coeffs(QFrac.from_laurent)
+    fa = Series(svars, order, {e: x.constant_value() for e, x in a.terms.items()})
+    fb = Series(svars, order, {e: x.constant_value() for e, x in b.terms.items()})
+    for pairs in ([(qa, qb)], [(qa, b), (c, qb)], [(fa, fb)], [(fa, b), (c, fb)]):
+        assert series_dot(pairs) == reference_dot(pairs)
+
+
+def test_series_dot_zero_operands():
+    R = SeriesRing(("x", "y"), 3, ("q",))
+    x, zero = R.gen("x"), R.zero
+    assert (zero * x).is_zero() and (x * zero).is_zero()
+    assert series_dot([(zero, x), (x, zero)]) == zero
+    pairs = [(zero, x), (x, R.qgen("q", -1))]
+    assert series_dot(pairs) == reference_dot(pairs) != zero
+    Z = Mat([[zero, zero]])
+    assert (Z @ Mat([[x], [x]])).is_zero()
+    # a sum that cancels leaves no term behind
+    assert series_dot([(x, x), (x, -x)]).terms == {}
+
+
+def test_series_dot_rejects_mismatched_series_rings():
+    x = SeriesRing(("x",), 3, ("q",)).gen("x")
+    other_vars = SeriesRing(("y",), 3, ("q",)).gen("y")
+    other_order = SeriesRing(("x",), 2, ("q",)).gen("x")
+    for bad in (other_vars, other_order):
+        with pytest.raises(ValueError, match="series ring mismatch"):
+            x * bad
+        with pytest.raises(ValueError, match="series ring mismatch"):
+            series_dot([(x, x), (x, bad)])
+        with pytest.raises(ValueError, match="series ring mismatch"):
+            Mat([[x, x]]) @ Mat([[x], [bad]])
+
+
+def test_series_dot_rejects_mismatched_laurent_variables():
+    xq = SeriesRing(("x",), 3, ("q",)).gen("x")
+    xp = SeriesRing(("x",), 3, ("p",)).gen("x")
+    with pytest.raises(ValueError, match="variable mismatch"):
+        xq * xp
+    with pytest.raises(ValueError, match="variable mismatch"):
+        series_dot([(xq, xq), (xp, xp)])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Mat([[xq, xp]]) @ Mat([[xq], [xp]])
