@@ -11,13 +11,18 @@ are recovered by integrating
     dC'^(i)/dy = d_i D',        dB_0'/dy = [B_inf, D'] - D'.
 
 The word basis is found once per variable by a greedy shortlex Krylov search
-at the closed point (all deformation variables zero, generic q), which also
-certifies the cyclicity of omega.  The commutation invariant [D', M] = 0 for
-every known matrix M is asserted once per stage, covering every order: the
-order-k step only adds terms at y^(k+1), so the final D' and matrices agree
-with those of order k through y^k, and the lowest order at which the final
-commutator is nonzero is the first order at which the invariant fails.  Its
-failure means inconsistent input data.
+at the closed point (all deformation variables zero), which also certifies
+the cyclicity of omega; its independence test is over Q(q) but runs
+fraction-free over Q[q, 1/q].  Each order inverts the word matrix up to a
+scalar s (``inv_series``), and D' is the exact quotient by s, which is 1
+whenever the closed-point determinant is a unit.
+
+The commutation invariant [D', M] = 0 for every known matrix M is asserted
+once per stage, covering every order: the order-k step only adds terms at
+y^(k+1), so the final D' and matrices agree with those of order k through
+y^k, and the lowest order at which the final commutator is nonzero is the
+first order at which the invariant fails.  Its failure means inconsistent
+input data.
 
 The same machinery specializes to the universal big-quantum family of
 projective space (tautological period data) and, with the potential and the
@@ -32,18 +37,10 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Mat, inv_series, lift_qfrac, series_constant_slice
+from .linalg import Mat, divide_exact, inv_series, series_constant_slice
 from .presaito import BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data
 from .projective import pn_small_family
-from .rings import (
-    Laurent,
-    QFrac,
-    Series,
-    as_fraction,
-    demote,
-    fraction_from_str,
-    fraction_to_str,
-)
+from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str
 
 
 class NotPrePrimitive(Exception):
@@ -98,27 +95,30 @@ def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_against(vec: list[QFrac], rows: list[tuple[int, list[QFrac]]]):
+def _reduce_against(vec: list[Laurent], rows: list[tuple[int, list[Laurent]]]):
+    """Eliminate each pivot of ``rows`` from vec by v <- p*v - v[piv]*row."""
     v = list(vec)
     for piv, row in rows:
         c = v[piv]
         if not c.is_zero():
-            v = [a - c * b for a, b in zip(v, row)]
+            p = row[piv]
+            v = [p * a - c * b for a, b in zip(v, row)]
     return v
 
 
-def word_basis(generators: Sequence[Mat], omega: Sequence[QFrac],
+def word_basis(generators: Sequence[Mat], omega: Sequence[Laurent],
                d: int) -> list[tuple[int, ...]]:
     """Greedy shortlex Krylov search for d independent words applied to omega.
 
     Words are tuples of generator indices, applied right-to-left; the empty
     word (omega itself) is examined first, then children of each accepted
-    word in generator order.  Raises NotPrePrimitive when the span closes
-    before reaching full rank.
+    word in generator order.  Independence is over the fraction field,
+    tested by division-free elimination over the Laurent entries.  Raises
+    NotPrePrimitive when the span closes before reaching full rank.
     """
-    rows: list[tuple[int, list[QFrac]]] = []
+    rows: list[tuple[int, list[Laurent]]] = []
     words: list[tuple[int, ...]] = []
-    queue: deque[tuple[tuple[int, ...], list[QFrac]]] = deque()
+    queue: deque[tuple[tuple[int, ...], list[Laurent]]] = deque()
     queue.append(((), list(omega)))
     while queue and len(words) < d:
         w, vec = queue.popleft()
@@ -126,13 +126,10 @@ def word_basis(generators: Sequence[Mat], omega: Sequence[QFrac],
         piv = next((i for i, a in enumerate(res) if not a.is_zero()), None)
         if piv is None:
             continue
-        inv = res[piv].inverse()
-        rows.append((piv, [a * inv for a in res]))
+        rows.append((piv, res))
         words.append(w)
         for gi, M in enumerate(generators):
-            child = [sum((M[i, j] * vec[j] for j in range(d)),
-                         QFrac.const(M[0, 0].num.vars, 0)) for i in range(d)]
-            queue.append(((gi,) + w, child))
+            queue.append(((gi,) + w, (M @ Mat.column(vec)).column_vector()))
     if len(words) < d:
         raise NotPrePrimitive(
             f"omega generates a proper invariant subspace of dimension {len(words)}")
@@ -176,7 +173,8 @@ def hm_extend(problem: DeformationProblem,
     search; by the uniqueness of the correspondence the output family must
     not depend on it (exercised in tests).  Raises InvariantViolation for
     inconsistent data, NotPrePrimitive when omega is not cyclic, and
-    ValueError when a slice of D' has a genuine q-denominator.
+    ValueError when a slice of D' has a genuine q-denominator, that is, when
+    the scalar s of the inverse word matrix does not divide it.
     """
     F0 = problem.initial
     K = problem.order
@@ -192,7 +190,7 @@ def hm_extend(problem: DeformationProblem,
     omega_col = Mat.column([Series.const(svars_all, K,
                                          Laurent.const(qvars, as_fraction(c)))
                             for c in problem.omega])
-    omega_qf = [QFrac.const(qvars, as_fraction(c)) for c in problem.omega]
+    omega_q = [Laurent.const(qvars, as_fraction(c)) for c in problem.omega]
 
     for stage, yname in enumerate(problem.new_vars):
         later = problem.new_vars[stage + 1:]
@@ -202,21 +200,24 @@ def hm_extend(problem: DeformationProblem,
         gen_names = [f"C({v.name})" for v in base] + ["B0"]
         if reverse_generators:
             gens, gen_names = gens[::-1], gen_names[::-1]
-        gens_qf = [lift_qfrac(series_constant_slice(M, qvars)) for M in gens]
-        words = word_basis(gens_qf, omega_qf, d)
+        words = word_basis([series_constant_slice(M, qvars) for M in gens],
+                           omega_q, d)
 
         for k in range(K + 1):
             T = Mat.from_columns(
                 [_apply_word(gens, w, omega_col).column_vector() for w in words])
             U = Mat.from_columns(
                 [_apply_word(gens, w, data).column_vector() for w in words])
-            D = (U @ inv_series(T)).map(demote)
-            Dk = D.map(lambda s: s.coeff_of_var(yname, k))
-            if any(isinstance(c, QFrac)
-                   for r in Dk.rows for s in r for c in s.terms.values()):
-                _assert_commutes(D, gens, gen_names, yname, k)
+            W, s = inv_series(T)
+            X = U @ W  # s * D'
+            Dk = divide_exact(X.map(lambda e: e.coeff_of_var(yname, k)), s)
+            if Dk is None:
+                # X = s * D' has the zero pattern of D', so the same witness
+                _assert_commutes(X, gens, gen_names, yname, k)
                 raise ValueError(f"D' leaves Q[q, 1/q] at order {k} of {yname}")
             if k == K:
+                # the slices below y^K are those of earlier orders: s divides them
+                D = divide_exact(X, s)
                 break
             scale = Fraction(1, k + 1)
             for v in base:

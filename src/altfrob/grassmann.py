@@ -260,13 +260,28 @@ class QLRTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "QLRTable":
+        """Decode a table document; a mistyped field raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
+        for name in ("r", "n"):
+            if type(doc[name]) is not int:
+                raise ValueError(f"{name} must be an integer, got {doc[name]!r}")
+        items = doc["entries"]
+        if not isinstance(items, list) or any(not isinstance(i, dict) for i in items):
+            raise ValueError(f"entries must be a list of objects, got {items!r}")
         entries = {}
-        for item in doc["entries"]:
-            key = (normalize_partition(item["lambda"]),
-                   normalize_partition(item["mu"]),
-                   normalize_partition(item["nu"]))
-            entries[key] = Laurent(("q",), {(e,): Fraction(c)
-                                            for e, c in item["q"]})
+        for item in items:
+            parts, pairs = [item["lambda"], item["mu"], item["nu"]], item["q"]
+            if any(not isinstance(p, list) or any(type(x) is not int for x in p)
+                   for p in parts):
+                raise ValueError(f"partitions must be lists of integers, got {parts!r}")
+            if not isinstance(pairs, list) or any(
+                    not isinstance(t, list) or len(t) != 2 or type(t[0]) is not int
+                    or type(t[1]) not in (int, str) for t in pairs):
+                raise ValueError("q must be a list of [integer exponent, rational string "
+                                 f"or integer coefficient] pairs, got {pairs!r}")
+            entries[tuple(map(normalize_partition, parts))] = Laurent(
+                ("q",), {(e,): Fraction(c) for e, c in pairs})
         return cls(doc["r"], doc["n"], entries)
 
 

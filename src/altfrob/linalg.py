@@ -1,7 +1,7 @@
 """Exact dense linear algebra over the coefficient tower.
 
 Matrices are immutable tuples of tuples; the entry type is any scalar of
-rings.py (Fraction, Laurent, QFrac, Series) and operations are duck-typed.
+rings.py (Fraction, Laurent, Series) and operations are duck-typed.
 The column convention is fixed once and for all: the matrix M of an operator
 T in a basis (e_0, ..., e_{d-1}) satisfies
 
@@ -13,7 +13,9 @@ vectors are columns.
 Characteristic polynomials use the Faddeev-LeVerrier recursion, which only
 ever divides by integers and therefore stays inside any Q-algebra; this is
 what lets us take charpolys of matrices with Laurent entries without passing
-through a fraction field.
+through a fraction field.  The same recursion yields the adjugate, so Laurent
+and Series matrices are inverted fraction-free: up to a scalar ``s`` that is 1
+whenever the determinant is a unit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import Laurent, QFrac, Series, demote, is_zero, series_dot
+from .rings import Laurent, Series, is_zero, series_dot
 
 
 class NoSolution(Exception):
@@ -185,24 +187,34 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def charpoly(M: Mat, ring: Ring) -> list:
-    """Coefficients [1, c_1, ..., c_d] of det(z*I - M) = z^d + c_1 z^{d-1} + ...
+def _leverrier(M: Mat, ring: Ring) -> tuple[list, Mat]:
+    """The charpoly coefficients of M and the iterate N_{d-1}.
 
-    Division-free apart from divisions by the integers 1..d, so valid over
-    any ring of characteristic zero in the tower.
+    N_0 = I and N_k = M N_{k-1} + c_k I, so N_d = 0 by Cayley-Hamilton:
+    M N_{d-1} = -c_d I, and -N_{d-1} is the adjugate up to the sign (-1)^d.
     """
     if M.nrows != M.ncols:
         raise ValueError("charpoly of a non-square matrix")
     d = M.nrows
     ident = Mat.identity(d, ring)
     coeffs = [ring.one]
-    N = ident
+    N = prev = ident
     for k in range(1, d + 1):
+        prev = N
         MN = M @ N
         c = -(MN.trace() / k)
         coeffs.append(c)
         N = MN + ident.scale(c)
-    return coeffs
+    return coeffs, prev
+
+
+def charpoly(M: Mat, ring: Ring) -> list:
+    """Coefficients [1, c_1, ..., c_d] of det(z*I - M) = z^d + c_1 z^{d-1} + ...
+
+    Division-free apart from divisions by the integers 1..d, so valid over
+    any ring of characteristic zero in the tower.
+    """
+    return _leverrier(M, ring)[0]
 
 
 def det(M: Mat, ring: Ring) -> object:
@@ -240,20 +252,14 @@ def poly_str(coeffs: Sequence, var: str = "z") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra (Fraction or QFrac entries)
+# Rational linear algebra
 # ---------------------------------------------------------------------------
-
-
-def _field_inv(a):
-    if isinstance(a, (int, Fraction)):
-        return Fraction(1) / a
-    return a.inverse()
 
 
 def row_reduce(rows: list[list], ncols: int) -> list[int]:
     """Gauss-Jordan elimination, in place, on the first ``ncols`` columns.
 
-    Entries must support exact division (Fraction or QFrac); columns past
+    Entries are rationals (int or Fraction); columns past
     ``ncols`` are carried along.  Returns the pivot columns: row k then has
     a 1 in column pivots[k], every other row a 0 there, and the rows past
     len(pivots) vanish on the first ``ncols`` columns.
@@ -267,7 +273,7 @@ def row_reduce(rows: list[list], ncols: int) -> list[int]:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = _field_inv(rows[rank][col])
+        inv = Fraction(1) / rows[rank][col]
         rows[rank] = [a * inv for a in rows[rank]]
         for r in range(len(rows)):
             if r != rank and not is_zero(rows[r][col]):
@@ -278,11 +284,7 @@ def row_reduce(rows: list[list], ncols: int) -> list[int]:
 
 
 def solve_field(A: Mat, B: Mat) -> Mat:
-    """Solve A @ X = B over a field; raise NoSolution / AmbiguousSystem.
-
-    The entries of ``A`` and ``B`` must support exact division (Fraction or
-    QFrac).  Use ``lift_qfrac`` first for Laurent matrices.
-    """
+    """Solve A @ X = B over Q; raise NoSolution / AmbiguousSystem."""
     m = A.ncols
     rows = [list(ar) + list(br) for ar, br in zip(A.rows, B.rows)]
     pivots = row_reduce(rows, m)
@@ -295,12 +297,11 @@ def solve_field(A: Mat, B: Mat) -> Mat:
 
 
 def inv_field(A: Mat) -> Mat:
-    """Gauss-Jordan inverse over a field (Fraction or QFrac entries)."""
+    """Gauss-Jordan inverse of a rational matrix."""
     if A.nrows != A.ncols:
         raise ValueError("inverse of a non-square matrix")
     n = A.nrows
-    zero = A[0, 0] * 0 if n else 0  # the zero of the entry field
-    aug = [list(r) + [zero + 1 if i == j else zero for j in range(n)]
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
            for i, r in enumerate(A.rows)]
     if len(row_reduce(aug, n)) < n:
         raise ZeroDivisionError("singular matrix")
@@ -308,24 +309,43 @@ def inv_field(A: Mat) -> Mat:
 
 
 def rank_field(A: Mat) -> int:
-    """Rank over a field, by row echelon elimination."""
+    """Rank of a rational matrix, by row echelon elimination."""
     return len(row_reduce([list(r) for r in A.rows], A.ncols))
 
 
-# -- Laurent matrices: lift to the fraction field and back -------------------
+# -- Laurent matrices: fraction-free inverse ---------------------------------
 
 
-def lift_qfrac(M: Mat) -> Mat:
-    return M.map(lambda a: a if isinstance(a, QFrac) else QFrac.from_laurent(a))
+def inv_laurent(A: Mat) -> tuple[Mat, Laurent]:
+    """(W, s) with A @ W = s * I, for a square Laurent matrix A.
+
+    From the Faddeev-LeVerrier recursion, W = -N_{d-1} and s = c_d, which
+    is det A up to the sign (-1)^d.  A monomial c_d (a unit) is divided out:
+    then W is the inverse and s = 1.  A zero determinant raises
+    ZeroDivisionError.
+    """
+    coeffs, N = _leverrier(A, laurent_ring(A[0, 0].vars))
+    c = coeffs[-1]
+    if c.is_zero():
+        raise ZeroDivisionError("singular matrix")
+    if len(c.terms) == 1:
+        return N.scale(-(c ** -1)), Laurent.const(c.vars, 1)
+    return -N, c
 
 
-def solve_laurent(A: Mat, B: Mat) -> Mat:
-    """Solve over Q(q) for Laurent-entried A, B; demote when denominators cancel."""
-    return solve_field(lift_qfrac(A), lift_qfrac(B)).map(demote)
+def divide_exact(M: Mat, s: Laurent) -> Mat | None:
+    """M / s for Laurent or Series entries, None when s does not divide; M if s = 1."""
+    if s == 1:
+        return M
 
+    def quotient(a):
+        if isinstance(a, Laurent):
+            return a.divide(s)
+        terms = {e: c.divide(s) for e, c in a.terms.items()}
+        return None if None in terms.values() else Series(a.vars, a.order, terms)
 
-def inv_laurent(A: Mat) -> Mat:
-    return inv_field(lift_qfrac(A)).map(demote)
+    rows = [[quotient(a) for a in r] for r in M.rows]
+    return None if any(a is None for r in rows for a in r) else Mat(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -339,44 +359,37 @@ def series_constant_slice(M: Mat, qvars: tuple[str, ...]) -> Mat:
     return M.map(lambda s: s.constant_slice() or zero)
 
 
-def inv_series(M: Mat) -> Mat:
-    """Inverse of a Series-entried square matrix with invertible constant slice.
+def inv_series(M: Mat) -> tuple[Mat, Laurent]:
+    """(W, s) with M @ W = s * I, for a square Series matrix M.
 
-    The constant slice is inverted over Q(q); the rest follows from the
-    finite Neumann expansion, which terminates at the truncation order.
-    Entries of the result are Series with QFrac coefficients demoted to
-    Laurent wherever the denominator cancels.  A singular constant slice,
-    the zero matrix included, raises ZeroDivisionError.
+    Write M = M_0 + M_+ with M_0 the constant slice, and let (A, delta) be
+    ``inv_laurent(M_0)``, so delta is det M_0 up to sign, or 1 for a unit.  With N = delta * I - A @ M = -A @ M_+, which is
+    nilpotent, W = sum_k delta^(m-1-k) N^k A over the nonzero powers N^k,
+    k < m, and s = delta^m.  When delta = 1, W is the inverse from the
+    finite Neumann expansion and s = 1.  A singular
+    constant slice, the zero matrix included, raises ZeroDivisionError.
     """
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
     coeff = next((c for r in M.rows for s in r for c in s.terms.values()), None)
     if coeff is None:
         raise ZeroDivisionError("singular matrix")
-    V0 = inv_laurent(series_constant_slice(M, coeff.vars)).map(
-        lambda a: Series.const(svars, order, a))
-
-    def lift_series(s: Series) -> Series:
-        return s.map_coeffs(lambda c: QFrac.from_laurent(c)
-                            if isinstance(c, Laurent) else c)
-
-    need_frac = any(isinstance(t, QFrac)
-                    for r in V0.rows for s in r for t in s.terms.values())
-    Ms = M.map(lift_series) if need_frac else M
-    V0s = V0.map(lift_series) if need_frac else V0
-
-    coeff = next(c for r in Ms.rows for s in r for c in s.terms.values())
-    ring = Ring(Series.zero(svars, order), Series.const(svars, order, coeff * 0 + 1))
+    A, delta = inv_laurent(series_constant_slice(M, coeff.vars))
+    unit = delta == 1
+    A = A.map(lambda a: Series.const(svars, order, a))
+    ring = Ring(Series.zero(svars, order),
+                Series.const(svars, order, Laurent.const(coeff.vars, 1)))
     ident = Mat.identity(M.nrows, ring)
-    N = ident - (V0s @ Ms)
-    acc = ident
-    power = ident
+    N = (ident if unit else ident.scale(delta)) - (A @ M)
+    acc = power = ident
+    s = delta
     for _ in range(order):
         power = power @ N
         if power.is_zero():
             break
-        acc = acc + power
-    return (acc @ V0s).map(demote)
+        acc = (acc if unit else acc.scale(delta)) + power
+        s = s * delta
+    return acc @ A, s
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from typing import NamedTuple, Sequence
 from .linalg import (
     Mat,
     Ring,
+    divide_exact,
     inv_field,
     inv_laurent,
     inv_series,
@@ -49,7 +50,6 @@ from .rings import (
     Laurent,
     Series,
     as_fraction,
-    demote,
     fraction_from_str,
     fraction_to_str,
     is_zero,
@@ -592,7 +592,9 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
     must be square (one base direction per rank) and invertible, otherwise
     ``NotPrimitive`` is raised.  Products satisfy
     phi(d_i * d_j) = -C^(i) phi(d_j); the unit is phi^{-1}(omega) and the
-    Euler field is phi^{-1}(B_0 omega).
+    Euler field is phi^{-1}(B_0 omega).  With phi @ W = s * I, each of them
+    is computed through W and divided by s exactly; when s does not divide
+    one, it leaves Q[q, 1/q] and ``NotPrimitive`` is raised.
     """
     names = [v.name for v in F.base]
     if len(names) != F.d:
@@ -601,25 +603,24 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
     omega_col = Mat.column([x if not isinstance(x, (int, Fraction)) else F.const(x)
                             for x in omega])
     phi = Mat.from_columns([((-F.C[n]) @ omega_col).column_vector() for n in names])
-    if F.svars:
-        try:
-            phi_inv = inv_series(phi)
-        except ZeroDivisionError:
-            raise NotPrimitive("period map is singular at the origin") from None
-    else:
-        try:
-            phi_inv = inv_laurent(phi)
-        except ZeroDivisionError:
-            raise NotPrimitive("period map is singular") from None
-    products = {}
-    for n in names:
-        Pn = phi_inv @ (-F.C[n]) @ phi
-        products[n] = Pn.map(demote)
-    unit = (phi_inv @ omega_col).map(demote).column_vector()
-    euler = (phi_inv @ (F.B0 @ omega_col)).map(demote).column_vector()
+    try:
+        W, s = inv_series(phi) if F.svars else inv_laurent(phi)
+    except ZeroDivisionError:
+        where = " at the origin" if F.svars else ""
+        raise NotPrimitive(f"period map is singular{where}") from None
+
+    def solve(M: Mat) -> Mat:
+        X = divide_exact(W @ M, s)  # phi^{-1} M
+        if X is None:
+            raise NotPrimitive("period map is not invertible over Q[q, 1/q]")
+        return X
+
+    products = {n: solve((-F.C[n]) @ phi) for n in names}
+    unit = solve(omega_col).column_vector()
+    euler = solve(F.B0 @ omega_col).column_vector()
     gmat = None
     if F.G is not None:
-        gmat = (phi.transpose() @ F.G @ phi).map(demote)
+        gmat = phi.transpose() @ F.G @ phi
     return FrobeniusData(names, phi, products, unit, euler, gmat)
 
 

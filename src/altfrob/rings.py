@@ -2,7 +2,7 @@
 
 Everything in this package computes over the scalar tower
 
-    Fraction  ->  Laurent  ->  Series       (and QFrac for field steps)
+    Fraction  ->  Laurent  ->  Series
 
 where ``Laurent`` is the ring of Laurent polynomials in a fixed tuple of
 invertible variables (usually the single quantum parameter ``q``) with
@@ -10,9 +10,9 @@ invertible variables (usually the single quantum parameter ``q``) with
 truncated in *total* degree of its formal variables, with ``Laurent``
 coefficients.  The quantum parameter is a genuine Laurent variable: it is
 never truncated, carries negative powers, and its natural derivation is
-``q * d/dq``.  ``QFrac`` is the fraction field of a univariate ``Laurent``
-ring; it only appears inside linear solves and is demoted back to ``Laurent``
-whenever the denominator cancels.
+``q * d/dq``.  There is no fraction field: linear algebra over ``Laurent``
+is fraction-free, and its one division, ``Laurent.divide``, is exact or
+reports that the divisor does not divide.
 
 Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
 matrix product, goes through one fused, truncation-aware accumulation,
@@ -169,6 +169,34 @@ class Laurent:
             return self * (1 / c)
         return NotImplemented
 
+    def divide(self, other: "Laurent") -> "Laurent | None":
+        """The exact quotient self / other, or None when other does not divide self.
+
+        A monomial divides in any ring; a non-monomial divisor needs a
+        univariate ring, where long division decides.
+        """
+        self._check(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero Laurent polynomial")
+        if len(other.terms) == 1:
+            return self * other ** -1
+        if len(self.vars) != 1:
+            raise ValueError("division by a non-monomial needs a univariate ring")
+        (name,) = self.vars
+        lo, hi = other.degree_range(name)
+        lead = other.terms[(hi,)]
+        floor = self.degree_range(name)[0]
+        quotient, rest = Laurent.zero(self.vars), self
+        # polynomial division of q^-floor * self by q^-lo * other
+        while not rest.is_zero():
+            top = rest.degree_range(name)[1]
+            if top - floor < hi - lo:
+                return None
+            mono = Laurent(self.vars, {(top - hi,): rest.terms[(top,)] / lead})
+            quotient = quotient + mono
+            rest = rest - mono * other
+        return quotient
+
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
@@ -305,180 +333,6 @@ def qlaurent(pairs: Iterable[tuple[int, int | Fraction]]) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# Univariate fraction field
-# ---------------------------------------------------------------------------
-
-
-def _poly_divmod(a: Laurent, b: Laurent) -> tuple[Laurent, Laurent]:
-    """Division with remainder of univariate polynomials (exponents >= 0)."""
-    (name,) = a.vars
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = Laurent.zero(a.vars)
-    r = a
-    db = b.degree_range(name)[1]
-    lead_b = b.terms[(db,)]
-    while not r.is_zero():
-        dr = r.degree_range(name)[1]
-        if dr < db:
-            break
-        c = r.terms[(dr,)] / lead_b
-        mono = Laurent(a.vars, {(dr - db,): c})
-        q = q + mono
-        r = r - mono * b
-    return q, r
-
-
-def _poly_gcd(a: Laurent, b: Laurent) -> Laurent:
-    """Monic gcd of univariate polynomials with nonnegative exponents."""
-    (name,) = a.vars
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    lead = a.terms[(a.degree_range(name)[1],)]
-    return a / lead
-
-
-class QFrac:
-    """An element of the fraction field of a univariate Laurent ring.
-
-    Normal form: the denominator is a monic polynomial with nonzero constant
-    term (monomial content is pushed into the Laurent numerator), and the
-    numerator's polynomial part is coprime to it.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Laurent, den: Laurent):
-        if len(num.vars) > 1:
-            raise ValueError("QFrac requires a univariate Laurent ring")
-        if den.is_zero():
-            raise ZeroDivisionError("QFrac with zero denominator")
-        if len(num.vars) == 0:
-            self.num = num / den.constant_value()
-            self.den = Laurent.const((), 1)
-            return
-        name = num.vars[0]
-        # Push the denominator's monomial content q^k and leading unit into num.
-        lo = den.degree_range(name)[0]
-        if lo != 0:
-            shift = Laurent(den.vars, {(-lo,): Fraction(1)})
-            den = den * shift
-            num = num * shift
-        hi = den.degree_range(name)[1]
-        lead = den.terms[(hi,)]
-        if lead != 1:
-            den = den / lead
-            num = num / lead
-        if not den.is_constant() and not num.is_zero():
-            nlo = num.degree_range(name)[0]
-            shift = Laurent(num.vars, {(-nlo,): Fraction(1)})
-            npoly = num * shift
-            g = _poly_gcd(npoly, den)
-            if g.degree_range(name)[1] > 0:
-                npoly, _ = _poly_divmod(npoly, g)
-                den, _ = _poly_divmod(den, g)
-                num = npoly * Laurent(num.vars, {(nlo,): Fraction(1)})
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_laurent(cls, value: Laurent) -> "QFrac":
-        return cls(value, Laurent.const(value.vars, 1))
-
-    @classmethod
-    def const(cls, variables: tuple[str, ...], value: int | Fraction) -> "QFrac":
-        return cls(Laurent.const(variables, value), Laurent.const(variables, 1))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def try_laurent(self) -> Laurent | None:
-        if self.den.is_constant():
-            return self.num / self.den.constant_value()
-        return None
-
-    def as_laurent(self) -> Laurent:
-        value = self.try_laurent()
-        if value is None:
-            raise ValueError(f"denominator does not cancel: {self}")
-        return value
-
-    @staticmethod
-    def _coerce(value, variables) -> "QFrac":
-        if isinstance(value, QFrac):
-            return value
-        if isinstance(value, Laurent):
-            return QFrac.from_laurent(value)
-        if isinstance(value, (int, Fraction)):
-            return QFrac.const(variables, value)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other, self.num.vars)
-        if o is None:
-            return NotImplemented
-        return QFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other, self.num.vars)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other, self.num.vars)
-        if o is None:
-            return NotImplemented
-        return QFrac(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other, self.num.vars)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero QFrac")
-        return QFrac(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other, self.num.vars)
-        return o / self
-
-    def inverse(self) -> "QFrac":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return QFrac(self.den, self.num)
-
-    def __eq__(self, other):
-        o = self._coerce(other, self.num.vars)
-        if o is None:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------
 
@@ -558,14 +412,14 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Laurent, QFrac)):
+        if isinstance(other, (int, Fraction, Laurent)):
             return self.scale(other)
         if not isinstance(other, Series):
             return NotImplemented
         return series_dot([(self, other)])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Laurent, QFrac)):
+        if isinstance(other, (int, Fraction, Laurent)):
             return self.scale(other)
         return NotImplemented
 
@@ -702,7 +556,7 @@ def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
     coefficient is a Laurent polynomial in one variable tuple, the products
     accumulate on flat (series exponents, Laurent exponents) keys as integer
     numerator/denominator pairs, and each output coefficient is built once.
-    Any other coefficients (Fraction, QFrac, Laurent polynomials in differing
+    Any other coefficients (Fraction, Laurent polynomials in differing
     variables) multiply and add as scalars.
     """
     first = pairs[0][0]
@@ -765,19 +619,6 @@ def is_zero(value) -> bool:
     if isinstance(value, (int, Fraction)):
         return value == 0
     return value.is_zero()
-
-
-def demote(value):
-    """A QFrac whose denominator cancels becomes its Laurent value.
-
-    Series are demoted coefficientwise; every other scalar passes through.
-    """
-    if isinstance(value, Series):
-        return value.map_coeffs(demote)
-    if isinstance(value, QFrac):
-        lau = value.try_laurent()
-        return lau if lau is not None else value
-    return value
 
 
 # ---------------------------------------------------------------------------

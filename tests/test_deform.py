@@ -29,39 +29,42 @@ from altfrob.presaito import (
     loads_family,
 )
 from altfrob.projective import build_pn, pn_small_family
-from altfrob.rings import Laurent, QFrac, Series
+from altfrob.rings import Laurent, Series
 
 
 F = Fraction
 
 
-def qf(c):
-    return QFrac.const(("q",), c)
+def qc(c):
+    return Laurent.const(("q",), c)
 
 
 class TestWordBasis:
     def test_identity_word_comes_first(self):
         fam = pn_small_family(2)
-        gens = [fam.C["q"].map(QFrac.from_laurent),
-                fam.B0.map(QFrac.from_laurent)]
-        omega = [qf(1), qf(0), qf(0)]
-        words = word_basis(gens, omega, 3)
+        omega = [qc(1), qc(0), qc(0)]
+        words = word_basis([fam.C["q"], fam.B0], omega, 3)
         assert words[0] == ()
         assert len(words) == 3
 
     def test_krylov_words_on_the_q_line(self):
         fam = pn_small_family(3)
-        gens = [fam.C["q"].map(QFrac.from_laurent),
-                fam.B0.map(QFrac.from_laurent)]
-        omega = [qf(1), qf(0), qf(0), qf(0)]
-        words = word_basis(gens, omega, 4)
+        omega = [qc(1), qc(0), qc(0), qc(0)]
+        words = word_basis([fam.C["q"], fam.B0], omega, 4)
         # powers of the first generator already span
         assert words == [(), (0,), (0, 0), (0, 0, 0)]
 
+    def test_dependent_word_is_not_counted(self):
+        # omega = e0 spans a plane: M e0 = e0 + q e1, M e1 = -e0/q, M^2 e0 = q e1
+        q = Laurent.gen(("q",), "q")
+        M = Mat([[qc(1), -q ** -1, qc(0)], [q, qc(0), qc(0)], [qc(0), qc(0), qc(1)]])
+        with pytest.raises(NotPrePrimitive, match="dimension 2"):
+            word_basis([M], [qc(1), qc(0), qc(0)], 3)
+
     def test_non_cyclic_vector_is_rejected(self):
-        zero = Mat([[qf(0), qf(0)], [qf(0), qf(0)]])
+        zero = Mat([[qc(0), qc(0)], [qc(0), qc(0)]])
         with pytest.raises(NotPrePrimitive):
-            word_basis([zero], [qf(1), qf(0)], 2)
+            word_basis([zero], [qc(1), qc(0)], 2)
 
 
 class TestUnitDirection:
@@ -289,6 +292,20 @@ class TestProblemSerialization:
         prob = DeformationProblem(fam, ("y",), psi, (F(1), F(1)), 2)
         with pytest.raises(ValueError, match=r"D' leaves Q\[q, 1/q\] at order 0 of y"):
             hm_extend(prob)
+
+    def test_non_unit_closed_point_determinant_can_still_extend(self):
+        from altfrob.presaito import PreSaitoFamily
+
+        # det T_0 = 2 - 2q is not a unit, yet D' = -I lies over Q[q, 1/q]
+        qv = ("q",)
+        one, zero = Laurent.const(qv, 1), Laurent.zero(qv)
+        fam = PreSaitoFamily((), 2, Mat([[zero, zero], [zero, -one]]),
+                             Mat([[zero, Laurent.gen(qv, "q") * 2], [one * 2, zero]]),
+                             {}, params=qv)
+        y = Series.gen(("y",), 2, "y", one)
+        prob = DeformationProblem(fam, ("y",), (y, y), (F(1), F(1)), 2)
+        big = hm_extend(prob)
+        assert big.C["y"] == Mat.identity(2, big.ring()).scale(F(-1))
 
 
 class TestDivisorDirection:

@@ -262,6 +262,26 @@ class TestSerialization:
         doc = T.to_json()
         assert QLRTable.from_json(doc) == T
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda d: d["entries"][0]["q"][0].__setitem__(1, 0.1), "q must be a list of"),
+        (lambda d: d["entries"][0]["q"][0].__setitem__(0, True), "q must be a list of"),
+        (lambda d: d.__setitem__("r", "1"), "r must be an integer, got '1'"),
+        (lambda d: d.__setitem__("entries", 3), "entries must be a list of objects, got 3"),
+        (lambda d: d["entries"].__setitem__(0, 5), "entries must be a list of objects"),
+        (lambda d: d["entries"][0].__setitem__("mu", "21"),
+         "partitions must be lists of integers"),
+        (None, "a table must be a JSON object, got list"),
+    ], ids=["float-coefficient", "bool-exponent", "r-str", "entries-int",
+            "entry-int", "mu-str", "not-an-object"])
+    def test_mistyped_table_is_rejected(self, mutate, message):
+        doc = json.loads(json.dumps(alt_structure_constants(2, 3).to_json()))
+        if mutate is None:
+            doc = [doc]
+        else:
+            mutate(doc)
+        with pytest.raises(ValueError, match=message):
+            QLRTable.from_json(doc)
+
     def test_json_is_deterministic(self):
         a = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)
         b = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)

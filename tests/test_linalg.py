@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from altfrob.linalg import (
     AmbiguousSystem,
+    divide_exact,
     Mat,
     NoSolution,
     RATIONAL_RING,
+    Ring,
     charpoly,
     det,
     inv_field,
@@ -19,11 +21,9 @@ from altfrob.linalg import (
     kron,
     kron_sum,
     laurent_ring,
-    lift_qfrac,
     poly_str,
     rank_field,
     solve_field,
-    solve_laurent,
     wedge_indices,
     wedge_metric,
     wedge_of_sum,
@@ -106,20 +106,30 @@ def test_solve_and_inv_over_laurent():
     q = Laurent.gen(("q",), "q")
     one = Laurent.const(("q",), 1)
     z = Laurent.zero(("q",))
-    A = Mat([[q, one], [z, q]])
-    Ainv = inv_laurent(A)
     ring = laurent_ring(("q",))
-    prod = A @ Ainv.map(lambda a: a if isinstance(a, Laurent) else a.as_laurent())
-    # A has determinant q^2, a unit, so the inverse stays Laurent
-    assert prod == Mat.identity(2, ring)
-    x = solve_laurent(A, Mat.column([q * q, q]))
-    assert x.column_vector() == (q - q ** -1, one)
+    A = Mat([[q, one], [z, q]])
+    # A has determinant q^2, a unit, so W is the inverse and s = 1
+    W, s = inv_laurent(A)
+    assert s == 1
+    assert A @ W == Mat.identity(2, ring)
+    assert (W @ Mat.column([q * q, q])).column_vector() == (q - q ** -1, one)
+    # determinant 1 - q^2 is not a unit: W is the adjugate, s the determinant
+    B = Mat([[one, q], [q, one]])
+    W, s = inv_laurent(B)
+    assert s == one - q * q
+    assert B @ W == Mat.identity(2, ring).scale(s)
+    # B x = (1 + q^2, 2q) has the solution x = (1, q) over Q[q, 1/q]
+    x = divide_exact(W @ Mat.column([one + q * q, q * 2]), s)
+    assert x.column_vector() == (one, q)
+    assert divide_exact(W @ Mat.column([one, z]), s) is None
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        inv_laurent(Mat([[one, q], [q, q * q]]))
 
 
 def test_rank_field():
     A = Mat([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]])
     assert rank_field(A) == 2
-    assert rank_field(lift_qfrac(Mat([[Laurent.gen(("q",), "q")]]))) == 1
+    assert rank_field(Mat([[1, 2], [3, 4]])) == 2
 
 
 def test_inv_series_neumann():
@@ -127,8 +137,9 @@ def test_inv_series_neumann():
     one, x = R.one, R.gen("x")
     zero = R.zero
     M = Mat([[one, x], [zero, one]])
-    Minv = inv_series(M)
+    Minv, s = inv_series(M)
     ident = Mat([[one, zero], [zero, one]])
+    assert s == 1
     assert (M @ Minv) == ident
     assert Minv[0, 1] == -x
 
@@ -138,8 +149,24 @@ def test_inv_series_with_q_constant_slice():
     q = R.qgen("q")
     x = R.gen("x")
     M = Mat([[q + x]])
-    Minv = inv_series(M)
+    Minv, s = inv_series(M)
+    assert s == 1
     assert (M @ Minv)[0, 0] == R.one
+
+
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_inv_series_with_non_unit_determinant(order):
+    R = SeriesRing(("x", "y"), order, ("q",))
+    one, q, x, y = R.one, R.qgen("q"), R.gen("x"), R.gen("y")
+    # the constant slice [[1, q], [q, 1]] has determinant 1 - q^2
+    M = Mat([[one + x, q], [q + y, one - x * y]])
+    W, s = inv_series(M)
+    delta = Laurent.const(("q",), 1) - Laurent.gen(("q",), "q", 2)
+    # N = -A M_+ has a nonzero power N^order, so s = delta^(order + 1)
+    assert s == delta ** (order + 1)
+    ident = Mat.identity(2, Ring(R.zero, R.one))
+    assert M @ W == ident.scale(s)
+    assert W @ M == ident.scale(s)
 
 
 def test_inv_series_of_zero_matrix_is_singular():

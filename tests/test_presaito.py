@@ -223,6 +223,17 @@ def test_frobenius_rejects_vanishing_series_period_map():
         frobenius_data(fam, (1,))
 
 
+def test_frobenius_rejects_a_period_map_not_invertible_over_laurent():
+    # phi = 1 + q: the products and the Euler field divide, the unit does not
+    qv = ("q",)
+    one_plus_q = Laurent.const(qv, 1) + Laurent.gen(qv, "q")
+    fam = PreSaitoFamily(base=(BaseVar("q", "q"),), d=1,
+                         Binf=Mat([[Laurent.zero(qv)]]), B0=Mat([[one_plus_q]]),
+                         C={"q": Mat([[-one_plus_q]])})
+    with pytest.raises(NotPrimitive, match=r"not invertible over Q\[q, 1/q\]"):
+        frobenius_data(fam, (1,))
+
+
 def test_frobenius_data_on_t0_extended_p1():
     # rank-2 family over (q, t0): C(t0) = -I extends the P^1 q-line family
     fam = pn_small_family(1)

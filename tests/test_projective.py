@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from altfrob.linalg import Mat, charpoly, laurent_ring, rank_field, lift_qfrac
+from altfrob.linalg import Mat, charpoly, det, laurent_ring
 from altfrob.presaito import check_metric, check_pre_saito
 from altfrob.projective import (
     build_pn,
@@ -40,7 +40,7 @@ def test_omega_is_cyclic_for_r0():
             cols.append(vec.column_vector())
             vec = P.R0 @ vec
         K = Mat.from_columns(cols)
-        assert rank_field(lift_qfrac(K)) == n + 1
+        assert det(K, laurent_ring(K[0, 0].vars)) != 0
 
 
 def test_small_family_charpoly():

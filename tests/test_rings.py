@@ -1,4 +1,4 @@
-"""Scalar tower: Laurent polynomials, the q-fraction field, truncated series."""
+"""Scalar tower: Laurent polynomials, exact division, truncated series."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob.linalg import Mat
-from altfrob.rings import Laurent, QFrac, Series, SeriesRing, qlaurent, series_dot
+from altfrob.rings import Laurent, Series, SeriesRing, qlaurent, series_dot
 
 
 def test_laurent_basic_arithmetic():
@@ -83,33 +83,43 @@ def test_laurent_ring_axioms(xs, ys, zs):
     assert a - a == Laurent.zero(("q",))
 
 
-def test_qfrac_normalizes_monomial_content():
+laurent_terms = st.lists(st.tuples(st.integers(-4, 4), st.integers(-9, 9)), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_terms, laurent_terms.filter(lambda t: not qlaurent(t).is_zero()))
+def test_laurent_divide_recovers_a_factor(xs, ys):
+    a, b = qlaurent(xs), qlaurent(ys)
+    assert (a * b).divide(b) == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_terms, st.integers(-3, 3), st.integers(1, 3), st.integers(1, 3))
+def test_laurent_divide_reports_a_nondivisor(xs, shift, root, degree):
+    # b = q^shift (q - root)^degree does not divide a*b + q^shift
     q = Laurent.gen(("q",), "q")
-    f = QFrac(q ** 3, q)          # q^3 / q = q^2, denominator becomes 1
-    assert f.try_laurent() == q ** 2
+    b = q ** shift * (q - root) ** degree
+    a = qlaurent(xs)
+    assert (a * b + q ** shift).divide(b) is None
+    assert (a * b).divide(b) == a
 
 
-def test_qfrac_gcd_cancellation():
-    q = Laurent.gen(("q",), "q")
-    f = QFrac((q + 1) * (q - 1), q + 1)
-    assert f.try_laurent() == q - 1
+def test_laurent_divide_by_a_monomial_in_two_variables():
+    lam = Laurent.gen(("lam", "q"), "lam")
+    q = Laurent.gen(("lam", "q"), "q")
+    a = lam * lam + q ** -1 + 3
+    mono = (lam ** -2) * q * Fraction(2, 3)
+    assert (a * mono).divide(mono) == a
+    assert a.divide(mono) * mono == a
 
 
-def test_qfrac_field_ops():
-    q = Laurent.gen(("q",), "q")
-    f = QFrac.from_laurent(q) / QFrac.from_laurent(q + 1)
-    g = QFrac.from_laurent(Laurent.const(("q",), 1)) / QFrac.from_laurent(q + 1)
-    assert f + g == QFrac.const(("q",), 1)
-    assert (f * (q + 1)).try_laurent() == q
-    assert f.inverse() * f == QFrac.const(("q",), 1)
-
-
-def test_qfrac_true_denominator_stays():
-    q = Laurent.gen(("q",), "q")
-    f = QFrac(Laurent.const(("q",), 1), q + 1)
-    assert f.try_laurent() is None
-    with pytest.raises(ValueError):
-        f.as_laurent()
+def test_laurent_divide_rejects_a_non_monomial_in_two_variables():
+    lam = Laurent.gen(("lam", "q"), "lam")
+    q = Laurent.gen(("lam", "q"), "q")
+    with pytest.raises(ValueError, match="non-monomial"):
+        (lam * q).divide(lam + q)
+    with pytest.raises(ZeroDivisionError):
+        lam.divide(Laurent.zero(("lam", "q")))
 
 
 def test_series_truncation_total_degree():
@@ -233,16 +243,13 @@ def test_series_matmul_matches_pairwise_reference(data, n, m, p):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_series_dot_over_qfrac_and_fraction_coefficients(data):
+def test_series_dot_over_fraction_coefficients(data):
     svars, order, _ = data.draw(series_rings())
     ring = (svars, order, ("q",))
-    q = Laurent.gen(("q",), "q")
     a, b, c = (data.draw(series(ring)) for _ in range(3))
-    qa = a.map_coeffs(lambda x: QFrac(x, q + 2))
-    qb = b.map_coeffs(QFrac.from_laurent)
     fa = Series(svars, order, {e: x.constant_value() for e, x in a.terms.items()})
     fb = Series(svars, order, {e: x.constant_value() for e, x in b.terms.items()})
-    for pairs in ([(qa, qb)], [(qa, b), (c, qb)], [(fa, fb)], [(fa, b), (c, fb)]):
+    for pairs in ([(fa, fb)], [(fa, b), (c, fb)]):
         assert series_dot(pairs) == reference_dot(pairs)
 
 
