@@ -17,8 +17,10 @@ rationals are rendered as ``num/den`` strings, and q-polynomials as
 ``[power, coefficient]`` pairs in ascending power order.
 
 Defaults can be placed in an ``altfrob.json`` file in the working directory
-(keys ``K``, ``B_max``, ``format``, ``out``, ``verbosity``); command-line
-flags override the file.
+(keys ``K``, ``B_max``, ``format``, ``out``, ``seed``, ``verbosity``);
+command-line flags override the file.  A truncation order (``--order`` or
+``K``) below 0, or above the truncation of the data it is applied to, is an
+input error.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from pathlib import Path
 from .deform import (InvariantViolation, NotPrePrimitive, gw_pn2, hm_extend, problem_from_json,
                      wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
-from .linalg import charpoly, laurent_ring
+from .linalg import charpoly
 from .mirror import (NotTame, compare_quantum_gm, gm_wedge, jacobian_algebra, mirror_brieskorn,
                      mirror_f, mult_f_matrix)
-from .presaito import check_metric, check_pre_saito, dumps_family, loads_family
+from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
+                       loads_family)
 from .projective import pn_small_family
-from .rings import Laurent, fraction_to_str
 
 CONFIG_NAME = "altfrob.json"
 FORMATS = ("json", "csv", "pretty")
@@ -128,13 +130,14 @@ def _dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _q_pairs(x: Laurent) -> list[list]:
-    """A one-variable Laurent element as [[power, \"num/den\"], ...], ascending."""
-    pairs = []
-    for exp, coef in x.sorted_terms():
-        power = exp[0] if exp else 0
-        pairs.append([power, fraction_to_str(coef)])
-    return pairs
+def _check_order(K: int | None, limit: int | None, what: str) -> None:
+    """Reject an --order below 0, or above ``limit`` when there is one."""
+    if K is None:
+        return
+    if K < 0:
+        raise UsageError(f"--order must be at least 0, got {K}")
+    if limit is not None and K > limit:
+        raise UsageError(f"--order {K} exceeds {what} {limit}")
 
 
 def _report_lines(reports) -> tuple[list[str], bool]:
@@ -157,6 +160,7 @@ def cmd_pn(args: argparse.Namespace, settings: Settings) -> int:
     fam = pn_small_family(args.n)
     if args.check:
         K = settings.get("K", flag_name="order")
+        _check_order(K, fam.order, "the family's truncation")
         lines, ok = _report_lines([check_pre_saito(fam, order=K), check_metric(fam, order=K)])
         _emit("\n".join(lines), settings.get("out"))
         return 0 if ok else 1
@@ -184,20 +188,19 @@ def _pretty_table(table) -> str:
 def _associativity_spot_check(table, seed: int, trials: int = 20) -> None:
     rng = random.Random(seed)
     basis = table.basis()
-    ring = laurent_ring(("q",))
     for _ in range(trials):
         a, b, c = (rng.choice(basis) for _ in range(3))
         left: dict = {}
         for e, cf in table.product(a, b).items():
             for f, cf2 in table.product(e, c).items():
-                left[f] = left.get(f, ring.zero) + cf * cf2
+                left[f] = left.get(f, 0) + cf * cf2
         right: dict = {}
         for e, cf in table.product(b, c).items():
             for f, cf2 in table.product(a, e).items():
-                right[f] = right.get(f, ring.zero) + cf * cf2
+                right[f] = right.get(f, 0) + cf * cf2
         keys = set(left) | set(right)
         for f in keys:
-            if not (left.get(f, ring.zero) - right.get(f, ring.zero)).is_zero():
+            if not (left.get(f, 0) - right.get(f, 0)).is_zero():
                 raise CheckFailed(
                     f"associativity fails at {a} . {b} . {c} in component {f}")
 
@@ -269,13 +272,13 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
         if not 1 <= r <= n:
             raise UsageError("need 1 <= wedge degree <= n")
         point = gm_wedge(mirror_brieskorn(n, box_max=box_max), r)
-        coeffs = charpoly(point.R0, laurent_ring(("q",)))
+        coeffs = charpoly(point.R0)
         doc = {
             "n": n,
             "wedge": r,
             "rank": point.rank,
             "labels": list(point.labels),
-            "charpoly": [_q_pairs(c) for c in coeffs],
+            "charpoly": [_encode_laurent(c) for c in coeffs],
         }
         _emit(_dumps(doc), settings.get("out"))
         return 0
@@ -287,7 +290,7 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
         "dim": J.dim,
         "box": J.box,
         "basis": J.labels(),
-        "matrix": [[_q_pairs(M[i, j]) for j in range(J.dim)] for i in range(J.dim)],
+        "matrix": [[_encode_laurent(M[i, j]) for j in range(J.dim)] for i in range(J.dim)],
     }
     _emit(_dumps(doc), settings.get("out"))
     return 0
@@ -322,12 +325,11 @@ def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
     K = settings.get("K", flag_name="order")
     try:
         problem = problem_from_json(initial, doc)
+        _check_order(K, problem.order, "the problem data's order")
         if K is not None and K < problem.order:
             problem = problem_from_json(initial, {**doc, "order": K})
     except (KeyError, ValueError) as exc:
         raise UsageError(f"could not parse problem file {args.psi}: {exc}")
-    if K is not None and K > problem.order:
-        raise UsageError(f"--order {K} exceeds the problem data's order {problem.order}")
     _note(settings, f"extending through order {problem.order}")
     try:
         extended = hm_extend(problem)
@@ -342,6 +344,7 @@ def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
 def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
     fam = _read_family(args.family)
     K = settings.get("K", flag_name="order")
+    _check_order(K, fam.order, "the family's truncation")
     reports = [check_pre_saito(fam, order=K)]
     if fam.G is not None:
         reports.append(check_metric(fam, order=K))

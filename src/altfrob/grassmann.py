@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, laurent_ring, wedge_indices, wedge_metric
+from .linalg import Mat, wedge_indices, wedge_metric
 from .presaito import Report
 from .projective import build_pn
 from .rings import Laurent, fraction_to_str
@@ -508,7 +508,7 @@ def alt_metric(r: int, n: int) -> PartitionMatrix:
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     G = build_pn(n).G
-    Gw = wedge_metric(G, r, laurent_ring(()))
+    Gw = wedge_metric(G, r)
     labels = rect_partitions(r, n)
     mat = Gw.map(lambda x: x.as_fraction())
     return PartitionMatrix(r, n, labels, mat)

@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the coefficient tower.
 
-Matrices are immutable tuples of tuples; the entry type is any scalar of
-rings.py (Fraction, Laurent, Series) and operations are duck-typed.
+Matrices are immutable tuples of tuples; the entries are scalars of one
+ring of the tower in rings.py (Fraction, Laurent, or Series over Laurent)
+and operations are duck-typed.  Entries know their ring: a zero is taken
+from an entry as ``x * 0``, and an identity is built from the one it is
+handed, so no function here takes a ring argument.
 The column convention is fixed once and for all: the matrix M of an operator
 T in a basis (e_0, ..., e_{d-1}) satisfies
 
@@ -34,23 +37,6 @@ class AmbiguousSystem(Exception):
     """The linear system has more than one solution."""
 
 
-class Ring:
-    """Descriptor bundling the zero and one scalars of an entry ring."""
-
-    __slots__ = ("zero", "one")
-
-    def __init__(self, zero, one):
-        self.zero = zero
-        self.one = one
-
-
-RATIONAL_RING = Ring(Fraction(0), Fraction(1))
-
-
-def laurent_ring(variables: tuple[str, ...]) -> Ring:
-    return Ring(Laurent.zero(variables), Laurent.const(variables, 1))
-
-
 class Mat:
     """An immutable dense matrix with exact entries."""
 
@@ -66,18 +52,15 @@ class Mat:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def identity(cls, d: int, ring: Ring) -> "Mat":
-        return cls([[ring.one if i == j else ring.zero for j in range(d)]
-                    for i in range(d)])
+    def identity(cls, d: int, one) -> "Mat":
+        """``one`` on the diagonal (any scalar: the identity scaled by it)."""
+        return cls.diag([one] * d)
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int, ring: Ring) -> "Mat":
-        return cls([[ring.zero] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def diag(cls, entries: Sequence, ring: Ring) -> "Mat":
+    def diag(cls, entries: Sequence) -> "Mat":
         d = len(entries)
-        return cls([[entries[i] if i == j else ring.zero for j in range(d)]
+        zero = entries[0] * 0 if d else None
+        return cls([[entries[i] if i == j else zero for j in range(d)]
                     for i in range(d)])
 
     @classmethod
@@ -187,17 +170,26 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def _leverrier(M: Mat, ring: Ring) -> tuple[list, Mat]:
+def _leverrier(M: Mat) -> tuple[list, Mat]:
     """The charpoly coefficients of M and the iterate N_{d-1}.
 
     N_0 = I and N_k = M N_{k-1} + c_k I, so N_d = 0 by Cayley-Hamilton:
     M N_{d-1} = -c_d I, and -N_{d-1} is the adjugate up to the sign (-1)^d.
+    The one of I is that of the entries' ring: rationals (ints read as
+    Fraction) or one Laurent ring; any other entry raises TypeError.
     """
     if M.nrows != M.ncols:
         raise ValueError("charpoly of a non-square matrix")
     d = M.nrows
-    ident = Mat.identity(d, ring)
-    coeffs = [ring.one]
+    a = M[0, 0] if d else Fraction(0)
+    if isinstance(a, Laurent):
+        one = Laurent.const(a.vars, 1)
+    elif isinstance(a, (int, Fraction)):
+        one = Fraction(1)
+    else:
+        raise TypeError(f"charpoly needs Fraction or Laurent entries, got {type(a).__name__}")
+    ident = Mat.identity(d, one)
+    coeffs = [one]
     N = prev = ident
     for k in range(1, d + 1):
         prev = N
@@ -208,47 +200,19 @@ def _leverrier(M: Mat, ring: Ring) -> tuple[list, Mat]:
     return coeffs, prev
 
 
-def charpoly(M: Mat, ring: Ring) -> list:
+def charpoly(M: Mat) -> list:
     """Coefficients [1, c_1, ..., c_d] of det(z*I - M) = z^d + c_1 z^{d-1} + ...
 
     Division-free apart from divisions by the integers 1..d, so valid over
-    any ring of characteristic zero in the tower.
+    a Fraction or Laurent ring.
     """
-    return _leverrier(M, ring)[0]
+    return _leverrier(M)[0]
 
 
-def det(M: Mat, ring: Ring) -> object:
+def det(M: Mat) -> object:
     """Determinant via the charpoly's constant coefficient."""
-    if M.nrows == 0:
-        return ring.one
-    c_d = charpoly(M, ring)[-1]
+    c_d = charpoly(M)[-1]
     return -c_d if M.nrows % 2 else c_d
-
-
-def poly_str(coeffs: Sequence, var: str = "z") -> str:
-    """Human-readable monic polynomial from a charpoly coefficient list."""
-    d = len(coeffs) - 1
-    parts = []
-    for k, c in enumerate(coeffs):
-        if is_zero(c):
-            continue
-        power = d - k
-        cs = str(c)
-        if power == 0:
-            parts.append(cs)
-            continue
-        mono = var if power == 1 else f"{var}^{power}"
-        if cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append(f"-{mono}")
-        else:
-            if ("+" in cs) or ("-" in cs[1:]) or (" " in cs):
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}")
-    if not parts:
-        return "0"
-    return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +288,7 @@ def inv_laurent(A: Mat) -> tuple[Mat, Laurent]:
     then W is the inverse and s = 1.  A zero determinant raises
     ZeroDivisionError.
     """
-    coeffs, N = _leverrier(A, laurent_ring(A[0, 0].vars))
+    coeffs, N = _leverrier(A)
     c = coeffs[-1]
     if c.is_zero():
         raise ZeroDivisionError("singular matrix")
@@ -377,9 +341,7 @@ def inv_series(M: Mat) -> tuple[Mat, Laurent]:
     A, delta = inv_laurent(series_constant_slice(M, coeff.vars))
     unit = delta == 1
     A = A.map(lambda a: Series.const(svars, order, a))
-    ring = Ring(Series.zero(svars, order),
-                Series.const(svars, order, Laurent.const(coeff.vars, 1)))
-    ident = Mat.identity(M.nrows, ring)
+    ident = Mat.identity(M.nrows, Series.const(svars, order, Laurent.const(coeff.vars, 1)))
     N = (ident if unit else ident.scale(delta)) - (A @ M)
     acc = power = ident
     s = delta
@@ -407,11 +369,12 @@ def kron(A: Mat, B: Mat) -> Mat:
     return Mat(rows)
 
 
-def kron_sum(A: Mat, B: Mat, ring: Ring) -> Mat:
+def kron_sum(A: Mat, B: Mat) -> Mat:
     """A (x) I + I (x) B on the tensor product basis."""
-    ia = Mat.identity(A.nrows, ring)
-    ib = Mat.identity(B.nrows, ring)
-    return kron(A, ib) + kron(ia, B)
+    zero = A[0, 0] * 0
+    return Mat([[(A[i, j] if k == l else zero) + (B[k, l] if i == j else zero)
+                 for j in range(A.ncols) for l in range(B.ncols)]
+                for i in range(A.nrows) for k in range(B.nrows)])
 
 
 def wedge_indices(d: int, r: int) -> list[tuple[int, ...]]:
@@ -444,7 +407,7 @@ def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     return tuple(lst), sign
 
 
-def wedge_of_sum(B: Mat, r: int, ring: Ring) -> Mat:
+def wedge_of_sum(B: Mat, r: int) -> Mat:
     """Derivation action of B on the r-th wedge power.
 
     For a single endomorphism B of V, this is the matrix of
@@ -455,7 +418,8 @@ def wedge_of_sum(B: Mat, r: int, ring: Ring) -> Mat:
     basis = wedge_indices(d, r)
     pos = {I: a for a, I in enumerate(basis)}
     n = len(basis)
-    out = [[ring.zero for _ in range(n)] for _ in range(n)]
+    zero = B[0, 0] * 0
+    out = [[zero] * n for _ in range(n)]
     for col, I in enumerate(basis):
         for p in range(r):
             for k in range(d):
@@ -473,7 +437,7 @@ def wedge_of_sum(B: Mat, r: int, ring: Ring) -> Mat:
     return Mat(out)
 
 
-def wedge_metric(G: Mat, r: int, ring: Ring) -> Mat:
+def wedge_metric(G: Mat, r: int) -> Mat:
     """Induced pairing on the r-th wedge power, in the wedge index basis.
 
     With the alternation normalized so that squared norms stay rational,
@@ -487,7 +451,7 @@ def wedge_metric(G: Mat, r: int, ring: Ring) -> Mat:
         row = []
         for J in basis:
             sub = G.submatrix(I, J)
-            val = det(sub, ring)
+            val = det(sub)
             row.append(val if sign == 1 else -val)
         rows.append(row)
     return Mat(rows)

@@ -20,9 +20,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple, Sequence
 
-from .linalg import (RATIONAL_RING, Mat, charpoly, det, kron_sum,
-                     laurent_ring, rank_field, row_reduce, wedge_indices,
-                     wedge_of_sum)
+from .linalg import (Mat, charpoly, det, kron_sum, rank_field, row_reduce,
+                     wedge_indices, wedge_of_sum)
 from .presaito import Report, wedge_restrict
 from .projective import build_pn, pn_small_family
 from .rings import QVARS, Laurent, fraction_to_str
@@ -131,7 +130,7 @@ def kouchnirenko_bound(f: Laurent) -> int:
                          f"(n+1 points), got {len(S)}")
     base = S[0]
     M = Mat([[Fraction(s[j] - base[j]) for j in range(n)] for s in S[1:]])
-    vol = det(M, RATIONAL_RING)
+    vol = det(M)
     if vol == 0:
         raise ValueError("degenerate simplex support")
     return abs(int(vol))
@@ -422,8 +421,7 @@ def _mirror_brieskorn(n: int, box_max: int) -> BrieskornPoint:
     f = mirror_f(n)
     J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
     R0 = mult_f_matrix(J)
-    ring = laurent_ring(QVARS)
-    Rinf = Mat.diag([Laurent.const(QVARS, -k) for k in range(n + 1)], ring)
+    Rinf = Mat.diag([Laurent.const(QVARS, -k) for k in range(n + 1)])
     return BrieskornPoint(n + 1, R0, Rinf, J.labels())
 
 
@@ -433,11 +431,10 @@ mirror_brieskorn.cache_info = _mirror_brieskorn.cache_info
 
 def ts_tensor(A: BrieskornPoint, B: BrieskornPoint) -> BrieskornPoint:
     """External product of lattices: both connection matrices Kronecker-add."""
-    ring = laurent_ring(QVARS)
     labels = tuple(f"{a}|{b}" for a in A.labels for b in B.labels)
     return BrieskornPoint(A.rank * B.rank,
-                          kron_sum(A.R0, B.R0, ring),
-                          kron_sum(A.Rinf, B.Rinf, ring),
+                          kron_sum(A.R0, B.R0),
+                          kron_sum(A.Rinf, B.Rinf),
                           labels)
 
 
@@ -445,12 +442,11 @@ def gm_wedge(B: BrieskornPoint, r: int) -> BrieskornPoint:
     """The r-th wedge power, with both matrices acting as derivations."""
     if not 0 < r <= B.rank:
         raise ValueError(f"wedge degree {r} out of range for rank {B.rank}")
-    ring = laurent_ring(QVARS)
     labels = tuple("^".join(B.labels[i] for i in I)
                    for I in wedge_indices(B.rank, r))
     return BrieskornPoint(math.comb(B.rank, r),
-                          wedge_of_sum(B.R0, r, ring),
-                          wedge_of_sum(B.Rinf, r, ring),
+                          wedge_of_sum(B.R0, r),
+                          wedge_of_sum(B.Rinf, r),
                           labels)
 
 
@@ -550,7 +546,6 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
     if not 0 < r <= n:
         raise ValueError("need 0 < r <= n")
     rep = Report(f"quantum vs Gauss-Manin, wedge {r} of the n={n} mirror")
-    ring = laurent_ring(QVARS)
 
     mirror = mirror_brieskorn(n, box_max=box_max)
     Wm = gm_wedge(mirror, r)
@@ -559,14 +554,14 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
     rep.record("wedge ranks agree", Wm.rank == quantum.d,
                witness=f"{Wm.rank} vs {quantum.d}")
 
-    cp_mirror = charpoly(Wm.R0, ring)
-    cp_quantum = charpoly(quantum.family.B0, ring)
+    cp_mirror = charpoly(Wm.R0)
+    cp_quantum = charpoly(quantum.family.B0)
     rep.record("multiplication charpolys agree over Q[q]",
                cp_mirror == cp_quantum,
                witness=" vs ".join(_poly_str(c)
                                    for c in (cp_mirror, cp_quantum)))
 
-    cp_subset = subset_sum_charpoly(charpoly(mirror.R0, ring), r)
+    cp_subset = subset_sum_charpoly(charpoly(mirror.R0), r)
     rep.record("subset-sum route reproduces the wedge charpoly",
                cp_subset == cp_mirror,
                witness=_poly_str(cp_subset))
@@ -580,6 +575,7 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
 
 
 def _poly_str(coeffs: Sequence[Laurent]) -> str:
+    """The charpoly z^d + c_1 z^(d-1) + ... of a report witness, as text."""
     d = len(coeffs) - 1
     parts = []
     for k, c in enumerate(coeffs):
@@ -590,6 +586,6 @@ def _poly_str(coeffs: Sequence[Laurent]) -> str:
         if power == 0:
             parts.append(body)
         else:
-            head = "" if body == "1" else f"({body})*"
+            head = {"1": "", "-1": "-"}.get(body, f"({body})*")
             parts.append(f"{head}z^{power}" if power > 1 else f"{head}z")
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

@@ -32,14 +32,12 @@ from typing import NamedTuple, Sequence
 
 from .linalg import (
     Mat,
-    Ring,
     divide_exact,
     inv_field,
     inv_laurent,
     inv_series,
     kron,
     kron_sum,
-    laurent_ring,
     series_constant_slice,
     wedge_indices,
     wedge_metric,
@@ -140,9 +138,6 @@ class PreSaitoFamily:
             if v.name == name:
                 return v.kind
         raise KeyError(name)
-
-    def ring(self) -> Ring:
-        return _ring_for(self.qvars, self.svars, self.order)
 
     def const(self, value: int | Fraction):
         """The constant scalar of the entry ring with rational value."""
@@ -337,7 +332,7 @@ def check_metric(F: PreSaitoFamily, order: int | None = None) -> Report:
         rep.record("G invertible", False, "singular metric")
         return rep
 
-    wI = Mat.identity(F.d, F.ring()).scale(F.const(F.w))
+    wI = Mat.identity(F.d, F.const(F.w))
     lhs = F.Binf + _adjoint(F, F.Binf, Ginv)
     w = _diff_witness(lhs, wI, K)
     rep.record("Binf + Binf* = w id", w is None, w or "")
@@ -478,33 +473,24 @@ def tensor(F1: PreSaitoFamily, F2: PreSaitoFamily) -> PreSaitoFamily:
     order = F1.order if F1.order is not None else F2.order
     qvars = F1.qvars + F2.qvars
     svars = F1.svars + F2.svars
-    up1 = _promote_entries(qvars, svars, order)
-    up2 = _promote_entries(qvars, svars, order)
-    ring = _ring_for(qvars, svars, order)
-    id1 = Mat.identity(F1.d, ring)
-    id2 = Mat.identity(F2.d, ring)
+    up = _promote_entries(qvars, svars, order)
+    one = up(F1.const(1))
+    id1 = Mat.identity(F1.d, one)
+    id2 = Mat.identity(F2.d, one)
     C = {}
     for v in F1.base:
-        C[v.name] = kron(F1.C[v.name].map(up1), id2)
+        C[v.name] = kron(F1.C[v.name].map(up), id2)
     for v in F2.base:
-        C[v.name] = kron(id1, F2.C[v.name].map(up2))
+        C[v.name] = kron(id1, F2.C[v.name].map(up))
     return PreSaitoFamily(
         F1.base + F2.base, F1.d * F2.d,
-        kron_sum(F1.Binf.map(up1), F2.Binf.map(up2), ring),
-        kron_sum(F1.B0.map(up1), F2.B0.map(up2), ring),
+        kron_sum(F1.Binf.map(up), F2.Binf.map(up)),
+        kron_sum(F1.B0.map(up), F2.B0.map(up)),
         C,
-        (kron(F1.G.map(up1), F2.G.map(up2))
+        (kron(F1.G.map(up), F2.G.map(up))
          if F1.G is not None and F2.G is not None else None),
         (F1.w + F2.w if F1.w is not None and F2.w is not None else None),
         order, F1.params + F2.params)
-
-
-def _ring_for(qvars: tuple[str, ...], svars: tuple[str, ...],
-              order: int | None) -> Ring:
-    if svars:
-        return Ring(Series.zero(svars, order),
-                    Series.const(svars, order, Laurent.const(qvars, 1)))
-    return laurent_ring(qvars)
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +511,14 @@ def wedge_restrict(P: PointStructure, r: int,
     the result carries ``.family``: the same construction applied to the
     family matrices, which is its restriction to the diagonal q-line.
     """
-    if r > P.d:
-        raise ValueError(f"wedge degree {r} exceeds the rank {P.d}")
-    ring = laurent_ring(P.params)
+    if not 1 <= r <= P.d:
+        raise ValueError(f"wedge degree {r} is out of range 1..{P.d}")
     basis = wedge_indices(P.d, r)
-    R0w = wedge_of_sum(P.R0, r, ring)
-    Rinfw = wedge_of_sum(P.Rinf, r, ring)
-    Gw = wedge_metric(P.G, r, ring) if P.G is not None else None
+    R0w = wedge_of_sum(P.R0, r)
+    Rinfw = wedge_of_sum(P.Rinf, r)
+    Gw = wedge_metric(P.G, r) if P.G is not None else None
     ww = P.w * r if P.w is not None else None
-    omega = tuple(ring.one if I == tuple(range(r)) else ring.zero for I in basis)
+    omega = tuple(P.const(1 if I == tuple(range(r)) else 0) for I in basis)
     delta0 = None
     if P.delta0 is not None:
         unit_pos = basis.index(tuple(range(r)))
@@ -546,13 +531,12 @@ def wedge_restrict(P: PointStructure, r: int,
             raise ValueError("family rank does not match the point structure")
         if family.svars:
             raise ValueError("diagonal wedge restriction expects a Laurent family")
-        fring = laurent_ring(family.qvars)
         wedge_family = PreSaitoFamily(
             base=family.base, d=len(basis),
-            Binf=wedge_of_sum(family.Binf, r, fring),
-            B0=wedge_of_sum(family.B0, r, fring),
-            C={name: wedge_of_sum(M, r, fring) for name, M in family.C.items()},
-            G=(wedge_metric(family.G, r, fring) if family.G is not None else None),
+            Binf=wedge_of_sum(family.Binf, r),
+            B0=wedge_of_sum(family.B0, r),
+            C={name: wedge_of_sum(M, r) for name, M in family.C.items()},
+            G=(wedge_metric(family.G, r) if family.G is not None else None),
             w=(family.w * r if family.w is not None else None),
             params=family.params)
     return PointStructure(len(basis), R0w, Rinfw, Gw, ww, omega, delta0,
@@ -642,11 +626,23 @@ def _encode_laurent(x: Laurent) -> list:
     return out
 
 
+def _exponent_list(key, n: int) -> Exponents:
+    if not isinstance(key, list) or len(key) != n or any(type(x) is not int for x in key):
+        raise ValueError(f"expected a list of {n} integer exponents, got {key!r}")
+    return tuple(key)
+
+
 def _decode_laurent(data: list, qvars: tuple[str, ...]) -> Laurent:
+    if not isinstance(data, list) or any(not isinstance(t, list) for t in data):
+        raise ValueError(f"a Laurent entry must be a list of [exponent, coefficient] "
+                         f"pairs, got {data!r}")
     terms: dict[Exponents, Fraction] = {}
     for key, cs in data:
         if isinstance(key, list):
-            e = tuple(key)
+            e = _exponent_list(key, len(qvars))
+        elif type(key) is not int:
+            raise ValueError(f"an exponent must be an integer or a list of integers, "
+                             f"got {key!r}")
         elif len(qvars) == 0:
             if key != 0:
                 raise ValueError("nonzero q-power in a parameter-free entry")
@@ -668,7 +664,9 @@ def _encode_entry(x) -> object:
 
 def _decode_entry(data, qvars, svars, order):
     if svars:
-        terms = {tuple(item["exps"]): _decode_laurent(item["coef"], qvars)
+        if not isinstance(data, list) or any(not isinstance(t, dict) for t in data):
+            raise ValueError(f"a series entry must be a list of objects, got {data!r}")
+        terms = {_exponent_list(item["exps"], len(svars)): _decode_laurent(item["coef"], qvars)
                  for item in data}
         return Series(svars, order, terms)
     return _decode_laurent(data, qvars)
@@ -703,45 +701,51 @@ def family_to_json(F: PreSaitoFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> PreSaitoFamily:
+    """Decode a family document; a mistyped field raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a family must be a JSON object, got {type(doc).__name__}")
-    names = list(doc["vars"])
-    kinds = list(doc.get("kinds") or ["q"] * len(names))
+
+    def strings(key: str, value) -> list:
+        if not isinstance(value, list) or any(type(x) is not str for x in value):
+            raise ValueError(f"{key} must be a list of strings, got {value!r}")
+        return value
+
+    names = strings("vars", doc["vars"])
+    kinds = strings("kinds", doc.get("kinds") or ["q"] * len(names))
+    params = tuple(strings("params", doc.get("params", [])))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))
-    params = tuple(doc.get("params", ()))
     order = doc.get("order")
+    if order is not None and type(order) is not int:
+        raise ValueError(f"order must be an integer, got {order!r}")
     d = doc["rank"]
     if type(d) is not int or d < 1:
         raise ValueError(f"rank must be a positive integer, got {d!r}")
     w = doc.get("w")
     if w is not None and type(w) not in (int, str):
         raise ValueError(f"w must be a rational string or an integer, got {w!r}")
+    if not isinstance(doc["C"], dict):
+        raise ValueError(f"C must be an object keyed by the base variables, got {doc['C']!r}")
     qvars = params + tuple(n for n, k in zip(names, kinds) if k != "series")
     svars = tuple(n for n, k in zip(names, kinds) if k == "series")
 
-    def dec_matrix(rows) -> Mat:
-        return Mat([[_decode_entry(x, qvars, svars, order) for x in row]
-                    for row in rows])
+    def dec_matrix(key: str, rows, decode) -> Mat:
+        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+            raise ValueError(f"{key} must be a list of lists, got {rows!r}")
+        return Mat([[decode(x) for x in row] for row in rows])
 
-    def dec_fraction_matrix(rows) -> Mat:
-        out = []
-        for row in rows:
-            out_row = []
-            for x in row:
-                c = Laurent.const(qvars, fraction_from_str(x))
-                if svars:
-                    out_row.append(Series.const(svars, order, c))
-                else:
-                    out_row.append(c)
-            out.append(out_row)
-        return Mat(out)
+    def entry(x):
+        return _decode_entry(x, qvars, svars, order)
+
+    def rational(x):
+        c = Laurent.const(qvars, fraction_from_str(x))
+        return Series.const(svars, order, c) if svars else c
 
     return PreSaitoFamily(
         base=base, d=d,
-        Binf=dec_fraction_matrix(doc["Binf"]),
-        B0=dec_matrix(doc["B0"]),
-        C={n: dec_matrix(doc["C"][n]) for n in names},
-        G=(dec_fraction_matrix(doc["G"]) if doc.get("G") is not None else None),
+        Binf=dec_matrix("Binf", doc["Binf"], rational),
+        B0=dec_matrix("B0", doc["B0"], entry),
+        C={n: dec_matrix(f"C[{n}]", doc["C"][n], entry) for n in names},
+        G=(dec_matrix("G", doc["G"], rational) if doc.get("G") is not None else None),
         w=(fraction_from_str(w) if w is not None else None),
         order=order, params=params)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, laurent_ring
+from .linalg import Mat
 from .presaito import BaseVar, PointStructure, PreSaitoFamily
 from .rings import Laurent
 
@@ -48,7 +48,6 @@ def pn_small_family(n: int) -> PreSaitoFamily:
         raise ValueError("n must be at least 1")
     d = n + 1
     qv = ("q",)
-    ring = laurent_ring(qv)
     q = Laurent.gen(qv, "q")
     zero = Laurent.zero(qv)
 
@@ -61,7 +60,7 @@ def pn_small_family(n: int) -> PreSaitoFamily:
 
     B0 = Mat([[b0(i, j) for j in range(d)] for i in range(d)])
     C = (-B0).scale(Fraction(1, n + 1))
-    Binf = Mat.diag([Laurent.const(qv, i) for i in range(d)], ring)
+    Binf = Mat.diag([Laurent.const(qv, i) for i in range(d)])
     G = Mat([[Laurent.const(qv, 1) if i + j == n else zero for j in range(d)]
              for i in range(d)])
     return PreSaitoFamily(base=(BaseVar("q", "q"),), d=d, Binf=Binf, B0=B0,
@@ -77,8 +76,7 @@ def qline_products(n: int) -> list[Mat]:
     """
     F = pn_small_family(n)
     M1 = F.B0.scale(Fraction(1, n + 1))
-    ring = laurent_ring(("q",))
-    out = [Mat.identity(F.d, ring)]
+    out = [Mat.identity(F.d, F.const(1))]
     for _ in range(n):
         out.append(out[-1] @ M1)
     return out

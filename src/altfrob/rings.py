@@ -1,18 +1,21 @@
 """Exact coefficient rings: rationals, Laurent polynomials, truncated series.
 
-Everything in this package computes over the scalar tower
+Everything in this package computes over the fixed scalar tower
 
-    Fraction  ->  Laurent  ->  Series
+    Fraction  ->  Laurent  ->  Series over Laurent
 
 where ``Laurent`` is the ring of Laurent polynomials in a fixed tuple of
 invertible variables (usually the single quantum parameter ``q``) with
 ``Fraction`` coefficients, and ``Series`` is a multivariate power series
 truncated in *total* degree of its formal variables, with ``Laurent``
-coefficients.  The quantum parameter is a genuine Laurent variable: it is
-never truncated, carries negative powers, and its natural derivation is
-``q * d/dq``.  There is no fraction field: linear algebra over ``Laurent``
-is fraction-free, and its one division, ``Laurent.divide``, is exact or
-reports that the divisor does not divide.
+coefficients in one variable tuple.  The quantum parameter is a genuine
+Laurent variable: it is never truncated, carries negative powers, and its
+natural derivation is ``q * d/dq``.  There is no fraction field: linear
+algebra over ``Laurent`` is fraction-free, and its one division,
+``Laurent.divide``, is exact or reports that the divisor does not divide.
+
+An entry knows its ring: ``x * 0`` is the zero of the ring of ``x`` for
+every scalar of the tower, so no separate ring descriptor exists.
 
 Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
 matrix product, goes through one fused, truncation-aware accumulation,
@@ -48,8 +51,14 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
+def fraction_from_str(text: str | int) -> Fraction:
+    """Read a "num/den" string or an integer; anything else raises ValueError."""
+    if type(text) is not int and not isinstance(text, str):
+        raise ValueError(f"expected a rational string or an integer, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class Laurent:
@@ -312,13 +321,14 @@ class Laurent:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
-            factors = [fraction_to_str(c)] if (c != 1 or all(x == 0 for x in e)) else []
-            for name, x in zip(self.vars, e):
-                if x == 1:
-                    factors.append(name)
-                elif x != 0:
-                    factors.append(f"{name}^{x}")
-            parts.append("*".join(factors))
+            mono = "*".join(name if x == 1 else f"{name}^{x}"
+                            for name, x in zip(self.vars, e) if x != 0)
+            if not mono:
+                parts.append(fraction_to_str(c))
+            elif abs(c) == 1:
+                parts.append(mono if c == 1 else f"-{mono}")
+            else:
+                parts.append(f"{fraction_to_str(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
@@ -340,9 +350,11 @@ def qlaurent(pairs: Iterable[tuple[int, int | Fraction]]) -> Laurent:
 class Series:
     """A power series in formal variables, truncated in total degree.
 
-    Coefficients are scalars of any one ring in the tower (usually Laurent).
-    A term whose exponents sum to more than ``order`` is discarded by every
-    operation, so instances represent elements of R[[x]] / (x)^{order+1}.
+    Coefficients are Laurent polynomials in one variable tuple, the top of
+    the tower; ``series_dot``, behind every product, rejects any other.  A
+    term whose exponents sum to more than ``order`` is discarded by every
+    operation, so instances represent elements of R[[x]] / (x)^{order+1}
+    with R a Laurent ring.
     """
 
     __slots__ = ("vars", "order", "terms")
@@ -552,46 +564,41 @@ def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
     """The sum of a * b over (Series, Series) pairs of one ring, truncated once.
 
     Each right operand's terms are bucketed by total degree, so a left term
-    of degree d meets only the buckets up to ``order - d``.  When every
-    coefficient is a Laurent polynomial in one variable tuple, the products
+    of degree d meets only the buckets up to ``order - d``.  The products
     accumulate on flat (series exponents, Laurent exponents) keys as integer
     numerator/denominator pairs, and each output coefficient is built once.
-    Any other coefficients (Fraction, Laurent polynomials in differing
-    variables) multiply and add as scalars.
+    A coefficient that is not a Laurent polynomial raises TypeError; Laurent
+    coefficients in differing variable tuples raise ValueError.
     """
     first = pairs[0][0]
     svars, order = first.vars, first.order
     live = []
-    lvars = set()
     for a, b in pairs:
         first._check(a)
         first._check(b)
         if a.terms and b.terms:
             live.append((a, b))
-            for s in (a, b):
-                for c in s.terms.values():
-                    lvars.add(c.vars if type(c) is Laurent else None)
-    flat = len(lvars) == 1 and None not in lvars
+    if not live:
+        return Series.zero(svars, order)
+    qvars = getattr(next(iter(live[0][0].terms.values())), "vars", None)
 
-    def coeff(c):
-        if not flat:
-            return c
+    def flat(c):
+        if type(c) is not Laurent:
+            raise TypeError(f"series_dot needs Laurent coefficients, got {type(c).__name__}")
+        if c.vars != qvars:
+            raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
         return [(k, f.numerator, f.denominator) for k, f in c.terms.items()]
 
     acc: dict = {}
     for a, b in live:
         buckets: list[list] = [[] for _ in range(order + 1)]
         for e2, c2 in b.terms.items():
-            buckets[sum(e2)].append((e2, coeff(c2)))
+            buckets[sum(e2)].append((e2, flat(c2)))
         for e1, c1 in a.terms.items():
-            c1 = coeff(c1)
+            c1 = flat(c1)
             for bucket in buckets[:order - sum(e1) + 1]:
                 for e2, c2 in bucket:
                     e = tuple(map(add, e1, e2))
-                    if not flat:
-                        prod = c1 * c2
-                        acc[e] = acc[e] + prod if e in acc else prod
-                        continue
                     for k1, n1, d1 in c1:
                         for k2, n2, d2 in c2:
                             key = (e, tuple(map(add, k1, k2)))
@@ -605,9 +612,6 @@ def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
                                 den = lcm(cur[1], d)
                                 cur[0] = cur[0] * (den // cur[1]) + n * (den // d)
                                 cur[1] = den
-    if not flat:
-        return Series(svars, order, acc)
-    (qvars,) = lvars
     grouped: dict[Exponents, dict] = {}
     for (e, k), (n, d) in acc.items():
         grouped.setdefault(e, {})[k] = Fraction(n, d)
@@ -619,43 +623,3 @@ def is_zero(value) -> bool:
     if isinstance(value, (int, Fraction)):
         return value == 0
     return value.is_zero()
-
-
-# ---------------------------------------------------------------------------
-# Ring descriptors
-# ---------------------------------------------------------------------------
-
-
-class SeriesRing:
-    """Factory for Series elements over a fixed (vars, order, Laurent vars)."""
-
-    __slots__ = ("vars", "order", "qvars")
-
-    def __init__(self, variables: tuple[str, ...], order: int, qvars: tuple[str, ...]):
-        self.vars = variables
-        self.order = order
-        self.qvars = qvars
-
-    @property
-    def zero(self) -> Series:
-        return Series.zero(self.vars, self.order)
-
-    @property
-    def one(self) -> Series:
-        return Series.const(self.vars, self.order, Laurent.const(self.qvars, 1))
-
-    def const(self, value: int | Fraction) -> Series:
-        return Series.const(self.vars, self.order, Laurent.const(self.qvars, value))
-
-    def gen(self, name: str) -> Series:
-        return Series.gen(self.vars, self.order, name, Laurent.const(self.qvars, 1))
-
-    def qgen(self, name: str, power: int = 1) -> Series:
-        return Series.const(self.vars, self.order, Laurent.gen(self.qvars, name, power))
-
-    def __eq__(self, other):
-        return (isinstance(other, SeriesRing) and self.vars == other.vars
-                and self.order == other.order and self.qvars == other.qvars)
-
-    def __repr__(self):
-        return f"SeriesRing(vars={self.vars}, order={self.order}, qvars={self.qvars})"

@@ -26,7 +26,7 @@ from altfrob.grassmann import (
     complement_partition,
     rimhook_oracle,
 )
-from altfrob.linalg import Mat, charpoly, laurent_ring
+from altfrob.linalg import Mat, charpoly
 from altfrob.mirror import (
     compare_quantum_gm,
     gm_wedge,
@@ -41,9 +41,9 @@ from altfrob.presaito import check_metric, check_pre_saito, wedge_restrict
 from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import Laurent
 
-QRING = laurent_ring(("q",))
 Q = Laurent(("q",), {(1,): Fraction(1)})
 ONE = Laurent.const(("q",), 1)
+ZERO = Laurent.zero(("q",))
 
 GRASSMANN_RANGE = [(r, n) for r in (1, 2, 3) for n in range(r, 6)]
 
@@ -61,7 +61,7 @@ def _table_product(table, factors):
         out: dict = {}
         for nu, cf in acc.items():
             for rho, cf2 in table.product(nu, nxt).items():
-                out[rho] = out.get(rho, QRING.zero) + cf * cf2
+                out[rho] = out.get(rho, ZERO) + cf * cf2
         acc = {k: v for k, v in out.items() if not v.is_zero()}
     return acc
 
@@ -107,7 +107,7 @@ def test_criterion_03_positivity_and_associativity():
             right: dict = {}
             for nu, cf in right_inner.items():
                 for rho, cf2 in table.product(a, nu).items():
-                    right[rho] = right.get(rho, QRING.zero) + cf * cf2
+                    right[rho] = right.get(rho, ZERO) + cf * cf2
             right = {k: v for k, v in right.items() if not v.is_zero()}
             assert left == right, (r, n, a, b, c)
     _stamp(3, "coefficients are nonnegative integers; 100 seeded triples "
@@ -122,7 +122,7 @@ def test_criterion_04_g23_is_quantum_p2():
     fam = pn_small_family(2)
     mult = fam.B0.map(lambda x: x * Fraction(1, 3))
     assert fam.C["q"] == mult.map(lambda x: x * Fraction(-1))
-    assert mult @ mult @ mult == Mat.diag([Q, Q, Q], QRING)
+    assert mult @ mult @ mult == Mat.diag([Q, Q, Q])
     _stamp(4, "G(2,3) gives sigma_1 cubed = q, matching the plane's "
               "degree-1 multiplication", t0)
 
@@ -167,7 +167,7 @@ def test_criterion_07_mirror_identification():
         J = jacobian_algebra(mirror_f(n))
         assert J.dim == n + 1, n
         M = mult_f_matrix(J)
-        rows = [[QRING.zero] * (n + 1) for _ in range(n + 1)]
+        rows = [[ZERO] * (n + 1) for _ in range(n + 1)]
         for k in range(n):
             rows[k + 1][k] = Laurent.const(("q",), n + 1)
         rows[0][n] = Q * (n + 1)
@@ -185,18 +185,18 @@ def test_criterion_08_quantum_vs_gauss_manin():
             rep = compare_quantum_gm(r, n)
             assert rep.ok, f"(r, n) = ({r}, {n}): {rep.first_witness()}"
 
-    z3_plus_27q = [ONE, QRING.zero, QRING.zero, Q * 27]
+    z3_plus_27q = [ONE, ZERO, ZERO, Q * 27]
     wedge_mirror = gm_wedge(mirror_brieskorn(2), 2)
-    assert charpoly(wedge_mirror.R0, QRING) == z3_plus_27q
+    assert charpoly(wedge_mirror.R0) == z3_plus_27q
     wedge_quantum = wedge_restrict(build_pn(2), 2, family=pn_small_family(2))
-    assert charpoly(wedge_quantum.family.B0, QRING) == z3_plus_27q
+    assert charpoly(wedge_quantum.family.B0) == z3_plus_27q
 
     lattices = [mirror_brieskorn(n) for n in range(1, 5)]
     lattices.append(ts_tensor(mirror_brieskorn(1), mirror_brieskorn(1)))
     for B in lattices:
-        p = charpoly(B.R0, QRING)
+        p = charpoly(B.R0)
         for r in range(1, B.rank + 1):
-            assert subset_sum_charpoly(p, r) == charpoly(gm_wedge(B, r).R0, QRING)
+            assert subset_sum_charpoly(p, r) == charpoly(gm_wedge(B, r).R0)
     _stamp(8, "wedge Gauss-Manin matches the quantum side for r <= n <= 4, "
               "with the subset-sum oracle on every lattice", t0)
 

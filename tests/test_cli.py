@@ -46,6 +46,8 @@ class TestExitCodes:
         assert code == 2
         code, _, _ = run(["gw", "--dmax", "0"], capsys)
         assert code == 2
+        code, out, err = run(["pn", "--n", "2", "--check", "--order", "-1"], capsys)
+        assert_one_line_usage_error(code, out, err, "--order must be at least 0")
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(["verify", "--family", str(tmp_path / "nope.json")], capsys)
@@ -206,6 +208,55 @@ class TestPnAndVerify:
         code, out, err = run(["verify", "--family", str(fam_path)], capsys)
         assert_one_line_usage_error(code, out, err, "must be a JSON object")
 
+    # (path into the pn --n 1 document, new value, message)
+    MALFORMED = [
+        (["vars"], 5, "vars must be a list of strings, got 5"),
+        (["B0"], 5, "B0 must be a list of lists, got 5"),
+        (["B0", 1, 0], [["x", "2"]], "an exponent must be an integer or a list of integers"),
+        (["B0", 1, 0], [[0, "1/0"]], "zero denominator in '1/0'"),
+        (["Binf", 1, 1], 0.5, "expected a rational string or an integer, got 0.5"),
+        (["B0", 1, 0], [[0, 0.5]], "expected a rational string or an integer, got 0.5"),
+    ]
+
+    @pytest.mark.parametrize("command", ["verify", "hm"])
+    @pytest.mark.parametrize("path,value,message", MALFORMED,
+                             ids=["vars-int", "B0-int", "exponent-str", "zero-denominator",
+                                  "Binf-float", "entry-float"])
+    def test_malformed_family_is_an_input_error(self, capsys, tmp_path, command,
+                                                path, value, message):
+        fam_path = tmp_path / "p1.json"
+        run(["pn", "--n", "1", "--out", str(fam_path)], capsys)
+        doc = json.loads(fam_path.read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        fam_path.write_text(json.dumps(doc))
+        psi_path = tmp_path / "psi.json"
+        psi_path.write_text(json.dumps(problem_to_json(
+            trivial_deformation_problem(build_pn(1), order=4))))
+        argv = ["verify", "--family", str(fam_path)] if command == "verify" else \
+            ["hm", "--family", str(fam_path), "--psi", str(psi_path)]
+        code, out, err = run(argv, capsys)
+        assert_one_line_usage_error(code, out, err, message)
+
+    @pytest.mark.parametrize("order,message", [
+        ("99", "--order 99 exceeds the family's truncation 3"),
+        ("4", "--order 4 exceeds the family's truncation 3"),
+        ("-1", "--order must be at least 0, got -1"),
+    ], ids=["99", "4", "negative"])
+    def test_verify_order_out_of_range_is_rejected(self, capsys, tmp_path, order, message):
+        fam_path, psi_path = tmp_path / "p1.json", tmp_path / "psi.json"
+        run(["pn", "--n", "1", "--out", str(fam_path)], capsys)
+        psi_path.write_text(json.dumps(problem_to_json(
+            trivial_deformation_problem(build_pn(1), order=3))))
+        ext_path = tmp_path / "ext.json"
+        assert run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                    "--out", str(ext_path)], capsys)[0] == 0
+        assert run(["verify", "--family", str(ext_path), "--order", "3"], capsys)[0] == 0
+        code, out, err = run(["verify", "--family", str(ext_path), "--order", order], capsys)
+        assert_one_line_usage_error(code, out, err, message)
+
 
 class TestHm:
     @pytest.fixture()
@@ -243,6 +294,12 @@ class TestHm:
         assert code == 2
         assert "exceeds" in err
 
+    def test_negative_order_is_rejected(self, capsys, inputs):
+        fam_path, psi_path = inputs
+        code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                              "--order", "-1"], capsys)
+        assert_one_line_usage_error(code, out, err, "--order must be at least 0, got -1")
+
     @pytest.mark.parametrize("field,value,flags,message", [
         ("order", "x", [], "order must be an integer"),
         ("order", "x", ["--order", "2"], "order must be an integer"),
@@ -252,8 +309,12 @@ class TestHm:
         ("psi", 3, [], "psi must be a list"),
         ("omega", [0.5, 1], [], "omega must be a list of rational strings or integers"),
         ("omega", "1", [], "omega must be a list of rational strings or integers"),
+        ("psi", [[{"exps": ["x"], "coef": [[0, "1"]]}], []], [],
+         "expected a list of 1 integer exponents, got ['x']"),
+        ("psi", [[{"exps": [1], "coef": [[0, "1/0"]]}], []], [], "zero denominator"),
     ], ids=["order-str", "order-str-with-flag", "order-bool", "newVars-int",
-            "newVars-int-list", "psi-int", "omega-float", "omega-str"])
+            "newVars-int-list", "psi-int", "omega-float", "omega-str", "psi-exps-str",
+            "psi-zero-denominator"])
     def test_mistyped_problem_field_is_rejected(self, capsys, inputs,
                                                 field, value, flags, message):
         fam_path, psi_path = inputs

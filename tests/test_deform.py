@@ -83,16 +83,13 @@ class TestUnitDirection:
 
     def test_c_t0_is_minus_identity(self):
         fam, big = self._extend(2, 4)
-        ring = big.ring()
-        minus_id = Mat.identity(3, ring).scale(F(-1))
+        minus_id = Mat.identity(3, big.const(-1))
         assert big.C["t0"] == minus_id
 
     def test_b0_shifts_by_t0(self):
         fam, big = self._extend(2, 4)
-        ring = big.ring()
         t0 = Series.gen(("t0",), 4, "t0", Laurent.const(("q",), 1))
-        expect = fam.B0.map(lambda x: Series.const(("t0",), 4, x)) \
-            + Mat.identity(3, ring).map(lambda x: x * t0)
+        expect = fam.B0.map(lambda x: Series.const(("t0",), 4, x)) + Mat.identity(3, t0)
         assert big.B0 == expect
 
     def test_c_q_is_unchanged(self):
@@ -305,7 +302,7 @@ class TestProblemSerialization:
         y = Series.gen(("y",), 2, "y", one)
         prob = DeformationProblem(fam, ("y",), (y, y), (F(1), F(1)), 2)
         big = hm_extend(prob)
-        assert big.C["y"] == Mat.identity(2, big.ring()).scale(F(-1))
+        assert big.C["y"] == Mat.identity(2, big.const(-1))
 
 
 class TestDivisorDirection:

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from altfrob.linalg import Mat, charpoly, laurent_ring, wedge_indices
+from altfrob.deform import universal_big_quantum
+from altfrob.linalg import Mat, charpoly, wedge_indices
 from altfrob.presaito import (
     BaseVar,
     NotPrimitive,
@@ -21,7 +22,7 @@ from altfrob.presaito import (
     wedge_restrict,
 )
 from altfrob.projective import build_pn, pn_small_family
-from altfrob.rings import Laurent, qlaurent
+from altfrob.rings import Laurent, Series, qlaurent
 
 F = Fraction
 
@@ -106,10 +107,9 @@ def test_trivial_deformation_restricts_to_point_at_one():
 
 
 def test_trivial_deformation_zero_point():
-    ring = laurent_ring(())
-    zero_m = Mat.zeros(2, 2, ring)
+    zero, one = Laurent.zero(()), Laurent.const((), 1)
     from altfrob.presaito import PointStructure
-    P = PointStructure(2, zero_m, Mat.diag([ring.zero, -ring.one], ring))
+    P = PointStructure(2, Mat.diag([zero, zero]), Mat.diag([zero, -one]))
     fam = trivial_deformation(P)
     assert fam.B0.is_zero()
     assert fam.C["lambda"].is_zero()
@@ -117,9 +117,8 @@ def test_trivial_deformation_zero_point():
 
 def test_trivial_deformation_rejects_nonintegral():
     from altfrob.presaito import PointStructure
-    ring = laurent_ring(())
     half = Laurent.const((), F(1, 2))
-    P = PointStructure(1, Mat([[ring.one]]), Mat([[half]]))
+    P = PointStructure(1, Mat([[Laurent.const((), 1)]]), Mat([[half]]))
     with pytest.raises(ValueError):
         trivial_deformation(P)
 
@@ -141,18 +140,27 @@ def test_tensor_of_p1_families():
     assert check_metric(T).ok
     # B0 spectrum at q1 = q2 = 1 is the pairwise sums {4, 0, 0, -4}
     at_one = T.B0.map(lambda x: x.eval_var("q1", 1).eval_var("q2", 1))
-    cp = charpoly(at_one, laurent_ring(()))
+    cp = charpoly(at_one)
     vals = [c.as_fraction() for c in cp]
     # z^4 - 16 z^2: roots 4, -4, 0, 0
     assert vals == [F(1), F(0), F(-16), F(0), F(0)]
 
 
+def test_tensor_of_a_series_family_with_a_laurent_family():
+    big = universal_big_quantum(pn_small_family(1), 3)
+    T = tensor(big, _rename_q(pn_small_family(1), "p"))
+    assert (T.d, T.w, T.order) == (4, 2, 3)
+    assert T.svars == big.svars and T.qvars == ("q", "p")
+    assert all(isinstance(x, Series) for r in T.B0.rows for x in r)
+    assert check_pre_saito(T).ok
+    assert check_metric(T).ok
+
+
 def test_tensor_with_rank_one_trivial_point():
     fam = pn_small_family(1)
-    ring = laurent_ring(())
+    zero, one = Laurent.zero(()), Laurent.const((), 1)
     from altfrob.presaito import PointStructure
-    triv = PointStructure(1, Mat([[ring.zero]]), Mat([[ring.zero]]),
-                          Mat([[ring.one]]), w=F(0)).as_family()
+    triv = PointStructure(1, Mat([[zero]]), Mat([[zero]]), Mat([[one]]), w=F(0)).as_family()
     T = tensor(fam, triv)
     assert T.d == fam.d
     assert T.B0 == fam.B0
@@ -198,15 +206,16 @@ def test_wedge_family_along_qline():
     assert fam.d == 3
     assert check_pre_saito(fam).ok
     assert check_metric(fam).ok
-    cp = charpoly(fam.B0, laurent_ring(("q",)))
+    cp = charpoly(fam.B0)
     # wedge of the P^2 matrix: z^3 + 27q
     assert cp == [Laurent.const(("q",), 1), Laurent.zero(("q",)),
                   Laurent.zero(("q",)), qlaurent([(1, 27)])]
 
 
 def test_wedge_rejects_overflow():
-    with pytest.raises(ValueError):
-        wedge_restrict(build_pn(1), 3)
+    for r in (3, 0, -1):
+        with pytest.raises(ValueError, match="wedge degree"):
+            wedge_restrict(build_pn(1), r)
 
 
 def test_frobenius_requires_square_period_map():
