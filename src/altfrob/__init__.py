@@ -4,9 +4,11 @@ The package is organized in layers:
 
 ``rings`` / ``linalg``   exact scalars (rationals, Laurent polynomials,
                          truncated series) and dense matrices over them.
-``presaito``             families of flat-bundle data, the relation checkers,
-                         tensor/wedge constructions, and JSON interchange.
-``projective``           the small quantum family of projective space.
+``presaito``             families of flat-bundle data (a point is the family
+                         over the empty base), the relation checkers, tensor
+                         and wedge of families, and JSON interchange.
+``projective``           the small quantum family of projective space and its
+                         point at q = 1.
 ``grassmann``            the alternate product on Grassmannian cohomology and
                          its rim-hook oracle.
 ``deform``               the Hertling-Manin extension recursion, the Frobenius
@@ -78,7 +80,6 @@ from .presaito import (
     BaseVar,
     FrobeniusData,
     NotPrimitive,
-    PointStructure,
     PreSaitoFamily,
     Report,
     check_metric,
@@ -90,7 +91,7 @@ from .presaito import (
     loads_family,
     tensor,
     trivial_deformation,
-    wedge_restrict,
+    wedge,
 )
 from .projective import build_pn, pn_small_family
 from .rings import Laurent, Series
@@ -109,7 +110,6 @@ __all__ = [
     "NotPrePrimitive",
     "NotPrimitive",
     "PartitionMatrix",
-    "PointStructure",
     "PreSaitoFamily",
     "QLRTable",
     "Report",
@@ -163,9 +163,9 @@ __all__ = [
     "universal_big_quantum",
     "vandermonde",
     "wdvv_oracle",
+    "wedge",
     "wedge_indices",
     "wedge_metric",
     "wedge_of_sum",
-    "wedge_restrict",
     "word_basis",
 ]

@@ -38,7 +38,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, divide_exact, inv_series, series_constant_slice
-from .presaito import BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data
+from .presaito import (BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data,
+                       residue_grading)
 from .projective import pn_small_family
 from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str
 
@@ -244,29 +245,27 @@ def hm_extend(problem: DeformationProblem,
 # ---------------------------------------------------------------------------
 
 
-def trivial_deformation_problem(P, order: int, var: str = "y") -> DeformationProblem:
+def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence, order: int,
+                                var: str = "y") -> DeformationProblem:
     """Period data whose extension is the trivial deformation in y = log(lambda).
 
+    P is a point (a family over the empty base) and omega a rational vector.
     The section moves by the exponential of the grading:
     dPsi/dy = B_0 exp-rescaled, i.e. the coordinate at basis index i is
-    (R_0 omega)_i * (e^{m y} - 1)/m with m = 1 + d_i - d_0 (y itself when
+    (B_0 omega)_i * (e^{m y} - 1)/m with m = 1 + d_i - d_0 (y itself when
     m = 0), truncated at the requested order.
     """
-    dvals = P.rinf_integer_diagonal()
-    fam = P.as_family()
+    dvals = residue_grading(P)
     svars = (var,)
-    if P.omega is None:
-        raise ValueError("point structure carries no distinguished section")
-    omega = tuple(x.as_fraction() for x in P.omega)
+    omega = tuple(as_fraction(c) for c in omega)
     degs = {dvals[i] for i, c in enumerate(omega) if c != 0}
     if len(degs) != 1:
         raise ValueError("omega must be concentrated in one grading degree "
                          "for the closed-form period data")
     d0 = degs.pop()
-    r0w = (P.R0 @ Mat.column(list(P.omega))).column_vector()
+    r0w = (P.constant_fraction_matrix(P.B0) @ Mat.column(omega)).column_vector()
     psi = []
-    for i in range(P.d):
-        coord = r0w[i].as_fraction()
+    for i, coord in enumerate(r0w):
         m = 1 + dvals[i] - d0
         terms = {}
         if coord != 0:
@@ -277,16 +276,17 @@ def trivial_deformation_problem(P, order: int, var: str = "y") -> DeformationPro
                     terms[(j,)] = Laurent.const(
                         P.params, coord * Fraction(m) ** (j - 1) / math.factorial(j))
         psi.append(Series(svars, order, terms))
-    return DeformationProblem(fam, (var,), tuple(psi), omega, order)
+    return DeformationProblem(P, (var,), tuple(psi), omega, order)
 
 
-def expand_trivial_in_log(P, order: int, var: str = "y") -> PreSaitoFamily:
-    """The trivial deformation written in the coordinate y = log(lambda).
+def expand_trivial_in_log(P: PreSaitoFamily, order: int,
+                          var: str = "y") -> PreSaitoFamily:
+    """The trivial deformation of the point P written in the coordinate y = log(lambda).
 
-    Closed form: B_0(y)_{ij} = (R_0)_{ij} e^{(1 + d_i - d_j) y} truncated,
+    Closed form: B_0(y)_{ij} = (B_0)_{ij} e^{(1 + d_i - d_j) y} truncated,
     C^(y) = -B_0(y).  Used as the exact target for the extension recursion.
     """
-    dvals = P.rinf_integer_diagonal()
+    dvals = residue_grading(P)
     svars = (var,)
 
     def exp_series(m: int) -> Series:
@@ -295,14 +295,14 @@ def expand_trivial_in_log(P, order: int, var: str = "y") -> PreSaitoFamily:
         return Series(svars, order, terms)
 
     def entry(i: int, j: int) -> Series:
-        x = P.R0[i, j]
+        x = P.B0[i, j]
         if x.is_zero():
             return Series.zero(svars, order)
         return exp_series(1 + dvals[i] - dvals[j]).scale(x)
 
     B0 = Mat([[entry(i, j) for j in range(P.d)] for i in range(P.d)])
     C = -B0
-    Binf = (-P.Rinf).map(lambda x: Series.const(svars, order, x))
+    Binf = P.Binf.map(lambda x: Series.const(svars, order, x))
     G = P.G.map(lambda x: Series.const(svars, order, x)) if P.G is not None else None
     return PreSaitoFamily(((var, "series"),), P.d, Binf, B0, {var: C},
                           G, P.w, order, P.params)
@@ -566,6 +566,8 @@ def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
     order = doc["order"]
     if type(order) is not int:
         raise ValueError(f"order must be an integer, got {order!r}")
+    if order < 0:
+        raise ValueError(f"order must be at least 0, got {order}")
     if not isinstance(doc["newVars"], list) or \
             any(type(v) is not str for v in doc["newVars"]):
         raise ValueError(f"newVars must be a list of strings, got {doc['newVars']!r}")

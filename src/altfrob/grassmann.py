@@ -232,16 +232,17 @@ class QLRTable:
     def __hash__(self):
         raise TypeError("unhashable")
 
+    def _integer_terms(self, key) -> list[list[int]]:
+        """The [q-power, coefficient] pairs of one entry; raises unless integral."""
+        terms = self.entries[key].sorted_terms()
+        if any(c.denominator != 1 for _, c in terms):
+            raise ValueError(f"non-integer coefficient at {key}")
+        return [[e, int(c)] for (e,), c in terms]
+
     def to_json(self) -> dict:
-        entries = []
-        for (lam, mu, nu), cf in self.entries.items():
-            qpairs = []
-            for (e,), c in cf.sorted_terms():
-                if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient at {(lam, mu, nu)}")
-                qpairs.append([e, int(c)])
-            entries.append({"lambda": list(lam), "mu": list(mu),
-                            "nu": list(nu), "q": qpairs})
+        entries = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
+                    "q": self._integer_terms((lam, mu, nu))}
+                   for lam, mu, nu in self.entries]
         entries.sort(key=lambda d: (d["lambda"], d["mu"], d["nu"]))
         return {"r": self.r, "n": self.n, "entries": entries}
 
@@ -250,10 +251,10 @@ class QLRTable:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "qpow", "coef"])
         rows = []
-        for (lam, mu, nu), cf in self.entries.items():
-            for (e,), c in cf.sorted_terms():
+        for lam, mu, nu in self.entries:
+            for e, c in self._integer_terms((lam, mu, nu)):
                 rows.append((" ".join(map(str, lam)), " ".join(map(str, mu)),
-                             " ".join(map(str, nu)), e, int(c)))
+                             " ".join(map(str, nu)), e, c))
         rows.sort()
         writer.writerows(rows)
         return buf.getvalue()

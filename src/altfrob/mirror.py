@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence
 
 from .linalg import (Mat, charpoly, det, kron_sum, rank_field, row_reduce,
                      wedge_indices, wedge_of_sum)
-from .presaito import Report, wedge_restrict
-from .projective import build_pn, pn_small_family
+from .presaito import Report, wedge
+from .projective import pn_small_family
 from .rings import QVARS, Laurent, fraction_to_str
 
 
@@ -549,13 +549,13 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
 
     mirror = mirror_brieskorn(n, box_max=box_max)
     Wm = gm_wedge(mirror, r)
-    quantum = wedge_restrict(build_pn(n), r, family=pn_small_family(n))
+    quantum = wedge(pn_small_family(n), r)
 
     rep.record("wedge ranks agree", Wm.rank == quantum.d,
                witness=f"{Wm.rank} vs {quantum.d}")
 
     cp_mirror = charpoly(Wm.R0)
-    cp_quantum = charpoly(quantum.family.B0)
+    cp_quantum = charpoly(quantum.B0)
     rep.record("multiplication charpolys agree over Q[q]",
                cp_mirror == cp_quantum,
                witness=" vs ".join(_poly_str(c)
@@ -567,8 +567,7 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
                witness=_poly_str(cp_subset))
 
     spec_m = sorted(Wm.Rinf[i, i].as_fraction() for i in range(Wm.rank))
-    spec_q = sorted(quantum.Rinf[i, i].as_fraction()
-                    for i in range(quantum.d))
+    spec_q = sorted(-quantum.Binf[i, i].as_fraction() for i in range(quantum.d))
     rep.record("integer spectra at infinity agree", spec_m == spec_q,
                witness=f"{spec_m} vs {spec_q}")
     return rep

@@ -12,7 +12,9 @@ subject to the flatness relations (checked by ``check_pre_saito``)
 and optionally a constant metric G of some weight w (``check_metric``).
 Operators act on basis row vectors from the right, so these matrices are the
 ordinary column-coordinate matrices; the residue endomorphism R_inf has
-matrix -B_inf and R_0 has matrix B_0.
+matrix -B_inf and R_0 has matrix B_0.  A pre-Saito structure on a point is
+the family over the empty base; ``wedge`` and ``tensor`` act on families of
+any base, and ``trivial_deformation`` spreads a point over a line.
 
 Base coordinates come in three kinds.  A "q" coordinate is an invertible
 Laurent variable whose attached derivation is q*d/dq (the exponentiated flat
@@ -27,6 +29,7 @@ coordinates are present.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -39,7 +42,6 @@ from .linalg import (
     kron,
     kron_sum,
     series_constant_slice,
-    wedge_indices,
     wedge_metric,
     wedge_of_sum,
 )
@@ -346,94 +348,50 @@ def check_metric(F: PreSaitoFamily, order: int | None = None) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Point structures
+# The trivial one-parameter deformation of a point
 # ---------------------------------------------------------------------------
 
 
-class PointStructure:
-    """A pre-Saito structure on a point: (R_inf, R_0), optional metric and omega.
+def residue_grading(P: PreSaitoFamily) -> list[int]:
+    """The diagonal of R_inf = -B_inf of a point as integers.
 
-    Entries are Laurent polynomials in ``params`` (possibly none).  ``family``
-    optionally carries an induced one-parameter family (used by the wedge
-    construction to transport the diagonal q-line).
+    A point is a family over the empty base; raises ValueError for any other
+    family, for a non-diagonal R_inf and for a non-integer eigenvalue.
     """
-
-    __slots__ = ("d", "R0", "Rinf", "G", "w", "omega", "delta0", "params",
-                 "family", "labels")
-
-    def __init__(self, d: int, R0: Mat, Rinf: Mat, G: Mat | None = None,
-                 w: Fraction | None = None, omega: tuple | None = None,
-                 delta0: Fraction | None = None, params: tuple[str, ...] = (),
-                 family: PreSaitoFamily | None = None,
-                 labels: tuple | None = None):
-        self.d = d
-        self.R0 = R0
-        self.Rinf = Rinf
-        self.G = G
-        self.w = as_fraction(w) if w is not None else None
-        self.omega = tuple(omega) if omega is not None else None
-        self.delta0 = delta0
-        self.params = tuple(params)
-        self.family = family
-        self.labels = labels
-        for name, M in (("R0", R0), ("Rinf", Rinf)):
-            if M.shape != (d, d):
-                raise ValueError(f"{name} must be {d}x{d}")
-
-    def const(self, value: int | Fraction) -> Laurent:
-        return Laurent.const(self.params, value)
-
-    def as_family(self) -> PreSaitoFamily:
-        """View as a family over the empty base (B_inf = -R_inf, B_0 = R_0)."""
-        return PreSaitoFamily(
-            base=(), d=self.d, Binf=-self.Rinf, B0=self.R0, C={},
-            G=self.G, w=self.w, params=self.params)
-
-    def rinf_integer_diagonal(self) -> list[int]:
-        """The diagonal of R_inf as integers; raises when not of that shape."""
-        for i in range(self.d):
-            for j in range(self.d):
-                if i != j and not is_zero(self.Rinf[i, j]):
-                    raise ValueError("R_inf is not diagonal")
-        out = []
-        for i in range(self.d):
-            v = self.Rinf[i, i]
-            f = v.as_fraction() if isinstance(v, Laurent) else as_fraction(v)
-            if f.denominator != 1:
-                raise ValueError("R_inf has a non-integer eigenvalue; "
-                                 "the exponential uniformization is unsupported")
-            out.append(int(f))
-        return out
+    if P.base:
+        raise ValueError("expected a point, i.e. a family over the empty base")
+    R = -P.constant_fraction_matrix(P.Binf)
+    if any(R[i, j] for i in range(P.d) for j in range(P.d) if i != j):
+        raise ValueError("R_inf is not diagonal")
+    if any(R[i, i].denominator != 1 for i in range(P.d)):
+        raise ValueError("R_inf has a non-integer eigenvalue; "
+                         "the exponential uniformization is unsupported")
+    return [int(R[i, i]) for i in range(P.d)]
 
 
-# ---------------------------------------------------------------------------
-# The trivial one-parameter deformation
-# ---------------------------------------------------------------------------
-
-
-def trivial_deformation(P: PointStructure, var: str = "lambda") -> PreSaitoFamily:
-    """Spread a point structure over the lambda-line along its R_inf grading.
+def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamily:
+    """Spread a point over the lambda-line along its R_inf grading.
 
     With integer R_inf eigenvalues d_i, the deformed matrix is
-    B_0(lambda)_{ij} = (R_0)_{ij} * lambda^(1 + d_i - d_j) and the Higgs
+    B_0(lambda)_{ij} = (B_0)_{ij} * lambda^(1 + d_i - d_j) and the Higgs
     matrix in the lambda coordinate is C = -B_0(lambda)/lambda.  At
-    lambda = 1 the family restricts to the point structure.
+    lambda = 1 the family restricts to the point.
     """
-    dvals = P.rinf_integer_diagonal()
+    dvals = residue_grading(P)
     if var in P.params:
         raise ValueError(f"variable name {var} collides with a parameter")
     qvars = P.params + (var,)
     lam = Laurent.gen(qvars, var)
 
     def spread(i: int, j: int) -> Laurent:
-        x = P.R0[i, j]
+        x = P.B0[i, j]
         if is_zero(x):
             return Laurent.zero(qvars)
         return x.promote(qvars) * lam ** (1 + dvals[i] - dvals[j])
 
     B0 = Mat([[spread(i, j) for j in range(P.d)] for i in range(P.d)])
     C = (-B0).scale(lam ** -1)
-    Binf = (-P.Rinf).map(lambda x: x.promote(qvars))
+    Binf = P.Binf.map(lambda x: x.promote(qvars))
     G = P.G.map(lambda x: x.promote(qvars)) if P.G is not None else None
     return PreSaitoFamily(
         base=((var, "laurent"),), d=P.d, Binf=Binf, B0=B0, C={var: C},
@@ -494,53 +452,30 @@ def tensor(F1: PreSaitoFamily, F2: PreSaitoFamily) -> PreSaitoFamily:
 
 
 # ---------------------------------------------------------------------------
-# Wedge (anti-invariant) restriction
+# Wedge (anti-invariant) power
 # ---------------------------------------------------------------------------
 
 
-def wedge_restrict(P: PointStructure, r: int,
-                   family: PreSaitoFamily | None = None) -> PointStructure:
-    """The induced structure on the r-th wedge power of a point structure.
+def wedge(F: PreSaitoFamily, r: int) -> PreSaitoFamily:
+    """The family induced on the r-th wedge power, along the diagonal of the base.
 
     The wedge basis is e_I = e_{i_1} ^ ... ^ e_{i_r} over strictly increasing
     index tuples I (no 1/r! normalization), on which the tensor-power
-    operators sum_p 1 (x) .. R (x) .. 1 restrict; the metric picks up the
-    alternation factor (-1)^(r(r-1)/2) in front of det[G(u_i, v_j)].
-
-    When ``family`` is the one-parameter family inducing P along a q-line,
-    the result carries ``.family``: the same construction applied to the
-    family matrices, which is its restriction to the diagonal q-line.
+    operators sum_p 1 (x) .. B (x) .. 1 restrict; the metric picks up the
+    alternation factor (-1)^(r(r-1)/2) in front of det[G(u_i, v_j)] and the
+    weight is multiplied by r.  B_inf, B_0 and every C wedge alike, so a
+    point, the q-line and a truncated series family all keep their base,
+    order and parameters.
     """
-    if not 1 <= r <= P.d:
-        raise ValueError(f"wedge degree {r} is out of range 1..{P.d}")
-    basis = wedge_indices(P.d, r)
-    R0w = wedge_of_sum(P.R0, r)
-    Rinfw = wedge_of_sum(P.Rinf, r)
-    Gw = wedge_metric(P.G, r) if P.G is not None else None
-    ww = P.w * r if P.w is not None else None
-    omega = tuple(P.const(1 if I == tuple(range(r)) else 0) for I in basis)
-    delta0 = None
-    if P.delta0 is not None:
-        unit_pos = basis.index(tuple(range(r)))
-        ev = Rinfw[unit_pos, unit_pos]
-        delta0 = ev.as_fraction() if isinstance(ev, Laurent) else as_fraction(ev)
-
-    wedge_family = None
-    if family is not None:
-        if family.d != P.d:
-            raise ValueError("family rank does not match the point structure")
-        if family.svars:
-            raise ValueError("diagonal wedge restriction expects a Laurent family")
-        wedge_family = PreSaitoFamily(
-            base=family.base, d=len(basis),
-            Binf=wedge_of_sum(family.Binf, r),
-            B0=wedge_of_sum(family.B0, r),
-            C={name: wedge_of_sum(M, r) for name, M in family.C.items()},
-            G=(wedge_metric(family.G, r) if family.G is not None else None),
-            w=(family.w * r if family.w is not None else None),
-            params=family.params)
-    return PointStructure(len(basis), R0w, Rinfw, Gw, ww, omega, delta0,
-                          P.params, wedge_family, labels=tuple(basis))
+    if not 1 <= r <= F.d:
+        raise ValueError(f"wedge degree {r} is out of range 1..{F.d}")
+    G = None
+    if F.G is not None:
+        G = F.lift_fraction_matrix(wedge_metric(F.constant_fraction_matrix(F.G), r))
+    return PreSaitoFamily(
+        F.base, math.comb(F.d, r), wedge_of_sum(F.Binf, r), wedge_of_sum(F.B0, r),
+        {name: wedge_of_sum(M, r) for name, M in F.C.items()},
+        G, F.w * r if F.w is not None else None, F.order, F.params)
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +649,6 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
     kinds = strings("kinds", doc.get("kinds") or ["q"] * len(names))
     params = tuple(strings("params", doc.get("params", [])))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))
-    order = doc.get("order")
-    if order is not None and type(order) is not int:
-        raise ValueError(f"order must be an integer, got {order!r}")
     d = doc["rank"]
     if type(d) is not int or d < 1:
         raise ValueError(f"rank must be a positive integer, got {d!r}")
@@ -727,6 +659,9 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
         raise ValueError(f"C must be an object keyed by the base variables, got {doc['C']!r}")
     qvars = params + tuple(n for n, k in zip(names, kinds) if k != "series")
     svars = tuple(n for n, k in zip(names, kinds) if k == "series")
+    order = doc.get("order")
+    if (svars or order is not None) and (type(order) is not int or order < 0):
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
 
     def dec_matrix(key: str, rows, decode) -> Mat:
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):

@@ -1,11 +1,11 @@
-"""Canonical structures for projective space: the point and its q-line family.
+"""Canonical structures for projective space: the q-line family and its point at q = 1.
 
-The rank-(n+1) point structure has basis omega_0..omega_n (the cohomology
-classes of degrees 0, 2, ..., 2n), R_inf = -diag(0..n), R_0 the scaled
-cyclic matrix (n+1)*(subdiagonal 1s, top-right 1), and the anti-diagonal
-intersection pairing.  The small family over the q-line carries
+The small family of projective n-space over the q-line has basis
+omega_0..omega_n (the cohomology classes of degrees 0, 2, ..., 2n),
+B_inf = diag(0..n), the anti-diagonal intersection pairing, and
 B_0(q) = (n+1)*(subdiagonal 1s, corner q), whose Higgs matrix -B_0/(n+1) is
-multiplication by the hyperplane class in Q[q][y]/(y^{n+1} - q).
+multiplication by the hyperplane class in Q[q][y]/(y^{n+1} - q).  Its point
+at q = 1 is the same data over the empty base.
 """
 
 from __future__ import annotations
@@ -13,29 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Mat
-from .presaito import BaseVar, PointStructure, PreSaitoFamily
+from .presaito import BaseVar, PreSaitoFamily
 from .rings import Laurent
-
-
-def build_pn(n: int) -> PointStructure:
-    """The point structure of projective n-space at q = 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    d = n + 1
-    zero, one = Fraction(0), Fraction(1)
-
-    def const(c: Fraction) -> Laurent:
-        return Laurent.const((), c)
-
-    R0 = Mat([[const((n + 1) * one) if (i == j + 1) or (i == 0 and j == n)
-               else const(zero) for j in range(d)] for i in range(d)])
-    Rinf = Mat([[const(Fraction(-i)) if i == j else const(zero)
-                 for j in range(d)] for i in range(d)])
-    G = Mat([[const(one if i + j == n else zero) for j in range(d)]
-             for i in range(d)])
-    omega = tuple(const(one if i == 0 else zero) for i in range(d))
-    return PointStructure(d, R0, Rinf, G, w=Fraction(n), omega=omega,
-                          delta0=Fraction(0))
 
 
 def pn_small_family(n: int) -> PreSaitoFamily:
@@ -65,6 +44,17 @@ def pn_small_family(n: int) -> PreSaitoFamily:
              for i in range(d)])
     return PreSaitoFamily(base=(BaseVar("q", "q"),), d=d, Binf=Binf, B0=B0,
                           C={"q": C}, G=G, w=Fraction(n))
+
+
+def build_pn(n: int) -> PreSaitoFamily:
+    """Projective n-space at q = 1: ``pn_small_family(n)`` over the empty base."""
+    F = pn_small_family(n)
+
+    def at_one(M: Mat) -> Mat:
+        return M.map(lambda x: x.eval_var("q", 1))
+
+    return PreSaitoFamily(base=(), d=F.d, Binf=at_one(F.Binf), B0=at_one(F.B0),
+                          C={}, G=at_one(F.G), w=F.w)
 
 
 def qline_products(n: int) -> list[Mat]:

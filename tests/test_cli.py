@@ -234,7 +234,7 @@ class TestPnAndVerify:
         fam_path.write_text(json.dumps(doc))
         psi_path = tmp_path / "psi.json"
         psi_path.write_text(json.dumps(problem_to_json(
-            trivial_deformation_problem(build_pn(1), order=4))))
+            trivial_deformation_problem(build_pn(1), (1, 0), order=4))))
         argv = ["verify", "--family", str(fam_path)] if command == "verify" else \
             ["hm", "--family", str(fam_path), "--psi", str(psi_path)]
         code, out, err = run(argv, capsys)
@@ -249,12 +249,33 @@ class TestPnAndVerify:
         fam_path, psi_path = tmp_path / "p1.json", tmp_path / "psi.json"
         run(["pn", "--n", "1", "--out", str(fam_path)], capsys)
         psi_path.write_text(json.dumps(problem_to_json(
-            trivial_deformation_problem(build_pn(1), order=3))))
+            trivial_deformation_problem(build_pn(1), (1, 0), order=3))))
         ext_path = tmp_path / "ext.json"
         assert run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
                     "--out", str(ext_path)], capsys)[0] == 0
         assert run(["verify", "--family", str(ext_path), "--order", "3"], capsys)[0] == 0
         code, out, err = run(["verify", "--family", str(ext_path), "--order", order], capsys)
+        assert_one_line_usage_error(code, out, err, message)
+
+    @pytest.mark.parametrize("value,message", [
+        (None, "order must be a non-negative integer, got None"),
+        (-1, "order must be a non-negative integer, got -1"),
+        ("3", "order must be a non-negative integer, got '3'"),
+    ], ids=["missing", "negative", "str"])
+    def test_series_family_order_is_checked(self, capsys, tmp_path, value, message):
+        fam_path, psi_path = tmp_path / "p1.json", tmp_path / "psi.json"
+        run(["pn", "--n", "1", "--out", str(fam_path)], capsys)
+        psi_path.write_text(json.dumps(problem_to_json(
+            trivial_deformation_problem(build_pn(1), (1, 0), order=3))))
+        ext_path = tmp_path / "ext.json"
+        assert run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                    "--out", str(ext_path)], capsys)[0] == 0
+        doc = json.loads(ext_path.read_text())
+        doc.pop("order")
+        if value is not None:
+            doc["order"] = value
+        ext_path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", "--family", str(ext_path)], capsys)
         assert_one_line_usage_error(code, out, err, message)
 
 
@@ -263,7 +284,7 @@ class TestHm:
     def inputs(self, capsys, tmp_path):
         fam_path = tmp_path / "p1.json"
         assert run(["pn", "--n", "1", "--out", str(fam_path)], capsys)[0] == 0
-        problem = trivial_deformation_problem(build_pn(1), order=4)
+        problem = trivial_deformation_problem(build_pn(1), (1, 0), order=4)
         psi_path = tmp_path / "psi.json"
         psi_path.write_text(json.dumps(problem_to_json(problem)))
         return fam_path, psi_path
@@ -304,6 +325,7 @@ class TestHm:
         ("order", "x", [], "order must be an integer"),
         ("order", "x", ["--order", "2"], "order must be an integer"),
         ("order", True, [], "order must be an integer"),
+        ("order", -1, [], "order must be at least 0, got -1"),
         ("newVars", 5, [], "newVars must be a list of strings"),
         ("newVars", [1], [], "newVars must be a list of strings"),
         ("psi", 3, [], "psi must be a list"),
@@ -312,9 +334,9 @@ class TestHm:
         ("psi", [[{"exps": ["x"], "coef": [[0, "1"]]}], []], [],
          "expected a list of 1 integer exponents, got ['x']"),
         ("psi", [[{"exps": [1], "coef": [[0, "1/0"]]}], []], [], "zero denominator"),
-    ], ids=["order-str", "order-str-with-flag", "order-bool", "newVars-int",
-            "newVars-int-list", "psi-int", "omega-float", "omega-str", "psi-exps-str",
-            "psi-zero-denominator"])
+    ], ids=["order-str", "order-str-with-flag", "order-bool", "order-negative",
+            "newVars-int", "newVars-int-list", "psi-int", "omega-float", "omega-str",
+            "psi-exps-str", "psi-zero-denominator"])
     def test_mistyped_problem_field_is_rejected(self, capsys, inputs,
                                                 field, value, flags, message):
         fam_path, psi_path = inputs

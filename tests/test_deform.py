@@ -109,7 +109,7 @@ class TestTrivialDeformationRoundTrip:
     @pytest.mark.parametrize("n", [1, 2])
     def test_matches_closed_form_through_order_8(self, n):
         P = build_pn(n)
-        prob = trivial_deformation_problem(P, order=8)
+        prob = trivial_deformation_problem(P, (1,) + (0,) * n, order=8)
         got = hm_extend(prob)
         want = expand_trivial_in_log(P, order=8)
         assert got.B0 == want.B0
@@ -118,7 +118,7 @@ class TestTrivialDeformationRoundTrip:
 
     def test_reversed_generator_order_gives_the_same_family(self):
         P = build_pn(2)
-        prob = trivial_deformation_problem(P, order=5)
+        prob = trivial_deformation_problem(P, (1, 0, 0), order=5)
         a = hm_extend(prob)
         b = hm_extend(prob, reverse_generators=True)
         assert a.B0 == b.B0

@@ -282,6 +282,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             QLRTable.from_json(doc)
 
+    @pytest.mark.parametrize("write", [QLRTable.to_json, QLRTable.to_csv],
+                             ids=["json", "csv"])
+    def test_non_integer_coefficient_is_rejected(self, write):
+        doc = json.loads(json.dumps(alt_structure_constants(2, 3).to_json()))
+        doc["entries"][0]["q"][0][1] = "1/2"
+        with pytest.raises(ValueError, match="non-integer coefficient"):
+            write(QLRTable.from_json(doc))
+
     def test_json_is_deterministic(self):
         a = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)
         b = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from altfrob.deform import universal_big_quantum
-from altfrob.linalg import Mat, charpoly, wedge_indices
+from altfrob.linalg import Mat, charpoly
 from altfrob.presaito import (
     BaseVar,
     NotPrimitive,
@@ -19,7 +19,7 @@ from altfrob.presaito import (
     loads_family,
     tensor,
     trivial_deformation,
-    wedge_restrict,
+    wedge,
 )
 from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import Laurent, Series, qlaurent
@@ -40,11 +40,11 @@ def test_pn_family_passes_metric():
     assert fam.w == 3
 
 
-def test_point_structure_as_family_vacuous():
+def test_point_family_checks_vacuous():
     P = build_pn(2)
-    fam = P.as_family()
-    assert check_pre_saito(fam).ok
-    assert check_metric(fam).ok
+    assert P.base == ()
+    assert check_pre_saito(P).ok
+    assert check_metric(P).ok
 
 
 def test_corrupted_corner_fails_deformation_relation():
@@ -102,25 +102,28 @@ def test_trivial_deformation_restricts_to_point_at_one():
     def at_one(x):
         return x.eval_var("lambda", 1)
 
-    assert fam.B0.map(at_one) == P.R0
-    assert fam.Binf.map(at_one) == (-P.Rinf)
+    assert fam.B0.map(at_one) == P.B0
+    assert fam.Binf.map(at_one) == P.Binf
 
 
 def test_trivial_deformation_zero_point():
     zero, one = Laurent.zero(()), Laurent.const((), 1)
-    from altfrob.presaito import PointStructure
-    P = PointStructure(2, Mat.diag([zero, zero]), Mat.diag([zero, -one]))
+    P = PreSaitoFamily((), 2, Mat.diag([zero, one]), Mat.diag([zero, zero]), {})
     fam = trivial_deformation(P)
     assert fam.B0.is_zero()
     assert fam.C["lambda"].is_zero()
 
 
 def test_trivial_deformation_rejects_nonintegral():
-    from altfrob.presaito import PointStructure
     half = Laurent.const((), F(1, 2))
-    P = PointStructure(1, Mat([[Laurent.const((), 1)]]), Mat([[half]]))
-    with pytest.raises(ValueError):
+    P = PreSaitoFamily((), 1, Mat([[-half]]), Mat([[Laurent.const((), 1)]]), {})
+    with pytest.raises(ValueError, match="non-integer eigenvalue"):
         trivial_deformation(P)
+
+
+def test_trivial_deformation_rejects_a_family_over_a_line():
+    with pytest.raises(ValueError, match="empty base"):
+        trivial_deformation(pn_small_family(1))
 
 
 def _rename_q(fam, new):
@@ -159,8 +162,7 @@ def test_tensor_of_a_series_family_with_a_laurent_family():
 def test_tensor_with_rank_one_trivial_point():
     fam = pn_small_family(1)
     zero, one = Laurent.zero(()), Laurent.const((), 1)
-    from altfrob.presaito import PointStructure
-    triv = PointStructure(1, Mat([[zero]]), Mat([[zero]]), Mat([[one]]), w=F(0)).as_family()
+    triv = PreSaitoFamily((), 1, Mat([[zero]]), Mat([[zero]]), {}, Mat([[one]]), w=F(0))
     T = tensor(fam, triv)
     assert T.d == fam.d
     assert T.B0 == fam.B0
@@ -168,21 +170,21 @@ def test_tensor_with_rank_one_trivial_point():
     assert T.w == fam.w
 
 
-def test_wedge_restrict_rank_and_top_power():
+def test_wedge_rank_and_top_power():
     P = build_pn(3)
-    W = wedge_restrict(P, 2)
+    W = wedge(P, 2)
     assert W.d == 6
-    top = wedge_restrict(P, 4)
+    top = wedge(P, 4)
     assert top.d == 1
-    # top exterior power: R0 acts by its trace, here 0
-    assert top.R0[0, 0].is_zero()
+    # top exterior power: B0 acts by its trace, here 0
+    assert top.B0[0, 0].is_zero()
 
 
-def test_wedge_restrict_r1_is_identity():
+def test_wedge_r1_is_identity():
     P = build_pn(2)
-    W = wedge_restrict(P, 1)
-    assert W.R0 == P.R0
-    assert W.Rinf == P.Rinf
+    W = wedge(P, 1)
+    assert W.B0 == P.B0
+    assert W.Binf == P.Binf
     assert W.G == P.G
     assert W.w == P.w
 
@@ -191,19 +193,16 @@ def test_wedge_metric_weight_and_adjointness():
     # R0* = R0 and Rinf + Rinf* = -(r w) id on the wedge structure
     for n, r in ((2, 2), (3, 2), (3, 3), (4, 2)):
         P = build_pn(n)
-        W = wedge_restrict(P, r)
-        fam = W.as_family()
-        rep = check_metric(fam)
+        W = wedge(P, r)
+        rep = check_metric(W)
         assert rep.ok, (n, r, rep.first_witness())
         assert W.w == F(r * n)
 
 
 def test_wedge_family_along_qline():
-    P = build_pn(2)
-    W = wedge_restrict(P, 2, family=pn_small_family(2))
-    fam = W.family
-    assert fam is not None
+    fam = wedge(pn_small_family(2), 2)
     assert fam.d == 3
+    assert fam.base == pn_small_family(2).base
     assert check_pre_saito(fam).ok
     assert check_metric(fam).ok
     cp = charpoly(fam.B0)
@@ -215,12 +214,12 @@ def test_wedge_family_along_qline():
 def test_wedge_rejects_overflow():
     for r in (3, 0, -1):
         with pytest.raises(ValueError, match="wedge degree"):
-            wedge_restrict(build_pn(1), r)
+            wedge(build_pn(1), r)
 
 
 def test_frobenius_requires_square_period_map():
     with pytest.raises(NotPrimitive):
-        frobenius_data(pn_small_family(2), build_pn(2).omega)
+        frobenius_data(pn_small_family(2), (1, 0, 0))
 
 
 def test_frobenius_rejects_vanishing_series_period_map():
@@ -303,7 +302,12 @@ def test_json_roundtrip_trivial_deformation():
     assert back.base == (BaseVar("lambda", "laurent"),)
 
 
-def test_wedge_indices_match_labels():
-    P = build_pn(3)
-    W = wedge_restrict(P, 2)
-    assert W.labels == tuple(wedge_indices(4, 2))
+@pytest.mark.parametrize("n,K", [(2, 3), (3, 3)])
+def test_wedge_of_a_series_family(n, K):
+    W = wedge(universal_big_quantum(pn_small_family(n), K), 2)
+    assert W.svars == ("t0", "t2", "t3")[:n] and W.order == K
+    assert W.w == 2 * n
+    assert check_pre_saito(W).ok
+    assert check_metric(W).ok
+    text = dumps_family(W)
+    assert dumps_family(loads_family(text)) == text

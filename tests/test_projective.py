@@ -17,10 +17,10 @@ F = Fraction
 
 def test_build_p1_matrices():
     P = build_pn(1)
-    assert P.R0 == Mat([[P.const(0), P.const(2)], [P.const(2), P.const(0)]])
-    assert P.Rinf == Mat([[P.const(0), P.const(0)], [P.const(0), P.const(-1)]])
+    assert P.base == ()
+    assert P.B0 == Mat([[P.const(0), P.const(2)], [P.const(2), P.const(0)]])
+    assert P.Binf == Mat([[P.const(0), P.const(0)], [P.const(0), P.const(1)]])
     assert P.w == 1
-    assert P.delta0 == 0
 
 
 def test_build_p3_metric_antidiagonal():
@@ -34,11 +34,11 @@ def test_build_p3_metric_antidiagonal():
 def test_omega_is_cyclic_for_r0():
     for n in (1, 2, 3, 4):
         P = build_pn(n)
-        vec = Mat.column(list(P.omega))
+        vec = Mat.column([P.const(1 if i == 0 else 0) for i in range(n + 1)])
         cols = []
         for _ in range(n + 1):
             cols.append(vec.column_vector())
-            vec = P.R0 @ vec
+            vec = P.B0 @ vec
         K = Mat.from_columns(cols)
         assert det(K) != 0
 
