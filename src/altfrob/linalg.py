@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import Laurent, Series, is_zero, series_dot
+from .rings import Laurent, Series, is_zero, laurent_dot, series_dot
 
 
 class NoSolution(Exception):
@@ -115,9 +115,10 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         bt = tuple(zip(*other.rows))
-        if self.ncols and all(type(a) is Series for m in (self, other)
-                              for r in m.rows for a in r):
-            return Mat([[series_dot(list(zip(r, c))) for c in bt] for r in self.rows])
+        kinds = {type(a) for m in (self, other) for r in m.rows for a in r}
+        fused = len(kinds) == 1 and {Series: series_dot, Laurent: laurent_dot}.get(*kinds)
+        if fused:
+            return Mat([[fused(list(zip(r, c))) for c in bt] for r in self.rows])
         out = []
         for r in self.rows:
             out_row = []
@@ -160,9 +161,6 @@ class Mat:
         body = "\n".join("  [" + ", ".join(str(a) for a in r) + "]"
                          for r in self.rows)
         return f"Mat(\n{body}\n)"
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +439,26 @@ def wedge_metric(G: Mat, r: int) -> Mat:
     """Induced pairing on the r-th wedge power, in the wedge index basis.
 
     With the alternation normalized so that squared norms stay rational,
-    the pairing of e_I and e_J is (-1)^(r(r-1)/2) * det(G[I, J]).
+    the pairing of e_I and e_J is (-1)^(r(r-1)/2) * det(G[I, J]).  Column J
+    is computed by functoriality, G e_{j_1} ^ ... ^ G e_{j_r} =
+    sum_I det(G[I, J]) e_I, one factor at a time; columns that share a
+    prefix of J share its partial wedge.
     """
-    d = G.nrows
-    basis = wedge_indices(d, r)
+    basis = wedge_indices(G.nrows, r)
     sign = (-1) ** (r * (r - 1) // 2)
-    rows = []
-    for I in basis:
-        row = []
-        for J in basis:
-            sub = G.submatrix(I, J)
-            val = det(sub)
-            row.append(val if sign == 1 else -val)
-        rows.append(row)
-    return Mat(rows)
+    zero = G[0, 0] * 0
+    partial: dict = {(): {(): sign}}
+    for J in basis:
+        for p in range(1, r + 1):
+            if J[:p] in partial:
+                continue
+            vec: dict = {}
+            for K, c in partial[J[:p - 1]].items():
+                for k, g in enumerate(G.col(J[p - 1])):
+                    if k in K or is_zero(g):
+                        continue
+                    I, s = _sort_with_sign(K + (k,))
+                    term = c * g if s > 0 else -(c * g)
+                    vec[I] = vec[I] + term if I in vec else term
+            partial[J[:p]] = vec
+    return Mat.from_columns([[partial[J].get(I, zero) for I in basis] for J in basis])

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .linalg import (Mat, charpoly, det, kron_sum, rank_field, row_reduce,
@@ -182,6 +183,14 @@ def _grading(f: Laurent) -> tuple[tuple[int, ...], int]:
     return tuple(int(-a * wq) for a in alpha[:n]), wq
 
 
+def _quotient(a, b):
+    """a / b for rationals, as an int whenever it is integral."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     """Row-reduce all relation shifts supported in the padded box [-B-1,B+1]^n.
 
@@ -198,6 +207,10 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     Q(q) into this one times invertible diagonals, so every step pivots on
     the same column, and a rewrite value v of u^p on u^c stands for
     v * q^k with w.p = w.c + w_q*k (see ``JacobianAlgebra.reduce_monomial``).
+
+    Coefficients and rewrite values are ints while they are integral; a
+    Fraction enters only through a pivot that does not divide its row.  For
+    the mirrors of projective space none does (checked for n <= 5, B <= 3).
     """
     R = B + 1
 
@@ -230,7 +243,7 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
             return
         piv = max(acc, key=rank.__getitem__)
         pval = acc.pop(piv)
-        rw = {c: -v / pval for c, v in acc.items()}
+        rw = {c: _quotient(-v, pval) for c, v in acc.items()}
         for user in list(uses.get(piv, ())):
             other = rewrites[user]
             coef = other.pop(piv)
@@ -251,13 +264,12 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
 
     for rel in rels:
         # graded: each u-exponent carries one q-power, which q = 1 drops
-        terms = {e[1:]: c for e, c in rel.terms.items()}
+        terms = {e[1:]: _quotient(c, 1) for e, c in rel.terms.items()}
         mins = [min(s[j] for s in terms) for j in range(n)]
         maxs = [max(s[j] for s in terms) for j in range(n)]
         ranges = [range(-R - mins[j], R - maxs[j] + 1) for j in range(n)]
         for m in product(*ranges):
-            insert({tuple(a + b for a, b in zip(s, m)): c
-                    for s, c in terms.items()})
+            insert({tuple(map(add, s, m)): c for s, c in terms.items()})
 
     free = [m for m in order[:n_inner] if m not in rewrites]
     return _Echelon(len(free), free, rewrites, R)
@@ -295,14 +307,23 @@ class JacobianAlgebra:
                 out.append(head + "u^(" + ",".join(map(str, m)) + ")")
         return tuple(out)
 
-    def _ensure_reach(self, norm: int) -> None:
-        if norm <= self._ech.reach:
-            return
+    def _rewrite(self, exps: tuple[int, ...]) -> dict | None:
+        """The echelon's rewrite of u^exps, or None for a basis monomial.
+
+        A monomial outside the inner box, the padding shell included, may be
+        left free by the echelon without being a basis monomial; the box
+        then grows until u^exps lies inside it.
+        """
+        rw = self._ech.rewrites.get(exps)
+        if rw is not None or exps in self.basis:
+            return rw
+        norm = max(map(abs, exps))
         ech = _box_echelon(torus_relations(self.f), self.n, norm)
         if ech.dim != self.dim or ech.free != list(self.basis):
             raise ValueError("the quotient changed when the box grew; "
                              "the stabilized dimension was spurious")
         self._ech = ech
+        return ech.rewrites[exps]
 
     def reduce_monomial(self, exps: Sequence[int]) -> dict:
         """Coordinates of the class of u^exps on the free monomials.
@@ -311,8 +332,7 @@ class JacobianAlgebra:
         and the grading fixes k by w.exps = w.c + w_q*k for free monomial c.
         """
         exps = tuple(exps)
-        self._ensure_reach(max(map(abs, exps)) if exps else 0)
-        rw = self._ech.rewrites.get(exps)
+        rw = self._rewrite(exps)
         if rw is None:
             return {exps: Laurent.const(QVARS, 1)}
         w, wq = self._grading
@@ -322,7 +342,7 @@ class JacobianAlgebra:
             if rest:
                 raise ValueError(f"u^{exps} rewrites onto u^{c} at the "
                                  f"non-integral q-power {k + Fraction(rest, wq)}")
-            out[c] = Laurent(QVARS, {(k,): v})
+            out[c] = Laurent(QVARS, {(k,): Fraction(v)})
         return out
 
     def reduce_poly(self, g: Laurent) -> dict:

@@ -21,6 +21,9 @@ Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
 matrix product, goes through one fused, truncation-aware accumulation,
 ``series_dot``: it skips the pairs of terms past the truncation order and
 builds each output coefficient once, with no intermediate ``Series`` sums.
+An entry of a ``Laurent`` matrix product goes the same way through
+``laurent_dot``: pairs with a zero operand are skipped and the entry is
+built once, with no intermediate ``Laurent`` products or sums.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
@@ -616,6 +619,26 @@ def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
     for (e, k), (n, d) in acc.items():
         grouped.setdefault(e, {})[k] = Fraction(n, d)
     return Series(svars, order, {e: Laurent(qvars, t) for e, t in grouped.items()})
+
+
+def laurent_dot(pairs: Sequence[tuple[Laurent, Laurent]]) -> Laurent:
+    """The sum of a * b over (Laurent, Laurent) pairs of one ring, built once.
+
+    The products of terms accumulate on exponent keys, so a pair with a zero
+    operand costs nothing and no intermediate Laurent is built.  Differing
+    variable tuples raise ValueError.
+    """
+    variables = pairs[0][0].vars
+    acc: dict = {}
+    for a, b in pairs:
+        if a.vars != variables or b.vars != variables:
+            other = b.vars if a.vars == variables else a.vars
+            raise ValueError(f"variable mismatch: {variables} vs {other}")
+        for k1, c1 in a.terms.items():
+            for k2, c2 in b.terms.items():
+                key = tuple(map(add, k1, k2))
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return Laurent(variables, acc)
 
 
 def is_zero(value) -> bool:

@@ -1,5 +1,6 @@
 """Matrices, charpoly, exact solves, tensor and wedge constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -211,3 +212,17 @@ def test_wedge_metric_antidiagonal_pairs():
         for b, J in enumerate(basis):
             expected = F(1) if J == tuple(sorted(3 - i for i in I)) else F(0)
             assert W[a, b] == expected, (I, J)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_wedge_metric_is_the_signed_minors(d):
+    # the definition by minors, (-1)^(r(r-1)/2) * det(G[I, J]), as the oracle
+    rng = random.Random(d)
+    G = Mat([[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+             for _ in range(d)])
+    for r in range(1, d + 1):
+        basis = wedge_indices(d, r)
+        sign = (-1) ** (r * (r - 1) // 2)
+        minors = Mat([[sign * det(Mat([[G[i, j] for j in J] for i in I]))
+                       for J in basis] for I in basis])
+        assert wedge_metric(G, r) == minors

@@ -1,12 +1,14 @@
 """Torus mirrors, Jacobian quotients, and wedge spectra."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from altfrob.linalg import Mat, charpoly
 from altfrob.mirror import (
     BrieskornPoint,
+    _box_echelon,
     _grading,
     _poly_str,
     compare_quantum_gm,
@@ -38,6 +40,10 @@ def qc(c):
 def torus_poly(n, terms):
     """The Laurent polynomial sum c * u^e over (q, u1..un), from {e: c}."""
     return Laurent(torus_vars(n), {(0,) + e: Fraction(c) for e, c in terms.items()})
+
+
+# 2u + 3q/u, whose Jacobian relation u^2 = (3/2)q needs a non-unit pivot
+SCALED_LINE = torus_poly(1, {(1,): 2}) + Laurent(torus_vars(1), {(1, -1): Fraction(3)})
 
 
 class TestTorusLaurent:
@@ -109,6 +115,36 @@ class TestJacobianAlgebra:
         B = J.box
         # u^2 = q in the quotient, so u^(2B+2) is q^(B+1) times the unit
         assert J.reduce_monomial((2 * B + 2,)) == {(0,): Q ** (B + 1)}
+
+    def test_shell_monomial_left_free_grows_the_box(self):
+        # u^(-4,4) lies in the padding shell of the stabilized box, where the
+        # echelon leaves it free; its class is the unit, as for u^(-3,3)
+        f = mirror_f(2)
+        J = jacobian_algebra(f)
+        assert J._ech.reach == 4
+        assert J.reduce_monomial((-4, 4)) == {(0, 0): ONE}
+        assert J.reduce_monomial((-3, 3)) == {(0, 0): ONE}
+        assert _box_echelon(torus_relations(f), 2, 5).rewrites[(-4, 4)] == {(0, 0): 1}
+        g = Laurent(f.vars, {(0, -4, 4): Fraction(1), (0, -3, 3): Fraction(2)})
+        assert jacobian_algebra(f).reduce_poly(g) == {(0, 0): qc(3)}
+
+    def test_fraction_fallback_of_the_integral_echelon(self):
+        f = SCALED_LINE
+        J = jacobian_algebra(f, expected_dim=kouchnirenko_bound(f))
+        assert J.reduce_monomial((2,)) == {(0,): Fraction(3, 2) * Q}
+        assert mult_f_matrix(J) == Mat([[ZERO, 4 * Q], [qc(6), ZERO]])
+
+    @pytest.mark.parametrize("f", [mirror_f(1), mirror_f(2), mirror_f(3), SCALED_LINE],
+                             ids=["mirror1", "mirror2", "mirror3", "scaled-line"])
+    def test_coordinates_hold_fractions(self, f):
+        n = len(f.vars) - 1
+        J = jacobian_algebra(f, expected_dim=kouchnirenko_bound(f))
+        values = [a for r in mult_f_matrix(J).rows for a in r]
+        values += J.reduce_poly(f * f * f).values()
+        for m in product(range(-2, 3), repeat=n):
+            values += J.reduce_monomial(m).values()
+        coeffs = [c for v in values for c in v.terms.values()]
+        assert coeffs and all(type(c) is Fraction for c in coeffs)
 
     def test_non_integral_q_power_raises(self):
         J = jacobian_algebra(mirror_f(1))

@@ -1,5 +1,6 @@
 """Scalar tower: Laurent polynomials, exact division, truncated series."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob.linalg import Mat
-from altfrob.rings import Laurent, Series, qlaurent, series_dot
+from altfrob.rings import Laurent, Series, laurent_dot, qlaurent, series_dot
 
 QV = ("q",)
 
@@ -290,3 +291,43 @@ def test_series_dot_rejects_mismatched_laurent_variables():
         xf * xf
     with pytest.raises(TypeError, match="Laurent coefficients"):
         series_dot([(xq, xq), (xf, xq)])
+
+
+def random_laurent(rng, variables):
+    """A sparse random Laurent polynomial, zero about a third of the time."""
+    if rng.random() < 0.35:
+        return Laurent.zero(variables)
+    return Laurent(variables, {tuple(rng.randint(-2, 2) for _ in variables):
+                               Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                               for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("variables", [QV, ("q", "p")])
+@pytest.mark.parametrize("seed", range(6))
+def test_laurent_matmul_matches_pairwise_sum(variables, seed):
+    rng = random.Random(seed)
+    m, k, n = (rng.randint(2, 5) for _ in range(3))
+    zero = Laurent.zero(variables)
+    A = [[random_laurent(rng, variables) for _ in range(k)] for _ in range(m)]
+    B = [[random_laurent(rng, variables) for _ in range(n)] for _ in range(k)]
+    A[rng.randrange(m)] = [zero] * k                 # a zero row
+    col = rng.randrange(n)
+    for row in B:                                    # a zero column
+        row[col] = zero
+    product = Mat(A) @ Mat(B)
+    for i in range(m):
+        for j in range(n):
+            expected = sum((A[i][t] * B[t][j] for t in range(k)), zero)
+            assert product[i, j] == expected
+            assert all(type(c) is Fraction and c for c in product[i, j].terms.values())
+
+
+def test_laurent_dot_cancels_and_rejects_mismatched_variables():
+    q, p = Laurent.gen(QV, "q"), Laurent.gen(("p",), "p")
+    assert laurent_dot([(q, q), (q, -q)]).terms == {}
+    with pytest.raises(ValueError, match="variable mismatch"):
+        laurent_dot([(q, q), (p, p)])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        laurent_dot([(q, Laurent.zero(("p",)))])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Mat([[q, p]]) @ Mat([[q], [p]])
