@@ -453,8 +453,9 @@ def wedge_metric(G: Mat, r: int) -> Mat:
             if J[:p] in partial:
                 continue
             vec: dict = {}
+            col = G.col(J[p - 1])
             for K, c in partial[J[:p - 1]].items():
-                for k, g in enumerate(G.col(J[p - 1])):
+                for k, g in enumerate(col):
                     if k in K or is_zero(g):
                         continue
                     I, s = _sort_with_sign(K + (k,))

@@ -307,23 +307,16 @@ class JacobianAlgebra:
                 out.append(head + "u^(" + ",".join(map(str, m)) + ")")
         return tuple(out)
 
-    def _rewrite(self, exps: tuple[int, ...]) -> dict | None:
-        """The echelon's rewrite of u^exps, or None for a basis monomial.
-
-        A monomial outside the inner box, the padding shell included, may be
-        left free by the echelon without being a basis monomial; the box
-        then grows until u^exps lies inside it.
-        """
-        rw = self._ech.rewrites.get(exps)
-        if rw is not None or exps in self.basis:
-            return rw
-        norm = max(map(abs, exps))
+    def _ensure_reach(self, norm: int) -> None:
+        """Grow the box so that its inner part, which alone reduces onto
+        the basis, holds every monomial of this norm."""
+        if norm < self._ech.reach:
+            return
         ech = _box_echelon(torus_relations(self.f), self.n, norm)
         if ech.dim != self.dim or ech.free != list(self.basis):
             raise ValueError("the quotient changed when the box grew; "
                              "the stabilized dimension was spurious")
         self._ech = ech
-        return ech.rewrites[exps]
 
     def reduce_monomial(self, exps: Sequence[int]) -> dict:
         """Coordinates of the class of u^exps on the free monomials.
@@ -332,7 +325,8 @@ class JacobianAlgebra:
         and the grading fixes k by w.exps = w.c + w_q*k for free monomial c.
         """
         exps = tuple(exps)
-        rw = self._rewrite(exps)
+        self._ensure_reach(max(map(abs, exps)) if exps else 0)
+        rw = self._ech.rewrites.get(exps)
         if rw is None:
             return {exps: Laurent.const(QVARS, 1)}
         w, wq = self._grading

@@ -21,9 +21,10 @@ Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
 matrix product, goes through one fused, truncation-aware accumulation,
 ``series_dot``: it skips the pairs of terms past the truncation order and
 builds each output coefficient once, with no intermediate ``Series`` sums.
-An entry of a ``Laurent`` matrix product goes the same way through
-``laurent_dot``: pairs with a zero operand are skipped and the entry is
-built once, with no intermediate ``Laurent`` products or sums.
+Every ``Laurent`` product, a single ``a * b`` or an entry of a ``Laurent``
+matrix product, goes the same way through ``laurent_dot``: pairs with a
+zero operand are skipped and the result is built once, with no
+intermediate ``Laurent`` products or sums.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
@@ -160,16 +161,7 @@ class Laurent:
         if not isinstance(other, Laurent):
             return NotImplemented
         self._check(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Laurent(self.vars, terms)
+        return laurent_dot([(self, other)])
 
     __rmul__ = __mul__
 
