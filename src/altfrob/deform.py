@@ -13,9 +13,12 @@ are recovered by integrating
 The word basis is found once per variable by a greedy shortlex Krylov search
 at the closed point (all deformation variables zero), which also certifies
 the cyclicity of omega; its independence test is over Q(q) but runs
-fraction-free over Q[q, 1/q].  Each order inverts the word matrix up to a
-scalar s (``inv_series``), and D' is the exact quotient by s, which is 1
-whenever the closed-point determinant is a unit.
+fraction-free over Q[q, 1/q].  Each word's columns are its parent word's
+columns with one more generator applied.  The word matrix keeps its constant
+slice through a stage, so that slice is inverted once per stage
+(``inv_laurent``); each order completes it to the inverse of the word matrix
+up to a scalar s (``inv_series``), and D' is the exact quotient by s, which
+is 1 whenever the closed-point determinant is a unit.
 
 The commutation invariant [D', M] = 0 for every known matrix M is asserted
 once per stage, covering every order: the order-k step only adds terms at
@@ -37,7 +40,7 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Mat, divide_exact, inv_series, series_constant_slice
+from .linalg import Mat, divide_exact, inv_laurent, inv_series, series_constant_slice
 from .presaito import (BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data,
                        residue_grading)
 from .projective import pn_small_family
@@ -137,14 +140,6 @@ def word_basis(generators: Sequence[Mat], omega: Sequence[Laurent],
     return words
 
 
-def _apply_word(generators: Sequence[Mat], word: tuple[int, ...],
-                vec: Mat) -> Mat:
-    out = vec
-    for gi in reversed(word):
-        out = generators[gi] @ out
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The extension recursion
 # ---------------------------------------------------------------------------
@@ -155,10 +150,15 @@ def _assert_commutes(D: Mat, gens: Sequence[Mat], names: Sequence[str],
     """Raise for the lowest order m <= k of yvar at which some [D', M] is nonzero.
 
     The witness is the first generator, then the first entry, failing at m.
+    Only a generator whose products D' M and M D' differ gets a commutator.
     """
-    comms = [D @ M - M @ D for M in gens]
+    comms = []
+    for M, name in zip(gens, names):
+        DM, MD = D @ M, M @ D
+        if DM != MD:
+            comms.append((DM - MD, name))
     for m in range(k + 1):
-        for comm, name in zip(comms, names):
+        for comm, name in comms:
             for i in range(comm.nrows):
                 for j in range(comm.ncols):
                     if not comm[i, j].truncate(m, yvar).is_zero():
@@ -188,15 +188,13 @@ def hm_extend(problem: DeformationProblem,
     C: dict[str, Mat] = {v.name: F0.C[v.name].map(up) for v in base}
     B0 = F0.B0.map(up)
     Binf = F0.Binf.map(up)
-    omega_col = Mat.column([Series.const(svars_all, K,
-                                         Laurent.const(qvars, as_fraction(c)))
-                            for c in problem.omega])
+    omega_s = [Series.const(svars_all, K, Laurent.const(qvars, as_fraction(c)))
+               for c in problem.omega]
     omega_q = [Laurent.const(qvars, as_fraction(c)) for c in problem.omega]
 
     for stage, yname in enumerate(problem.new_vars):
         later = problem.new_vars[stage + 1:]
-        data = Mat.column([(-problem.psi[i].deriv(yname)).restrict_zero(later)
-                           for i in range(d)])
+        data = [(-problem.psi[i].deriv(yname)).restrict_zero(later) for i in range(d)]
         gens = [C[v.name] for v in base] + [B0]
         gen_names = [f"C({v.name})" for v in base] + ["B0"]
         if reverse_generators:
@@ -204,12 +202,17 @@ def hm_extend(problem: DeformationProblem,
         words = word_basis([series_constant_slice(M, qvars) for M in gens],
                            omega_q, d)
 
+        slice_inverse = None  # of the word matrix's constant slice, fixed per stage
         for k in range(K + 1):
-            T = Mat.from_columns(
-                [_apply_word(gens, w, omega_col).column_vector() for w in words])
-            U = Mat.from_columns(
-                [_apply_word(gens, w, data).column_vector() for w in words])
-            W, s = inv_series(T)
+            # the word (g,) + w sends (omega, Psi) to gens[g] applied to w's columns
+            cols = {(): Mat.from_columns([omega_s, data])}
+            for w in words[1:]:
+                cols[w] = gens[w[0]] @ cols[w[1:]]
+            T = Mat.from_columns([cols[w].col(0) for w in words])
+            U = Mat.from_columns([cols[w].col(1) for w in words])
+            if slice_inverse is None:
+                slice_inverse = inv_laurent(series_constant_slice(T, qvars))
+            W, s = inv_series(T, slice_inverse)
             X = U @ W  # s * D'
             Dk = divide_exact(X.map(lambda e: e.coeff_of_var(yname, k)), s)
             if Dk is None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .rings import Laurent, Series, is_zero, laurent_dot, series_dot
+from .rings import Laurent, Series, is_zero, laurent_dot, series_matmul
 
 
 class NoSolution(Exception):
@@ -114,11 +114,12 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        bt = tuple(zip(*other.rows))
         kinds = {type(a) for m in (self, other) for r in m.rows for a in r}
-        fused = len(kinds) == 1 and {Series: series_dot, Laurent: laurent_dot}.get(*kinds)
-        if fused:
-            return Mat([[fused(list(zip(r, c))) for c in bt] for r in self.rows])
+        if kinds == {Series}:
+            return Mat(series_matmul(self.rows, other.rows))
+        bt = tuple(zip(*other.rows))
+        if kinds == {Laurent}:
+            return Mat([[laurent_dot(list(zip(r, c))) for c in bt] for r in self.rows])
         out = []
         for r in self.rows:
             out_row = []
@@ -152,7 +153,11 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.shape == other.shape and (self - other).is_zero()
+        # canonical entries compare directly; a difference is built only for
+        # entries that compare unequal, so a ring mismatch still raises
+        return self.shape == other.shape and all(
+            a == b or is_zero(a - b)
+            for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2))
 
     def __hash__(self):
         return hash(self.rows)
@@ -321,22 +326,25 @@ def series_constant_slice(M: Mat, qvars: tuple[str, ...]) -> Mat:
     return M.map(lambda s: s.constant_slice() or zero)
 
 
-def inv_series(M: Mat) -> tuple[Mat, Laurent]:
+def inv_series(M: Mat, slice_inverse: tuple[Mat, Laurent] | None = None
+               ) -> tuple[Mat, Laurent]:
     """(W, s) with M @ W = s * I, for a square Series matrix M.
 
     Write M = M_0 + M_+ with M_0 the constant slice, and let (A, delta) be
-    ``inv_laurent(M_0)``, so delta is det M_0 up to sign, or 1 for a unit.  With N = delta * I - A @ M = -A @ M_+, which is
-    nilpotent, W = sum_k delta^(m-1-k) N^k A over the nonzero powers N^k,
-    k < m, and s = delta^m.  When delta = 1, W is the inverse from the
-    finite Neumann expansion and s = 1.  A singular
-    constant slice, the zero matrix included, raises ZeroDivisionError.
+    ``inv_laurent(M_0)``, so delta is det M_0 up to sign, or 1 for a unit;
+    a caller that already holds it passes it as ``slice_inverse``.  With
+    N = delta * I - A @ M = -A @ M_+, which is nilpotent,
+    W = sum_k delta^(m-1-k) N^k A over the nonzero powers N^k, k < m, and
+    s = delta^m.  When delta = 1, W is the inverse from the finite Neumann
+    expansion and s = 1.  A singular constant slice, the zero matrix
+    included, raises ZeroDivisionError.
     """
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
     coeff = next((c for r in M.rows for s in r for c in s.terms.values()), None)
     if coeff is None:
         raise ZeroDivisionError("singular matrix")
-    A, delta = inv_laurent(series_constant_slice(M, coeff.vars))
+    A, delta = slice_inverse or inv_laurent(series_constant_slice(M, coeff.vars))
     unit = delta == 1
     A = A.map(lambda a: Series.const(svars, order, a))
     ident = Mat.identity(M.nrows, Series.const(svars, order, Laurent.const(coeff.vars, 1)))

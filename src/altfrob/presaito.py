@@ -239,12 +239,21 @@ class Report:
 
 
 def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
-    """First nonzero coefficient of A - B, truncated to total degree k."""
+    """First nonzero coefficient of A - B, truncated to total degree k.
+
+    Entries are canonical, so they are compared first, truncated when they
+    differ and k applies; A - B is built only at a mismatch, to name it.
+    """
     for i in range(A.nrows):
         for j in range(A.ncols):
-            x = A[i, j] - B[i, j]
-            if k is not None and isinstance(x, Series):
-                x = x.truncate(k)
+            a, b = A[i, j], B[i, j]
+            if a == b:
+                continue
+            if k is not None and isinstance(a, Series) and isinstance(b, Series):
+                a, b = a.truncate(k), b.truncate(k)
+                if a == b:
+                    continue
+            x = a - b
             if is_zero(x):
                 continue
             if isinstance(x, Series):

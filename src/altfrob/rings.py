@@ -17,14 +17,15 @@ algebra over ``Laurent`` is fraction-free, and its one division,
 An entry knows its ring: ``x * 0`` is the zero of the ring of ``x`` for
 every scalar of the tower, so no separate ring descriptor exists.
 
-Every ``Series`` product, a single ``a * b`` or an entry of a ``Series``
-matrix product, goes through one fused, truncation-aware accumulation,
-``series_dot``: it skips the pairs of terms past the truncation order and
-builds each output coefficient once, with no intermediate ``Series`` sums.
-Every ``Laurent`` product, a single ``a * b`` or an entry of a ``Laurent``
-matrix product, goes the same way through ``laurent_dot``: pairs with a
-zero operand are skipped and the result is built once, with no
-intermediate ``Laurent`` products or sums.
+Every ``Series`` product, a single ``a * b``, a ``series_dot`` or a whole
+``Series`` matrix product, goes through one matrix-level kernel,
+``series_matmul``: each operand entry is checked, flattened and sorted by
+degree once per product, zero entries are skipped structurally, and each
+output entry is built once, without re-validating its terms.  Every
+``Laurent`` product, a single ``a * b`` or an entry of a ``Laurent`` matrix
+product, goes through ``laurent_dot``: pairs with a zero operand are skipped
+and the result is built once, with no intermediate ``Laurent`` products or
+sums.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -78,6 +79,14 @@ class Laurent:
     def __init__(self, variables: tuple[str, ...], terms: Mapping[Exponents, Fraction]):
         self.vars = variables
         self.terms = {e: c for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict) -> "Laurent":
+        """Wrap terms already known to be nonzero Fractions, without a copy."""
+        x = object.__new__(cls)
+        x.vars = variables
+        x.terms = terms
+        return x
 
     # -- constructors ------------------------------------------------------
 
@@ -219,10 +228,10 @@ class Laurent:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Laurent:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Laurent.const(self.vars, other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -346,7 +355,7 @@ class Series:
     """A power series in formal variables, truncated in total degree.
 
     Coefficients are Laurent polynomials in one variable tuple, the top of
-    the tower; ``series_dot``, behind every product, rejects any other.  A
+    the tower; ``series_matmul``, behind every product, rejects any other.  A
     term whose exponents sum to more than ``order`` is discarded by every
     operation, so instances represent elements of R[[x]] / (x)^{order+1}
     with R a Laurent ring.
@@ -366,6 +375,15 @@ class Series:
                 continue
             kept[e] = c
         self.terms = kept
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], order: int, terms: dict) -> "Series":
+        """Wrap terms already known to be nonzero and within the order, without a copy."""
+        x = object.__new__(cls)
+        x.vars = variables
+        x.order = order
+        x.terms = terms
+        return x
 
     # -- constructors -------------------------------------------------------
 
@@ -411,7 +429,7 @@ class Series:
         return Series(self.vars, self.order, terms)
 
     def __neg__(self):
-        return Series(self.vars, self.order, {e: -c for e, c in self.terms.items()})
+        return Series._trusted(self.vars, self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -495,7 +513,7 @@ class Series:
         for e, c in self.terms.items():
             if e[i] == k:
                 terms[tuple(0 if j == i else x for j, x in enumerate(e))] = c
-        return Series(self.vars, self.order, terms)
+        return Series._trusted(self.vars, self.order, terms)
 
     def times_var(self, name: str, k: int) -> "Series":
         i = self.vars.index(name)
@@ -509,17 +527,17 @@ class Series:
     def truncate(self, k: int, name: str | None = None) -> "Series":
         """Drop the terms of total degree above k, or of degree above k in ``name``."""
         if name is None:
-            return Series(self.vars, self.order,
-                          {e: c for e, c in self.terms.items() if sum(e) <= k})
+            return Series._trusted(self.vars, self.order,
+                                   {e: c for e, c in self.terms.items() if sum(e) <= k})
         i = self.vars.index(name)
-        return Series(self.vars, self.order,
-                      {e: c for e, c in self.terms.items() if e[i] <= k})
+        return Series._trusted(self.vars, self.order,
+                               {e: c for e, c in self.terms.items() if e[i] <= k})
 
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
         idx = [self.vars.index(n) for n in names]
         terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return Series(self.vars, self.order, terms)
+        return Series._trusted(self.vars, self.order, terms)
 
     def promote(self, new_vars: tuple[str, ...], order: int) -> "Series":
         """Embed into a larger formal-variable tuple and/or truncation order."""
@@ -555,62 +573,96 @@ class Series:
     __repr__ = __str__
 
 
-def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
-    """The sum of a * b over (Series, Series) pairs of one ring, truncated once.
+def series_matmul(a_rows: Sequence[Sequence[Series]],
+                  b_rows: Sequence[Sequence[Series]]) -> list[list[Series]]:
+    """The rows of the matrix product A @ B of Series matrices of one ring.
 
-    Each right operand's terms are bucketed by total degree, so a left term
-    of degree d meets only the buckets up to ``order - d``.  The products
-    accumulate on flat (series exponents, Laurent exponents) keys as integer
-    numerator/denominator pairs, and each output coefficient is built once.
-    A coefficient that is not a Laurent polynomial raises TypeError; Laurent
-    coefficients in differing variable tuples raise ValueError.
+    Every entry of A and B is checked once, zero partner or not: a series
+    ring other than that of the first entry raises ValueError, a coefficient
+    that is not a Laurent polynomial raises TypeError, and Laurent
+    coefficients in differing variable tuples raise ValueError.  Each
+    nonzero entry is flattened once into (degree, [(series and Laurent
+    exponents, numerator, denominator)]) terms sorted by degree, so a left
+    term of degree d meets the right terms up to ``order - d`` and stops.
+    Output entry (i, j) visits only the k where A[i][k] and B[k][j] are both
+    nonzero, accumulates integer numerator/denominator pairs on the flat
+    exponent keys, and builds each coefficient once.
     """
-    first = pairs[0][0]
+    first = next(x for rows in (a_rows, b_rows) for r in rows for x in r)
     svars, order = first.vars, first.order
-    live = []
-    for a, b in pairs:
-        first._check(a)
-        first._check(b)
-        if a.terms and b.terms:
-            live.append((a, b))
-    if not live:
-        return Series.zero(svars, order)
-    qvars = getattr(next(iter(live[0][0].terms.values())), "vars", None)
+    ns = len(svars)
+    for rows in (a_rows, b_rows):
+        for r in rows:
+            for x in r:
+                if x.vars != svars or x.order != order:
+                    raise ValueError("series ring mismatch")
+    qvars = None
 
-    def flat(c):
-        if type(c) is not Laurent:
-            raise TypeError(f"series_dot needs Laurent coefficients, got {type(c).__name__}")
-        if c.vars != qvars:
-            raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
-        return [(k, f.numerator, f.denominator) for k, f in c.terms.items()]
+    def flat(x: Series) -> list:
+        nonlocal qvars
+        out = []
+        for e, c in x.terms.items():
+            if type(c) is not Laurent:
+                raise TypeError(f"Series products need Laurent coefficients, got {type(c).__name__}")
+            if c.vars != qvars:
+                if qvars is not None:
+                    raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
+                qvars = c.vars
+            out.append((sum(e), [(e + k, f.numerator, f.denominator)
+                                 for k, f in c.terms.items()]))
+        out.sort(key=itemgetter(0))
+        return out
 
-    acc: dict = {}
-    for a, b in live:
-        buckets: list[list] = [[] for _ in range(order + 1)]
-        for e2, c2 in b.terms.items():
-            buckets[sum(e2)].append((e2, flat(c2)))
-        for e1, c1 in a.terms.items():
-            c1 = flat(c1)
-            for bucket in buckets[:order - sum(e1) + 1]:
-                for e2, c2 in bucket:
-                    e = tuple(map(add, e1, e2))
-                    for k1, n1, d1 in c1:
-                        for k2, n2, d2 in c2:
-                            key = (e, tuple(map(add, k1, k2)))
-                            n, d = n1 * n2, d1 * d2
-                            cur = acc.get(key)
-                            if cur is None:
-                                acc[key] = [n, d]
-                            elif cur[1] == d:
-                                cur[0] += n
-                            else:
-                                den = lcm(cur[1], d)
-                                cur[0] = cur[0] * (den // cur[1]) + n * (den // d)
-                                cur[1] = den
-    grouped: dict[Exponents, dict] = {}
-    for (e, k), (n, d) in acc.items():
-        grouped.setdefault(e, {})[k] = Fraction(n, d)
-    return Series(svars, order, {e: Laurent(qvars, t) for e, t in grouped.items()})
+    left = [[(k, flat(x)) for k, x in enumerate(r) if x.terms] for r in a_rows]
+    right = [{} for _ in b_rows[0]]
+    for k, r in enumerate(b_rows):
+        for j, x in enumerate(r):
+            if x.terms:
+                right[j][k] = flat(x)
+    out = []
+    for row in left:
+        out_row = []
+        for col in right:
+            acc: dict = {}
+            for k, a in row:
+                b = col.get(k)
+                if b is None:
+                    continue
+                for d1, c1 in a:
+                    room = order - d1
+                    for d2, c2 in b:
+                        if d2 > room:
+                            break
+                        for k1, n1, den1 in c1:
+                            for k2, n2, den2 in c2:
+                                key = tuple(map(add, k1, k2))
+                                n, den = n1 * n2, den1 * den2
+                                cur = acc.get(key)
+                                if cur is None:
+                                    acc[key] = [n, den]
+                                elif cur[1] == den:
+                                    cur[0] += n
+                                else:
+                                    m = lcm(cur[1], den)
+                                    cur[0] = cur[0] * (m // cur[1]) + n * (m // den)
+                                    cur[1] = m
+            grouped: dict[Exponents, dict] = {}
+            for ek, (n, den) in acc.items():
+                if n:
+                    grouped.setdefault(ek[:ns], {})[ek[ns:]] = \
+                        Fraction(n) if den == 1 else Fraction(n, den)
+            out_row.append(Series._trusted(svars, order, {
+                e: Laurent._trusted(qvars, t) for e, t in grouped.items()}))
+        out.append(out_row)
+    return out
+
+
+def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
+    """The sum of a * b over (Series, Series) pairs of one ring.
+
+    It is the 1 x n by n x 1 case of ``series_matmul``, checks included.
+    """
+    return series_matmul([[a for a, _ in pairs]], [[b] for _, b in pairs])[0][0]
 
 
 def laurent_dot(pairs: Sequence[tuple[Laurent, Laurent]]) -> Laurent:

@@ -5,9 +5,11 @@ import json
 import pytest
 
 from altfrob import cli
-from altfrob.deform import problem_to_json, trivial_deformation_problem
-from altfrob.presaito import loads_family
-from altfrob.projective import build_pn
+from altfrob.deform import problem_to_json, trivial_deformation_problem, universal_big_quantum
+from altfrob.linalg import Mat
+from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family
+from altfrob.projective import build_pn, pn_small_family
+from altfrob.rings import Laurent, Series
 
 
 def run(argv, capsys):
@@ -176,6 +178,19 @@ class TestPnAndVerify:
         code, out, _ = run(["verify", "--family", str(fam_path)], capsys)
         assert code == 1
         assert "FAIL" in out
+
+    def test_verify_flags_a_top_degree_perturbation(self, capsys, tmp_path):
+        fam = universal_big_quantum(pn_small_family(2), 3)
+        rows = [list(r) for r in fam.C["t2"].rows]
+        rows[1][0] = rows[1][0] + Series(fam.svars, 3, {(0, 3): Laurent.gen(fam.qvars, "q")})
+        bad = PreSaitoFamily(fam.base, fam.d, fam.Binf, fam.B0, {**fam.C, "t2": Mat(rows)},
+                             fam.G, fam.w, fam.order, fam.params)
+        fam_path = tmp_path / "bad.json"
+        fam_path.write_text(dumps_family(bad))
+        code, out, _ = run(["verify", "--family", str(fam_path)], capsys)
+        assert code == 1
+        assert "FAIL  [C(q), C(t2)] = 0  [entry (1,2), deformation exponent [0, 3]: q^2]" in out
+        assert run(["verify", "--family", str(fam_path), "--order", "2"], capsys)[0] == 0
 
     def test_verify_rejects_malformed_family(self, capsys, tmp_path):
         fam_path = tmp_path / "bad.json"

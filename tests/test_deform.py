@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from altfrob import deform, linalg
 from altfrob.deform import (
     DeformationProblem,
     InvariantViolation,
@@ -20,7 +21,7 @@ from altfrob.deform import (
     wdvv_oracle,
     word_basis,
 )
-from altfrob.linalg import Mat
+from altfrob.linalg import Mat, inv_laurent
 from altfrob.presaito import (
     check_metric,
     check_pre_saito,
@@ -155,6 +156,29 @@ class TestUniversalBigQuantum:
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
             universal_big_quantum(pn_small_family(2), 1)
+
+    def test_word_matrix_slice_is_inverted_once_per_stage(self, monkeypatch):
+        calls = []
+
+        def counted(A):
+            calls.append(A)
+            return inv_laurent(A)
+        monkeypatch.setattr(linalg, "inv_laurent", counted)
+        monkeypatch.setattr(deform, "inv_laurent", counted)
+        big = universal_big_quantum(pn_small_family(4), 6)
+        assert len(calls) <= len(big.svars) == 4
+
+    def test_reversed_generators_give_the_same_big_quantum_family(self):
+        fam, K = pn_small_family(2), 3
+        svars = fam.svars + ("t0", "t2")
+        one = Laurent.const(fam.qvars, 1)
+        psi = (Series.gen(svars, K, "t0", one), Series.zero(svars, K),
+               Series.gen(svars, K, "t2", one))
+        prob = DeformationProblem(fam, ("t0", "t2"), psi, (F(1), F(0), F(0)), K)
+        a = hm_extend(prob)
+        b = hm_extend(prob, reverse_generators=True)
+        assert a.B0 == b.B0
+        assert a.C == b.C
 
 
 class TestPotential:

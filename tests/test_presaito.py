@@ -71,6 +71,52 @@ def test_wrong_weight_fails_metric():
     assert failing == ["Binf + Binf* = w id"]
 
 
+def bumped_big_plane(exps, qpow):
+    """The big-quantum plane at order 3 with q^qpow * t^exps added to C(t2)[1, 0]."""
+    fam = universal_big_quantum(pn_small_family(2), 3)
+    rows = [list(r) for r in fam.C["t2"].rows]
+    rows[1][0] = rows[1][0] + Series(fam.svars, fam.order,
+                                     {exps: Laurent(fam.qvars, {(qpow,): F(1)})})
+    return PreSaitoFamily(fam.base, fam.d, fam.Binf, fam.B0, {**fam.C, "t2": Mat(rows)},
+                          fam.G, fam.w, fam.order, fam.params)
+
+
+def failures(rep):
+    return [line for line in rep.lines() if line.startswith("FAIL")]
+
+
+def test_checkers_name_the_witness_of_a_perturbed_entry():
+    bad = bumped_big_plane((1, 0), 0)
+    rep = check_pre_saito(bad)
+    assert failures(rep) == [
+        "FAIL  d_t2 C(t0) = d_t0 C(t2)  [entry (1,0), deformation exponent [0, 0]: -1]",
+        "FAIL  [C(q), C(t2)] = 0  [entry (0,0), deformation exponent [1, 1]: -q]",
+        "FAIL  [B0, C(t2)] = 0  [entry (0,0), deformation exponent [1, 1]: 2*q]"]
+    assert rep.first_witness() == \
+        "d_t2 C(t0) = d_t0 C(t2): entry (1,0), deformation exponent [0, 0]: -1"
+    rep = check_metric(bad)
+    assert failures(rep) == [
+        "FAIL  C(t2)* = C(t2)  [entry (1,0), deformation exponent [1, 0]: -1]"]
+    assert rep.first_witness() == \
+        "C(t2)* = C(t2): entry (1,0), deformation exponent [1, 0]: -1"
+
+
+def test_top_degree_perturbation_passes_the_series_direction_relations():
+    bad = bumped_big_plane((0, 3), 1)      # total degree K = 3 only
+    rep = check_pre_saito(bad)
+    status = {name: ok for name, ok, _ in rep.checks}
+    # a relation with a derivative in a series direction is compared at K - 1
+    for name in ("d_t2 C(t0) = d_t0 C(t2)", "d_t2 C(q) = d_q C(t2)",
+                 "C(t2) + d_t2 B0 = [Binf, C(t2)]"):
+        assert status[name], name
+    assert failures(rep) == [
+        "FAIL  [C(q), C(t2)] = 0  [entry (1,2), deformation exponent [0, 3]: q^2]",
+        "FAIL  [B0, C(t2)] = 0  [entry (1,2), deformation exponent [0, 3]: -3*q^2]"]
+    assert check_metric(bad).first_witness() == \
+        "C(t2)* = C(t2): entry (1,0), deformation exponent [0, 3]: -q"
+    assert check_pre_saito(bad, order=2).ok and check_metric(bad, order=2).ok
+
+
 def test_trivial_deformation_relations_and_metric():
     P = build_pn(2)
     fam = trivial_deformation(P)

@@ -251,6 +251,62 @@ def test_series_matmul_matches_pairwise_reference(data, n, m, p):
             assert got[i, j] == reference_dot(list(zip(A.row(i), B.col(j))))
 
 
+@st.composite
+def sparse_series_matrix(draw, ring, nrows, ncols):
+    """A Series matrix with zero entries and non-monomial, mixed-denominator coefficients.
+
+    Every nonzero coefficient has two or three Laurent terms, so the kernel's
+    inner coefficient loop runs more than once per pair of series terms.
+    """
+    svars, order, qvars = ring
+    laurent = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * len(qvars)),
+                              st.fractions(min_value=-3, max_value=3, max_denominator=6)
+                              .filter(bool), min_size=2, max_size=3)
+    entry = st.dictionaries(st.tuples(*[st.integers(0, order)] * len(svars)),
+                            laurent.map(lambda t: Laurent(qvars, t)), min_size=1, max_size=4)
+    zero = Series.zero(svars, order)
+    return Mat([[zero if draw(st.booleans()) else Series(svars, order, draw(entry))
+                 for _ in range(ncols)] for _ in range(nrows)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_sparse_series_matmul_matches_entrywise_reference(data, n, m, p):
+    ring = data.draw(series_rings())
+    A = data.draw(sparse_series_matrix(ring, n, m))
+    B = data.draw(sparse_series_matrix(ring, m, p))
+    got = A @ B
+    for i in range(n):
+        for j in range(p):
+            pairs = list(zip(A.row(i), B.col(j)))
+            assert got[i, j] == reference_dot(pairs) == series_dot(pairs)
+            assert all(sum(e) <= got[i, j].order and not c.is_zero()
+                       for e, c in got[i, j].terms.items())
+
+
+def test_series_matmul_checks_every_entry():
+    x, zero = sgen(("x",), 3, "x"), Series.zero(("x",), 3)
+    # a zero entry of another series ring
+    for bad in (Series.zero(("y",), 3), Series.zero(("x",), 2)):
+        with pytest.raises(ValueError, match="series ring mismatch"):
+            Mat([[x, bad]]) @ Mat([[x], [x]])
+        with pytest.raises(ValueError, match="series ring mismatch"):
+            Mat([[x, x]]) @ Mat([[x], [bad]])
+    # a coefficient of the wrong kind, in an entry whose partner is zero
+    xp = sgen(("x",), 3, "x", qvars=("p",))
+    xf = Series.gen(("x",), 3, "x", Fraction(1))
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Mat([[x, xp]]) @ Mat([[x], [zero]])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Mat([[x, zero]]) @ Mat([[x], [xp]])
+    with pytest.raises(ValueError, match="variable mismatch"):
+        series_dot([(x, x), (xp, zero)])
+    with pytest.raises(TypeError, match="Laurent coefficients"):
+        Mat([[x, xf]]) @ Mat([[x], [zero]])
+    with pytest.raises(TypeError, match="Laurent coefficients"):
+        series_dot([(x, x), (zero, xf)])
+
+
 def test_series_dot_zero_operands():
     x, zero = sgen(("x", "y"), 3, "x"), Series.zero(("x", "y"), 3)
     assert (zero * x).is_zero() and (x * zero).is_zero()
