@@ -43,6 +43,7 @@ from .grassmann import (
     bialternant_reduce,
     complement_partition,
     lr_count,
+    lr_products,
     rect_partitions,
     rimhook_oracle,
     rimhook_reduce,
@@ -141,6 +142,7 @@ __all__ = [
     "kron_sum",
     "loads_family",
     "lr_count",
+    "lr_products",
     "mirror_brieskorn",
     "mirror_f",
     "mult_f_matrix",

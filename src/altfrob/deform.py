@@ -44,7 +44,7 @@ from .linalg import Mat, divide_exact, inv_laurent, inv_series, series_constant_
 from .presaito import (BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data,
                        residue_grading)
 from .projective import pn_small_family
-from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str
+from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str, json_field
 
 
 class NotPrePrimitive(Exception):
@@ -562,27 +562,23 @@ def problem_to_json(p: DeformationProblem) -> dict:
 
 
 def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
-    """Decode a problem document; a mistyped field raises ValueError."""
+    """Decode a problem document; a mistyped or missing field raises ValueError."""
     from .presaito import _decode_entry
     if not isinstance(doc, dict):
         raise ValueError(f"a problem must be a JSON object, got {type(doc).__name__}")
-    order = doc["order"]
+    order, new_vars, psi, omega = (json_field(doc, k) for k in ("order", "newVars", "psi", "omega"))
     if type(order) is not int:
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    if not isinstance(doc["newVars"], list) or \
-            any(type(v) is not str for v in doc["newVars"]):
-        raise ValueError(f"newVars must be a list of strings, got {doc['newVars']!r}")
-    if not isinstance(doc["psi"], list):
-        raise ValueError(f"psi must be a list, got {doc['psi']!r}")
-    if not isinstance(doc["omega"], list) or \
-            any(type(x) not in (int, str) for x in doc["omega"]):
-        raise ValueError("omega must be a list of rational strings or integers, "
-                         f"got {doc['omega']!r}")
-    new_vars = tuple(doc["newVars"])
+    if not isinstance(new_vars, list) or any(type(v) is not str for v in new_vars):
+        raise ValueError(f"newVars must be a list of strings, got {new_vars!r}")
+    if not isinstance(psi, list):
+        raise ValueError(f"psi must be a list, got {psi!r}")
+    if not isinstance(omega, list) or any(type(x) not in (int, str) for x in omega):
+        raise ValueError(f"omega must be a list of rational strings or integers, got {omega!r}")
+    new_vars = tuple(new_vars)
     svars_all = initial.svars + new_vars
-    psi = tuple(_decode_entry(item, initial.qvars, svars_all, order)
-                for item in doc["psi"])
-    omega = tuple(fraction_from_str(x) for x in doc["omega"])
+    psi = tuple(_decode_entry(item, initial.qvars, svars_all, order) for item in psi)
+    omega = tuple(fraction_from_str(x) for x in omega)
     return DeformationProblem(initial, new_vars, psi, omega, order)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import Mat, wedge_indices, wedge_metric
 from .presaito import Report
 from .projective import build_pn
-from .rings import Laurent, fraction_to_str
+from .rings import Laurent, fraction_from_str, fraction_to_str, json_field
 
 Partition = tuple[int, ...]
 
@@ -261,18 +261,22 @@ class QLRTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "QLRTable":
-        """Decode a table document; a mistyped field raises ValueError."""
+        """Decode a table document; a mistyped or missing field raises ValueError."""
         if not isinstance(doc, dict):
             raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
-        for name in ("r", "n"):
-            if type(doc[name]) is not int:
-                raise ValueError(f"{name} must be an integer, got {doc[name]!r}")
-        items = doc["entries"]
+        r, n = json_field(doc, "r"), json_field(doc, "n")
+        for name, value in (("r", r), ("n", n)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 1 <= r <= n:
+            raise ValueError(f"need 1 <= r <= n, got r = {r}, n = {n}")
+        items = json_field(doc, "entries")
         if not isinstance(items, list) or any(not isinstance(i, dict) for i in items):
             raise ValueError(f"entries must be a list of objects, got {items!r}")
         entries = {}
         for item in items:
-            parts, pairs = [item["lambda"], item["mu"], item["nu"]], item["q"]
+            parts = [json_field(item, name) for name in ("lambda", "mu", "nu")]
+            pairs = json_field(item, "q")
             if any(not isinstance(p, list) or any(type(x) is not int for x in p)
                    for p in parts):
                 raise ValueError(f"partitions must be lists of integers, got {parts!r}")
@@ -281,9 +285,12 @@ class QLRTable:
                     or type(t[1]) not in (int, str) for t in pairs):
                 raise ValueError("q must be a list of [integer exponent, rational string "
                                  f"or integer coefficient] pairs, got {pairs!r}")
-            entries[tuple(map(normalize_partition, parts))] = Laurent(
-                ("q",), {(e,): Fraction(c) for e, c in pairs})
-        return cls(doc["r"], doc["n"], entries)
+            key = tuple(map(normalize_partition, parts))
+            if any(len(p) > r or p and p[0] > n + 1 - r for p in key):
+                raise ValueError(f"partitions must fit the {r} x {n + 1 - r} rectangle, "
+                                 f"got {parts!r}")
+            entries[key] = Laurent(("q",), {(e,): fraction_from_str(c) for e, c in pairs})
+        return cls(r, n, entries)
 
 
 def _ordered_pairs(parts: list[Partition]) -> Iterator[tuple[Partition, Partition]]:
@@ -331,26 +338,37 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
 # ---------------------------------------------------------------------------
 
 
-def _partitions_above(lam: Partition, size: int, maxlen: int,
-                      maxfirst: int) -> Iterator[Partition]:
-    """Partitions of ``size`` containing lam, with bounded length and width."""
+def lr_products(lam: Partition, mu: Partition, r: int) -> dict[Partition, int]:
+    """The nonzero Littlewood-Richardson numbers c^nu_(lam mu) with len(nu) <= r.
 
-    def rec(row: int, prev: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if row >= maxlen:
-            return
-        low = lam[row] if row < len(lam) else 0
-        high = min(prev, remaining)
-        if high < max(low, 1):
-            return
-        for part in range(high, max(low, 1) - 1, -1):
-            acc.append(part)
-            yield from rec(row + 1, part, remaining - part, acc)
-            acc.pop()
+    Remmel-Whitney: the smaller shape is filled as an SSYT in 1..r, read
+    row by row from the top, each row right to left.  A filling survives
+    while the larger partition plus the weight read so far stays a
+    partition, and each finished filling adds 1 to nu = larger + weight.
+    """
+    base, shape = (lam, mu) if sum(lam) >= sum(mu) else (mu, lam)
+    if len(base) > r:
+        return {}
+    cur = list(base) + [0] * (r - len(base))
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row - 1, -1, -1)]
+    fill = [[r] * (row + 1) for row in shape]
+    out: dict[Partition, int] = {}
 
-    yield from rec(0, maxfirst, size, [])
+    def rec(pos: int) -> None:
+        if pos == len(cells):
+            nu = tuple(cur)
+            out[nu] = out.get(nu, 0) + 1
+            return
+        i, j = cells[pos]
+        for v in range(fill[i - 1][j] + 1 if i else 1, fill[i][j + 1] + 1):
+            if v == 1 or cur[v - 2] > cur[v - 1]:
+                cur[v - 1] += 1
+                fill[i][j] = v
+                rec(pos + 1)
+                cur[v - 1] -= 1
+
+    rec(0)
+    return {tuple(p for p in nu if p): c for nu, c in out.items()}
 
 
 def lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -448,25 +466,20 @@ def rimhook_oracle(r: int, n: int) -> QLRTable:
     """Classical LR numbers reduced by rim hooks: the combinatorial route."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    parts = rect_partitions(r, n)
+    reduced: dict[Partition, tuple[Partition, int, int] | None] = {}
     entries: dict[tuple[Partition, Partition, Partition], Laurent] = {}
-    for lam, mu in _ordered_pairs(parts):
-        size = sum(lam) + sum(mu)
-        first = (lam[0] if lam else 0) + (mu[0] if mu else 0)
-        acc: dict[Partition, dict[tuple[int, ...], Fraction]] = {}
-        for nutil in _partitions_above(lam, size, r, first):
-            c = lr_count(nutil, lam, mu)
-            if c == 0:
+    for lam, mu in _ordered_pairs(rect_partitions(r, n)):
+        acc: dict[Partition, dict[int, int]] = {}
+        for nutil, c in lr_products(lam, mu, r).items():
+            if nutil not in reduced:
+                reduced[nutil] = rimhook_reduce(nutil, r, n)
+            if reduced[nutil] is None:
                 continue
-            red = rimhook_reduce(nutil, r, n)
-            if red is None:
-                continue
-            core, qpow, sign = red
+            core, qpow, sign = reduced[nutil]
             bucket = acc.setdefault(core, {})
-            key = (qpow,)
-            bucket[key] = bucket.get(key, Fraction(0)) + sign * c
+            bucket[qpow] = bucket.get(qpow, 0) + sign * c
         for core, bucket in acc.items():
-            cf = Laurent(("q",), bucket)
+            cf = Laurent(("q",), {(e,): Fraction(c) for e, c in bucket.items()})
             if not cf.is_zero():
                 entries[(lam, mu, core)] = cf
     return QLRTable(r, n, entries)

@@ -53,6 +53,7 @@ from .rings import (
     fraction_from_str,
     fraction_to_str,
     is_zero,
+    json_field,
 )
 
 VAR_KINDS = ("q", "laurent", "series")
@@ -610,8 +611,8 @@ def _decode_entry(data, qvars, svars, order):
     if svars:
         if not isinstance(data, list) or any(not isinstance(t, dict) for t in data):
             raise ValueError(f"a series entry must be a list of objects, got {data!r}")
-        terms = {_exponent_list(item["exps"], len(svars)): _decode_laurent(item["coef"], qvars)
-                 for item in data}
+        terms = {_exponent_list(json_field(item, "exps"), len(svars)):
+                 _decode_laurent(json_field(item, "coef"), qvars) for item in data}
         return Series(svars, order, terms)
     return _decode_laurent(data, qvars)
 
@@ -645,7 +646,7 @@ def family_to_json(F: PreSaitoFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> PreSaitoFamily:
-    """Decode a family document; a mistyped field raises ValueError."""
+    """Decode a family document; a mistyped or missing field raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a family must be a JSON object, got {type(doc).__name__}")
 
@@ -654,18 +655,19 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
             raise ValueError(f"{key} must be a list of strings, got {value!r}")
         return value
 
-    names = strings("vars", doc["vars"])
+    names = strings("vars", json_field(doc, "vars"))
     kinds = strings("kinds", doc.get("kinds") or ["q"] * len(names))
     params = tuple(strings("params", doc.get("params", [])))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))
-    d = doc["rank"]
+    d = json_field(doc, "rank")
     if type(d) is not int or d < 1:
         raise ValueError(f"rank must be a positive integer, got {d!r}")
     w = doc.get("w")
     if w is not None and type(w) not in (int, str):
         raise ValueError(f"w must be a rational string or an integer, got {w!r}")
-    if not isinstance(doc["C"], dict):
-        raise ValueError(f"C must be an object keyed by the base variables, got {doc['C']!r}")
+    C = json_field(doc, "C")
+    if not isinstance(C, dict):
+        raise ValueError(f"C must be an object keyed by the base variables, got {C!r}")
     qvars = params + tuple(n for n, k in zip(names, kinds) if k != "series")
     svars = tuple(n for n, k in zip(names, kinds) if k == "series")
     order = doc.get("order")
@@ -686,9 +688,9 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
 
     return PreSaitoFamily(
         base=base, d=d,
-        Binf=dec_matrix("Binf", doc["Binf"], rational),
-        B0=dec_matrix("B0", doc["B0"], entry),
-        C={n: dec_matrix(f"C[{n}]", doc["C"][n], entry) for n in names},
+        Binf=dec_matrix("Binf", json_field(doc, "Binf"), rational),
+        B0=dec_matrix("B0", json_field(doc, "B0"), entry),
+        C={n: dec_matrix(f"C[{n}]", json_field(C, n, f"C[{n}]"), entry) for n in names},
         G=(dec_matrix("G", doc["G"], rational) if doc.get("G") is not None else None),
         w=(fraction_from_str(w) if w is not None else None),
         order=order, params=params)

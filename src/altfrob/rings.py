@@ -66,6 +66,13 @@ def fraction_from_str(text: str | int) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def json_field(doc: dict, key: str, name: str | None = None):
+    """doc[key]; a missing key raises a ValueError naming the field."""
+    if key not in doc:
+        raise ValueError(f"missing field {name or key}")
+    return doc[key]
+
+
 class Laurent:
     """A Laurent polynomial over Q in a fixed tuple of variables.
 

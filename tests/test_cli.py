@@ -12,6 +12,16 @@ from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import Laurent, Series
 
 
+MISSING = object()  # a field value that deletes the field
+
+
+def set_field(doc, key, value):
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -231,12 +241,14 @@ class TestPnAndVerify:
         (["B0", 1, 0], [[0, "1/0"]], "zero denominator in '1/0'"),
         (["Binf", 1, 1], 0.5, "expected a rational string or an integer, got 0.5"),
         (["B0", 1, 0], [[0, 0.5]], "expected a rational string or an integer, got 0.5"),
+        (["Binf"], MISSING, "missing field Binf"),
+        (["C", "q"], MISSING, "missing field C[q]"),
     ]
 
     @pytest.mark.parametrize("command", ["verify", "hm"])
     @pytest.mark.parametrize("path,value,message", MALFORMED,
                              ids=["vars-int", "B0-int", "exponent-str", "zero-denominator",
-                                  "Binf-float", "entry-float"])
+                                  "Binf-float", "entry-float", "missing-Binf", "C-without-q"])
     def test_malformed_family_is_an_input_error(self, capsys, tmp_path, command,
                                                 path, value, message):
         fam_path = tmp_path / "p1.json"
@@ -245,7 +257,7 @@ class TestPnAndVerify:
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        set_field(target, path[-1], value)
         fam_path.write_text(json.dumps(doc))
         psi_path = tmp_path / "psi.json"
         psi_path.write_text(json.dumps(problem_to_json(
@@ -349,14 +361,16 @@ class TestHm:
         ("psi", [[{"exps": ["x"], "coef": [[0, "1"]]}], []], [],
          "expected a list of 1 integer exponents, got ['x']"),
         ("psi", [[{"exps": [1], "coef": [[0, "1/0"]]}], []], [], "zero denominator"),
+        ("omega", MISSING, [], "missing field omega"),
+        ("psi", [[{"exps": [1]}], []], [], "missing field coef"),
     ], ids=["order-str", "order-str-with-flag", "order-bool", "order-negative",
             "newVars-int", "newVars-int-list", "psi-int", "omega-float", "omega-str",
-            "psi-exps-str", "psi-zero-denominator"])
+            "psi-exps-str", "psi-zero-denominator", "missing-omega", "psi-without-coef"])
     def test_mistyped_problem_field_is_rejected(self, capsys, inputs,
                                                 field, value, flags, message):
         fam_path, psi_path = inputs
         doc = json.loads(psi_path.read_text())
-        doc[field] = value
+        set_field(doc, field, value)
         psi_path.write_text(json.dumps(doc))
         code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
                               *flags], capsys)

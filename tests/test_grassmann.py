@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from altfrob.grassmann import (
     complement_partition,
     indices_from_partition,
     lr_count,
+    lr_products,
     metric_sign_report,
     partition_from_indices,
     rect_partitions,
@@ -145,6 +146,29 @@ class TestLittlewoodRichardson:
     def test_containment_required(self):
         assert lr_count((2, 2), (3,), (1,)) == 0
 
+    def test_products_keep_at_most_r_rows(self):
+        assert lr_products((1, 1), (1,), 2) == {(2, 1): 1}
+        assert lr_products((1, 1, 1), (1,), 2) == {} == lr_products((1,), (1, 1, 1), 2)
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4) for n in range(r, 6)]
+                             + [(4, n) for n in range(4, 7)])
+    def test_products_agree_with_skew_fillings(self, r, n):
+        """Lattice tableaux of one factor against skew fillings, both orders."""
+        def partitions(size, rows, cap):
+            if size == 0:
+                yield ()
+            elif rows:
+                for first in range(min(size, cap), 0, -1):
+                    for rest in partitions(size - first, rows - 1, first):
+                        yield (first,) + rest
+
+        for lam, mu in product(rect_partitions(r, n), repeat=2):
+            size = sum(lam) + sum(mu)
+            nus = list(partitions(size, r, size))
+            want = {nu: c for nu in nus if (c := lr_count(nu, lam, mu))}
+            assert lr_products(lam, mu, r) == want, (lam, mu)
+            assert all(lr_count(nu, mu, lam) == want.get(nu, 0) for nu in nus), (lam, mu)
+
 
 class TestRimHooks:
     def test_wraparound_hook(self):
@@ -189,7 +213,8 @@ class TestAnchorProducts:
 class TestOracleAgreement:
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4)
                                      for n in range(r, 6)]
-                             + [(4, n) for n in range(4, 8)])
+                             + [(4, n) for n in range(4, 8)]
+                             + [(2, 10), (3, 8), (5, 7)])
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
 
@@ -271,8 +296,17 @@ class TestSerialization:
         (lambda d: d["entries"][0].__setitem__("mu", "21"),
          "partitions must be lists of integers"),
         (None, "a table must be a JSON object, got list"),
+        (lambda d: d.pop("entries"), "missing field entries"),
+        (lambda d: d["entries"][0].pop("nu"), "missing field nu"),
+        (lambda d: d["entries"][0].pop("q"), "missing field q"),
+        (lambda d: d["entries"][0]["q"][0].__setitem__(1, "1/0"), "zero denominator in '1/0'"),
+        (lambda d: d.__setitem__("r", 0), "need 1 <= r <= n, got r = 0, n = 3"),
+        (lambda d: d.__setitem__("r", 4), "need 1 <= r <= n, got r = 4, n = 3"),
+        (lambda d: d["entries"][0].__setitem__("lambda", [5]),
+         "partitions must fit the 2 x 2 rectangle"),
     ], ids=["float-coefficient", "bool-exponent", "r-str", "entries-int",
-            "entry-int", "mu-str", "not-an-object"])
+            "entry-int", "mu-str", "not-an-object", "missing-entries", "missing-nu",
+            "missing-q", "zero-denominator", "r-zero", "r-above-n", "lambda-outside"])
     def test_mistyped_table_is_rejected(self, mutate, message):
         doc = json.loads(json.dumps(alt_structure_constants(2, 3).to_json()))
         if mutate is None:
