@@ -61,11 +61,9 @@ from .linalg import (
     wedge_of_sum,
 )
 from .mirror import (
-    BrieskornPoint,
     JacobianAlgebra,
     compare_quantum_gm,
     convenience_witness,
-    gm_wedge,
     is_convenient,
     jacobian_algebra,
     kouchnirenko_bound,
@@ -75,7 +73,6 @@ from .mirror import (
     subset_sum_charpoly,
     torus_relations,
     torus_vars,
-    ts_tensor,
 )
 from .presaito import (
     BaseVar,
@@ -101,7 +98,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseVar",
-    "BrieskornPoint",
     "DeformationProblem",
     "FrobeniusData",
     "InvariantViolation",
@@ -132,7 +128,6 @@ __all__ = [
     "family_from_json",
     "family_to_json",
     "frobenius_data",
-    "gm_wedge",
     "gw_pn2",
     "hm_extend",
     "is_convenient",
@@ -161,7 +156,6 @@ __all__ = [
     "torus_vars",
     "trivial_deformation",
     "trivial_deformation_problem",
-    "ts_tensor",
     "universal_big_quantum",
     "vandermonde",
     "wdvv_oracle",

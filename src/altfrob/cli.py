@@ -34,11 +34,11 @@ from pathlib import Path
 from .deform import (InvariantViolation, NotPrePrimitive, gw_pn2, hm_extend, problem_from_json,
                      wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
-from .linalg import charpoly
-from .mirror import (NotTame, compare_quantum_gm, gm_wedge, jacobian_algebra, mirror_brieskorn,
-                     mirror_f, mult_f_matrix)
+from .linalg import charpoly, wedge_indices
+from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, mirror_brieskorn, mirror_f,
+                     mult_f_matrix)
 from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
-                       loads_family)
+                       loads_family, wedge)
 from .projective import pn_small_family
 
 CONFIG_NAME = "altfrob.json"
@@ -271,14 +271,14 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
         r = args.wedge
         if not 1 <= r <= n:
             raise UsageError("need 1 <= wedge degree <= n")
-        point = gm_wedge(mirror_brieskorn(n, box_max=box_max), r)
-        coeffs = charpoly(point.R0)
+        F, labels = mirror_brieskorn(n, box_max=box_max)
+        W = wedge(F, r)
         doc = {
             "n": n,
             "wedge": r,
-            "rank": point.rank,
-            "labels": list(point.labels),
-            "charpoly": [_encode_laurent(c) for c in coeffs],
+            "rank": W.d,
+            "labels": ["^".join(labels[i] for i in I) for I in wedge_indices(n + 1, r)],
+            "charpoly": [_encode_laurent(c) for c in charpoly(W.B0)],
         }
         _emit(_dumps(doc), settings.get("out"))
         return 0

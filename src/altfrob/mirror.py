@@ -4,12 +4,15 @@ The mirror of projective n-space is f = u_1 + ... + u_n + q/(u_1...u_n) on
 the n-torus over Q[q].  Its Jacobian algebra is computed exactly by linear
 algebra in a growing exponent box: f is quasi-homogeneous (deg u_i = 1,
 deg q = n+1), so the box is row-reduced at q = 1 over the rationals and
-each q-power is read back off the grading.  Multiplication by f in a
-dressed monomial basis reproduces the small quantum connection matrix, and
-exterior powers of the resulting lattice are compared against the wedge of
-the quantum side through characteristic polynomials.  A separate Newton-identity route
-computes subset-sum characteristic polynomials straight from eigenvalue
-symmetric functions, so the wedge spectra are checked twice.
+each q-power is read back off the grading.  On a dressed monomial basis the
+Brieskorn lattice of f is a pre-Saito family over the q-line (Douai and
+Sabbah): B_0 is multiplication by f and C_q is minus multiplication by
+q*df/dq, which reproduce the small quantum family of projective n-space.
+Its wedge powers are ``presaito.wedge`` of that family, compared against the
+wedge of the quantum side through characteristic polynomials.  A separate
+Newton-identity route computes subset-sum characteristic polynomials
+straight from eigenvalue symmetric functions, so the wedge spectra are
+checked twice.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from itertools import combinations, product
 from operator import add
 from typing import NamedTuple, Sequence
 
-from .linalg import (Mat, charpoly, det, kron_sum, rank_field, row_reduce,
-                     wedge_indices, wedge_of_sum)
-from .presaito import Report, wedge
+from .linalg import Mat, charpoly, det, rank_field, row_reduce
+from .presaito import PreSaitoFamily, Report, wedge
 from .projective import pn_small_family
 from .rings import QVARS, Laurent, fraction_to_str
 
@@ -406,62 +408,33 @@ def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Lattice points and their tensor / wedge calculus
+# The mirror lattice as a family over the q-line
 # ---------------------------------------------------------------------------
 
 
-class BrieskornPoint(NamedTuple):
-    """A free Q[q]-lattice with its connection pair (R0, Rinf)."""
+def mirror_brieskorn(n: int, box_max: int = 8) -> tuple[PreSaitoFamily, tuple[str, ...]]:
+    """The Brieskorn lattice of the mirror of projective n-space over the
+    q-line, with the labels of its dressed Jacobian basis.
 
-    rank: int
-    R0: Mat
-    Rinf: Mat
-    labels: tuple[str, ...]
-
-
-def mirror_brieskorn(n: int, box_max: int = 8) -> BrieskornPoint:
-    """The lattice of the mirror of projective n-space.
-
-    R0 is multiplication by f on the dressed Jacobian basis; the residue at
-    infinity is -diag(0..n) on the same basis, matching the cohomological
-    grading of the flag classes.  Cached on (n, box_max), however the call
-    spells them.
+    On that basis B_0 is multiplication by f, C_q is minus multiplication
+    by the q-term q*df/dq = q/(u_1...u_n), and B_inf = diag(0..n) is the
+    cohomological grading of the flag classes.  Cached on (n, box_max),
+    however the call spells them.
     """
     return _mirror_brieskorn(n, box_max)
 
 
 @lru_cache(maxsize=None)
-def _mirror_brieskorn(n: int, box_max: int) -> BrieskornPoint:
+def _mirror_brieskorn(n: int, box_max: int) -> tuple[PreSaitoFamily, tuple[str, ...]]:
     f = mirror_f(n)
     J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
-    R0 = mult_f_matrix(J)
-    Rinf = Mat.diag([Laurent.const(QVARS, -k) for k in range(n + 1)])
-    return BrieskornPoint(n + 1, R0, Rinf, J.labels())
+    Binf = Mat.diag([Laurent.const(QVARS, k) for k in range(n + 1)])
+    C = -mult_f_matrix(J, f.log_deriv("q"))
+    return PreSaitoFamily((("q", "q"),), n + 1, Binf, mult_f_matrix(J), {"q": C}), J.labels()
 
 
 # the hit and miss counts stay readable under the public name
 mirror_brieskorn.cache_info = _mirror_brieskorn.cache_info
-
-
-def ts_tensor(A: BrieskornPoint, B: BrieskornPoint) -> BrieskornPoint:
-    """External product of lattices: both connection matrices Kronecker-add."""
-    labels = tuple(f"{a}|{b}" for a in A.labels for b in B.labels)
-    return BrieskornPoint(A.rank * B.rank,
-                          kron_sum(A.R0, B.R0),
-                          kron_sum(A.Rinf, B.Rinf),
-                          labels)
-
-
-def gm_wedge(B: BrieskornPoint, r: int) -> BrieskornPoint:
-    """The r-th wedge power, with both matrices acting as derivations."""
-    if not 0 < r <= B.rank:
-        raise ValueError(f"wedge degree {r} out of range for rank {B.rank}")
-    labels = tuple("^".join(B.labels[i] for i in I)
-                   for I in wedge_indices(B.rank, r))
-    return BrieskornPoint(math.comb(B.rank, r),
-                          wedge_of_sum(B.R0, r),
-                          wedge_of_sum(B.Rinf, r),
-                          labels)
 
 
 # ---------------------------------------------------------------------------
@@ -561,27 +534,27 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
         raise ValueError("need 0 < r <= n")
     rep = Report(f"quantum vs Gauss-Manin, wedge {r} of the n={n} mirror")
 
-    mirror = mirror_brieskorn(n, box_max=box_max)
-    Wm = gm_wedge(mirror, r)
+    mirror, _ = mirror_brieskorn(n, box_max=box_max)
+    Wm = wedge(mirror, r)
     quantum = wedge(pn_small_family(n), r)
 
-    rep.record("wedge ranks agree", Wm.rank == quantum.d,
-               witness=f"{Wm.rank} vs {quantum.d}")
+    rep.record("wedge ranks agree", Wm.d == quantum.d,
+               witness=f"{Wm.d} vs {quantum.d}")
 
-    cp_mirror = charpoly(Wm.R0)
+    cp_mirror = charpoly(Wm.B0)
     cp_quantum = charpoly(quantum.B0)
     rep.record("multiplication charpolys agree over Q[q]",
                cp_mirror == cp_quantum,
                witness=" vs ".join(_poly_str(c)
                                    for c in (cp_mirror, cp_quantum)))
 
-    cp_subset = subset_sum_charpoly(charpoly(mirror.R0), r)
+    cp_subset = subset_sum_charpoly(charpoly(mirror.B0), r)
     rep.record("subset-sum route reproduces the wedge charpoly",
                cp_subset == cp_mirror,
                witness=_poly_str(cp_subset))
 
-    spec_m = sorted(Wm.Rinf[i, i].as_fraction() for i in range(Wm.rank))
-    spec_q = sorted(-quantum.Binf[i, i].as_fraction() for i in range(quantum.d))
+    spec_m, spec_q = (sorted(-W.Binf[i, i].as_fraction() for i in range(W.d))
+                      for W in (Wm, quantum))
     rep.record("integer spectra at infinity agree", spec_m == spec_q,
                witness=f"{spec_m} vs {spec_q}")
     return rep

@@ -26,16 +26,14 @@ from altfrob.grassmann import (
     complement_partition,
     rimhook_oracle,
 )
-from altfrob.linalg import Mat, charpoly
+from altfrob.linalg import Mat, charpoly, kron_sum, wedge_of_sum
 from altfrob.mirror import (
     compare_quantum_gm,
-    gm_wedge,
     jacobian_algebra,
     mirror_brieskorn,
     mirror_f,
     mult_f_matrix,
     subset_sum_charpoly,
-    ts_tensor,
 )
 from altfrob.presaito import check_metric, check_pre_saito, wedge
 from altfrob.projective import build_pn, pn_small_family
@@ -186,16 +184,16 @@ def test_criterion_08_quantum_vs_gauss_manin():
             assert rep.ok, f"(r, n) = ({r}, {n}): {rep.first_witness()}"
 
     z3_plus_27q = [ONE, ZERO, ZERO, Q * 27]
-    wedge_mirror = gm_wedge(mirror_brieskorn(2), 2)
-    assert charpoly(wedge_mirror.R0) == z3_plus_27q
+    wedge_mirror = wedge(mirror_brieskorn(2)[0], 2)
+    assert charpoly(wedge_mirror.B0) == z3_plus_27q
     assert charpoly(wedge(pn_small_family(2), 2).B0) == z3_plus_27q
 
-    lattices = [mirror_brieskorn(n) for n in range(1, 5)]
-    lattices.append(ts_tensor(mirror_brieskorn(1), mirror_brieskorn(1)))
-    for B in lattices:
-        p = charpoly(B.R0)
-        for r in range(1, B.rank + 1):
-            assert subset_sum_charpoly(p, r) == charpoly(gm_wedge(B, r).R0)
+    lattices = [mirror_brieskorn(n)[0].B0 for n in range(1, 5)]
+    lattices.append(kron_sum(lattices[0], lattices[0]))
+    for B0 in lattices:
+        p = charpoly(B0)
+        for r in range(1, B0.shape[0] + 1):
+            assert subset_sum_charpoly(p, r) == charpoly(wedge_of_sum(B0, r))
     _stamp(8, "wedge Gauss-Manin matches the quantum side for r <= n <= 4, "
               "with the subset-sum oracle on every lattice", t0)
 

@@ -7,7 +7,8 @@ import pytest
 from altfrob import cli
 from altfrob.deform import problem_to_json, trivial_deformation_problem, universal_big_quantum
 from altfrob.linalg import Mat
-from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family
+from altfrob.mirror import mirror_brieskorn
+from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family, wedge
 from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import Laurent, Series
 
@@ -178,6 +179,13 @@ class TestPnAndVerify:
         code, out, _ = run(["verify", "--family", str(fam_path)], capsys)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_verify_mirror_wedge(self, capsys, tmp_path):
+        fam_path = tmp_path / "mirror3-wedge2.json"
+        fam_path.write_text(dumps_family(wedge(mirror_brieskorn(3)[0], 2)))
+        code, out, _ = run(["verify", "--family", str(fam_path)], capsys)
+        assert code == 0
+        assert "FAIL" not in out and "pre-Saito relations" in out
 
     def test_verify_flags_a_corrupted_family(self, capsys, tmp_path):
         fam_path = tmp_path / "p2.json"
@@ -466,6 +474,7 @@ class TestMirrorPayloads:
         _, out, _ = run(["mirror", "--n", "2", "--wedge", "2"], capsys)
         doc = json.loads(out)
         assert doc["rank"] == 3
+        assert doc["labels"] == ["1^q*u^(-1,-1)", "1^q*u^(0,-1)", "q*u^(-1,-1)^q*u^(0,-1)"]
         assert doc["charpoly"] == [[[0, "1"]], [], [], [[1, "27"]]]
 
     def test_compare_reports_pass(self, capsys):

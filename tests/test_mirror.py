@@ -5,15 +5,14 @@ from itertools import product
 
 import pytest
 
-from altfrob.linalg import Mat, charpoly
+from altfrob.linalg import Mat, charpoly, kron_sum, wedge_indices, wedge_of_sum
 from altfrob.mirror import (
-    BrieskornPoint,
     _box_echelon,
     _grading,
+    _mirror_brieskorn,
     _poly_str,
     compare_quantum_gm,
     convenience_witness,
-    gm_wedge,
     is_convenient,
     jacobian_algebra,
     kouchnirenko_bound,
@@ -23,8 +22,10 @@ from altfrob.mirror import (
     subset_sum_charpoly,
     torus_relations,
     torus_vars,
-    ts_tensor,
 )
+from altfrob.presaito import (check_pre_saito, dumps_family, family_from_json, family_to_json,
+                              loads_family, tensor, wedge)
+from altfrob.projective import pn_small_family
 from altfrob.rings import Laurent
 
 QV = ("q",)
@@ -210,31 +211,70 @@ class TestMultiplication:
         assert cp == expected
 
 
+def mirror_b0(n):
+    return mirror_brieskorn(n)[0].B0
+
+
 class TestTensorAndWedge:
     def test_kronecker_sum_spectrum(self):
-        P1 = mirror_brieskorn(1)
-        T = ts_tensor(P1, P1)
-        assert T.rank == 4
+        # the tensor square along the diagonal of the q-line
+        T = kron_sum(mirror_b0(1), mirror_b0(1))
+        assert T.shape == (4, 4)
         # eigenvalues +-2 sqrt(q) doubled: at q = 1 the spectrum is 4,0,0,-4
-        assert charpoly(T.R0) == [ONE, ZERO, -16 * Q, ZERO, ZERO]
+        assert charpoly(T) == [ONE, ZERO, -16 * Q, ZERO, ZERO]
 
     def test_tensor_is_associative(self):
-        P1 = mirror_brieskorn(1)
-        P2 = mirror_brieskorn(2)
-        left = ts_tensor(ts_tensor(P1, P2), P1)
-        right = ts_tensor(P1, ts_tensor(P2, P1))
-        assert charpoly(left.R0) == charpoly(right.R0)
-        assert left.rank == right.rank == 12
+        P1, P2 = mirror_b0(1), mirror_b0(2)
+        left = kron_sum(kron_sum(P1, P2), P1)
+        right = kron_sum(P1, kron_sum(P2, P1))
+        assert charpoly(left) == charpoly(right)
+        assert left.shape == right.shape == (12, 12)
+
+    def test_external_tensor_over_two_lines_is_pre_saito(self):
+        doc = family_to_json(mirror_brieskorn(2)[0])
+        doc["vars"], doc["C"] = ["p"], {"p": doc["C"]["q"]}
+        T = tensor(mirror_brieskorn(1)[0], family_from_json(doc))
+        assert T.d == 6 and T.qvars == ("q", "p")
+        assert check_pre_saito(T).ok
 
     def test_wedge_of_projective_plane_mirror(self):
-        W = gm_wedge(mirror_brieskorn(2), 2)
-        assert W.rank == 3
-        assert charpoly(W.R0) == [ONE, ZERO, ZERO, 27 * Q]
+        W = wedge(mirror_brieskorn(2)[0], 2)
+        assert W.d == 3
+        assert charpoly(W.B0) == [ONE, ZERO, ZERO, 27 * Q]
 
     def test_wedge_labels_and_rank(self):
-        W = gm_wedge(mirror_brieskorn(2), 2)
-        assert len(W.labels) == 3
-        assert W.labels[0] == "1^q*u^(-1,-1)"
+        F, labels = mirror_brieskorn(2)
+        assert labels == ("1", "q*u^(-1,-1)", "q*u^(0,-1)")
+        assert wedge(F, 2).d == len(wedge_indices(len(labels), 2)) == 3
+
+
+class TestMirrorFamily:
+    @pytest.mark.parametrize("r,n", [(r, n) for n in range(1, 5)
+                                     for r in range(1, n + 1)])
+    def test_wedge_is_the_quantum_wedge(self, r, n):
+        # check_pre_saito holds C + q d_q B0 = [Binf, C], which pins Binf up to a scalar
+        W = wedge(mirror_brieskorn(n)[0], r)
+        quantum = wedge(pn_small_family(n), r)
+        assert W.base == quantum.base
+        assert W.Binf == quantum.Binf
+        assert W.B0 == quantum.B0
+        assert W.C["q"] == quantum.C["q"]
+        rep = check_pre_saito(W)
+        assert rep.ok, "\n".join(rep.lines())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_json_round_trip(self, n):
+        F = mirror_brieskorn(n)[0]
+        back = loads_family(dumps_family(F))
+        assert (back.base, back.Binf, back.B0, back.C) == (F.base, F.Binf, F.B0, F.C)
+
+    def test_cache_counts_one_lattice_for_two_wedges(self):
+        # the bench tracer reads these counts off the public name
+        _mirror_brieskorn.cache_clear()
+        compare_quantum_gm(1, 2)
+        compare_quantum_gm(2, 2)
+        info = mirror_brieskorn.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestSubsetSumCharpoly:
@@ -255,10 +295,9 @@ class TestSubsetSumCharpoly:
         assert subset_sum_charpoly(p, 3) == [ONE, ZERO]
 
     def test_matches_wedge_for_tensor_square(self):
-        T = ts_tensor(mirror_brieskorn(1), mirror_brieskorn(1))
+        T = kron_sum(mirror_b0(1), mirror_b0(1))
         for r in (1, 2, 3):
-            assert subset_sum_charpoly(charpoly(T.R0), r) == \
-                charpoly(gm_wedge(T, r).R0)
+            assert subset_sum_charpoly(charpoly(T), r) == charpoly(wedge_of_sum(T, r))
 
 
 class TestQuantumComparison:
@@ -278,8 +317,8 @@ class TestQuantumComparison:
         assert mirror_brieskorn(3) is mirror_brieskorn(3, 8)
 
     def test_projective_plane_charpoly_value(self):
-        W = gm_wedge(mirror_brieskorn(2), 2)
-        assert charpoly(W.R0) == [ONE, ZERO, ZERO, 27 * Q]
+        W = wedge(mirror_brieskorn(2)[0], 2)
+        assert charpoly(W.B0) == [ONE, ZERO, ZERO, 27 * Q]
 
     def test_witness_polynomial_writes_negative_terms_with_a_minus(self):
         assert _poly_str([ONE, ZERO, -Q]) == "z^2 - q"
@@ -290,4 +329,4 @@ class TestQuantumComparison:
         with pytest.raises(ValueError):
             compare_quantum_gm(3, 2)
         with pytest.raises(ValueError):
-            gm_wedge(mirror_brieskorn(1), 3)
+            wedge(mirror_brieskorn(1)[0], 3)
