@@ -40,6 +40,7 @@ from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, mirror_bries
 from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
                        loads_family, wedge)
 from .projective import pn_small_family
+from .rings import json_text
 
 CONFIG_NAME = "altfrob.json"
 FORMATS = ("json", "csv", "pretty")
@@ -66,16 +67,35 @@ class CheckFailed(Exception):
 # configuration and output plumbing
 
 
-def _load_config(path: str) -> dict:
+def _read_input(path: str, what: str, parse=json.loads):
+    """``parse`` of an input file's UTF-8 text; every way it can fail is a UsageError.
+
+    A missing or unreadable file, bytes that are not UTF-8, text that is not
+    JSON or nests past the recursion limit, and a document ``parse`` rejects
+    all exit 2 with one line.
+    """
     p = Path(path)
     if not p.is_file():
-        return {}
+        raise UsageError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}")
+        return parse(p.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc.strerror or exc}")
+    except (KeyError, ValueError, RecursionError) as exc:
+        raise UsageError(f"could not parse {what} file {path}: {exc}")
+
+
+def _read_json(path: str, what: str) -> dict:
+    doc = _read_input(path, what)
     if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise UsageError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
+def _load_config(path: str) -> dict:
+    if not Path(path).is_file():
+        return {}
+    doc = _read_json(path, "config")
     bad = [k for k in doc if k not in DEFAULTS]
     if bad:
         raise UsageError(f"unknown config keys in {path}: {', '.join(sorted(bad))}")
@@ -124,10 +144,6 @@ def _emit(text: str, out: str | None) -> None:
 def _note(settings: Settings, message: str) -> None:
     if settings.get("verbosity") >= 2:
         print(message, file=sys.stderr)
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _check_order(K: int | None, limit: int | None, what: str) -> None:
@@ -222,12 +238,12 @@ def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
         return 0
 
     if args.metric:
-        _emit(_dumps(alt_metric(r, n).to_json()), settings.get("out"))
+        _emit(json_text(alt_metric(r, n).to_json()), settings.get("out"))
         return 0
 
     fmt = settings.get("format")
     if fmt == "json":
-        text = _dumps(table.to_json())
+        text = json_text(table.to_json())
     elif fmt == "csv":
         text = table.to_csv()
     else:
@@ -280,7 +296,7 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
             "labels": ["^".join(labels[i] for i in I) for I in wedge_indices(n + 1, r)],
             "charpoly": [_encode_laurent(c) for c in charpoly(W.B0)],
         }
-        _emit(_dumps(doc), settings.get("out"))
+        _emit(json_text(doc), settings.get("out"))
         return 0
 
     J = jacobian_algebra(mirror_f(n), box_max=box_max)
@@ -292,35 +308,12 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
         "basis": J.labels(),
         "matrix": [[_encode_laurent(M[i, j]) for j in range(J.dim)] for i in range(J.dim)],
     }
-    _emit(_dumps(doc), settings.get("out"))
+    _emit(json_text(doc), settings.get("out"))
     return 0
 
 
-def _read_json(path: str, what: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{what} file not found: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise UsageError(f"{what} file {path} must hold a JSON object")
-    return doc
-
-
-def _read_family(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"family file not found: {path}")
-    try:
-        return loads_family(p.read_text())
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"could not parse family file {path}: {exc}")
-
-
 def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
-    initial = _read_family(args.family)
+    initial = _read_input(args.family, "family", loads_family)
     doc = _read_json(args.psi, "problem")
     K = settings.get("K", flag_name="order")
     try:
@@ -342,7 +335,7 @@ def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
-    fam = _read_family(args.family)
+    fam = _read_input(args.family, "family", loads_family)
     K = settings.get("K", flag_name="order")
     _check_order(K, fam.order, "the family's truncation")
     reports = [check_pre_saito(fam, order=K)]

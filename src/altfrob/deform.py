@@ -34,7 +34,6 @@ WDVV recursion, to rational Gromov-Witten numbers of the plane.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from fractions import Fraction

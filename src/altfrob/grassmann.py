@@ -242,8 +242,7 @@ class QLRTable:
     def to_json(self) -> dict:
         entries = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
                     "q": self._integer_terms((lam, mu, nu))}
-                   for lam, mu, nu in self.entries]
-        entries.sort(key=lambda d: (d["lambda"], d["mu"], d["nu"]))
+                   for lam, mu, nu in sorted(self.entries)]
         return {"r": self.r, "n": self.n, "entries": entries}
 
     def to_csv(self) -> str:
@@ -314,12 +313,16 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     shifted = {lam: I[::-1] for I, lam in part_of.items()}
     memo: dict = {}
     weights = {lam: _tableau_weights(lam, r, memo) for lam in parts}
+    straightened: dict = {}     # exponent vector -> _straighten of it, each done once
     entries = {}
     for lam, mu in _ordered_pairs(parts):
         a, b = (lam, mu) if len(weights[lam]) <= len(weights[mu]) else (mu, lam)
         acc: dict[tuple[int, ...], dict[int, int]] = {}
         for w, k in weights[a].items():
-            st = _straighten([s + x for s, x in zip(shifted[b], w)], n)
+            exps = tuple([s + x for s, x in zip(shifted[b], w)])
+            if exps not in straightened:
+                straightened[exps] = _straighten(exps, n)
+            st = straightened[exps]
             if st is None:
                 continue
             sign, carries, I = st

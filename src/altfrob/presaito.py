@@ -54,6 +54,7 @@ from .rings import (
     fraction_to_str,
     is_zero,
     json_field,
+    json_text,
 )
 
 VAR_KINDS = ("q", "laurent", "series")
@@ -697,7 +698,7 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
 
 
 def dumps_family(F: PreSaitoFamily) -> str:
-    return json.dumps(family_to_json(F), sort_keys=True, indent=2) + "\n"
+    return json_text(family_to_json(F))
 
 
 def loads_family(text: str) -> PreSaitoFamily:

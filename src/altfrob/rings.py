@@ -33,6 +33,7 @@ No floating point is used anywhere; all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -71,6 +72,43 @@ def json_field(doc: dict, key: str, name: str | None = None):
     if key not in doc:
         raise ValueError(f"missing field {name or key}")
     return doc[key]
+
+
+def json_text(doc) -> str:
+    """The one JSON writer: ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    Byte for byte the same text, without the stdlib's pure-Python indenting
+    encoder.  Only dicts with ``str`` keys, lists, tuples, ints, strings,
+    booleans and None are written; anything else, a float or a Fraction
+    included, raises TypeError.
+    """
+    return _json_value(doc, "\n") + "\n"
+
+
+def _json_value(x, nl: str) -> str:
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        # int leaves inline; a bool fails `type(v) is int` and recurses
+        return "[" + inner + ("," + inner).join(
+            [int.__repr__(v) if type(v) is int else _json_value(v, inner) for v in x]
+        ) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str raises TypeError in sorted() or _json_str
+        return "{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json_value(v, inner) for k, v in sorted(x.items())]
+        ) + nl + "}"
+    if isinstance(x, str):
+        return _json_str(x)
+    if isinstance(x, int):
+        return "true" if x is True else "false" if x is False else int.__repr__(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"cannot write {type(x).__name__} as JSON: {x!r}")
 
 
 class Laurent:

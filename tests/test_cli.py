@@ -6,6 +6,7 @@ import pytest
 
 from altfrob import cli
 from altfrob.deform import problem_to_json, trivial_deformation_problem, universal_big_quantum
+from altfrob.grassmann import QLRTable, alt_structure_constants
 from altfrob.linalg import Mat
 from altfrob.mirror import mirror_brieskorn
 from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family, wedge
@@ -120,6 +121,18 @@ class TestDeterminism:
         assert out1 == out2
         assert out1.endswith("\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["grassmann", "--r", "2", "--n", "3"],
+        ["grassmann", "--r", "2", "--n", "3", "--metric"],
+        ["mirror", "--n", "2"],
+        ["mirror", "--n", "3", "--wedge", "2"],
+        ["pn", "--n", "2"],
+    ])
+    def test_json_layout_is_sorted_with_indent_2(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
     def test_json_keys_are_sorted(self, capsys):
         _, out, _ = run(["mirror", "--n", "1"], capsys)
         doc = json.loads(out)
@@ -147,6 +160,11 @@ class TestFormats:
         assert doc["r"] == 2 and doc["n"] == 3
         assert len(doc["partitions"]) == 6
         assert len(doc["entries"]) == 6
+
+    def test_table_json_round_trips(self, capsys):
+        code, out, _ = run(["grassmann", "--r", "3", "--n", "6"], capsys)
+        assert code == 0
+        assert QLRTable.from_json(json.loads(out)) == alt_structure_constants(3, 6)
 
     def test_out_flag_writes_file_and_keeps_stdout_quiet(self, capsys, tmp_path):
         target = tmp_path / "table.json"
@@ -335,6 +353,28 @@ class TestHm:
         code, out, _ = run(["verify", "--family", str(out_path)], capsys)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_extension_layout_is_sorted_with_indent_2(self, capsys, tmp_path, inputs):
+        fam_path, psi_path = inputs
+        out_path = tmp_path / "extended.json"
+        assert run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                    "--out", str(out_path)], capsys)[0] == 0
+        text = out_path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("reader", ["config", "problem", "family"])
+    @pytest.mark.parametrize("content", [b'{"order": "\xff"}', b"[" * 200000],
+                             ids=["not-utf8", "nested-200000-deep"])
+    def test_undecodable_input_is_an_input_error(self, capsys, tmp_path, inputs,
+                                                 reader, content):
+        fam_path, psi_path = inputs
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        argv = {"config": ["gw", "--dmax", "1", "--config", str(bad)],
+                "problem": ["hm", "--family", str(fam_path), "--psi", str(bad)],
+                "family": ["hm", "--family", str(bad), "--psi", str(psi_path)]}[reader]
+        code, out, err = run(argv, capsys)
+        assert_one_line_usage_error(code, out, err, f"could not parse {reader} file")
 
     def test_order_flag_lowers_truncation(self, capsys, inputs):
         fam_path, psi_path = inputs

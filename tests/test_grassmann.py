@@ -214,7 +214,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4)
                                      for n in range(r, 6)]
                              + [(4, n) for n in range(4, 8)]
-                             + [(2, 10), (3, 8), (5, 7)])
+                             + [(2, 10), (3, 8), (5, 7), (4, 8)])
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
 

@@ -1,5 +1,6 @@
 """Scalar tower: Laurent polynomials, exact division, truncated series."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob.linalg import Mat
-from altfrob.rings import Laurent, Series, laurent_dot, qlaurent, series_dot
+from altfrob.rings import Laurent, Series, json_text, laurent_dot, qlaurent, series_dot
 
 QV = ("q",)
 
@@ -387,3 +388,34 @@ def test_laurent_dot_cancels_and_rejects_mismatched_variables():
         laurent_dot([(q, Laurent.zero(("p",)))])
     with pytest.raises(ValueError, match="variable mismatch"):
         Mat([[q, p]]) @ Mat([[q], [p]])
+
+
+# Leaves json_text accepts: ints of any size and sign, booleans next to 0 and 1
+# (equal and hashing alike, yet written differently), None, and any text.
+json_leaves = (st.integers() | st.sampled_from([0, 1, -1, True, False, None, 2 ** 70, -2 ** 70])
+               | st.text() | st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é☃\U0001f600"]))
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_docs)
+def test_json_text_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_json_text_keeps_booleans_and_ints_apart():
+    doc = [[False], [0], [True], [1], {"a": [0, False, None]}]
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [1.5, [Fraction(1, 2)], {"a": [0.0]}, {1: "x"},
+                                 {"a": {2: 3}}, {"a": 1, None: 2}, {3}],
+                         ids=["float", "fraction", "nested-float", "int-key",
+                              "nested-int-key", "none-key", "set"])
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        json_text(doc)
