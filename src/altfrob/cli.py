@@ -92,9 +92,12 @@ def _read_json(path: str, what: str) -> dict:
     return doc
 
 
-def _load_config(path: str) -> dict:
-    if not Path(path).is_file():
-        return {}
+def _load_config(path: str | None) -> dict:
+    """The named config file, or ./altfrob.json when it exists, or no settings."""
+    if path is None:
+        if not Path(CONFIG_NAME).is_file():
+            return {}
+        path = CONFIG_NAME
     doc = _read_json(path, "config")
     bad = [k for k in doc if k not in DEFAULTS]
     if bad:
@@ -357,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="altfrob",
         description="Alternate Frobenius products, torus mirrors, and their checks.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=CONFIG_NAME, metavar="FILE",
+    common.add_argument("--config", default=None, metavar="FILE",
                         help=f"settings file (default ./{CONFIG_NAME})")
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format for tables (default json)")

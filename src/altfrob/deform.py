@@ -85,9 +85,8 @@ def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
         if s.vars != svars_all or s.order != p.order:
             raise ValueError("psi coordinates must live in the full "
                              "deformation ring at the requested order")
-        for e in s.terms:
-            if all(e[s.vars.index(v)] == 0 for v in p.new_vars):
-                raise ValueError("psi must vanish when the new variables do")
+        if not s.restrict_zero(p.new_vars).is_zero():
+            raise ValueError("psi must vanish when the new variables do")
     if len(p.omega) != p.initial.d:
         raise ValueError("omega must have one coordinate per rank")
     return svars_all

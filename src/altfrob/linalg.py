@@ -341,13 +341,13 @@ def inv_series(M: Mat, slice_inverse: tuple[Mat, Laurent] | None = None
     """
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
-    coeff = next((c for r in M.rows for s in r for c in s.terms.values()), None)
-    if coeff is None:
+    qvars = next((s.qvars for r in M.rows for s in r if s.flat), None)
+    if qvars is None:
         raise ZeroDivisionError("singular matrix")
-    A, delta = slice_inverse or inv_laurent(series_constant_slice(M, coeff.vars))
+    A, delta = slice_inverse or inv_laurent(series_constant_slice(M, qvars))
     unit = delta == 1
     A = A.map(lambda a: Series.const(svars, order, a))
-    ident = Mat.identity(M.nrows, Series.const(svars, order, Laurent.const(coeff.vars, 1)))
+    ident = Mat.identity(M.nrows, Series.const(svars, order, Laurent.const(qvars, 1)))
     N = (ident if unit else ident.scale(delta)) - (A @ M)
     acc = power = ident
     s = delta

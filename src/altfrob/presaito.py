@@ -80,7 +80,7 @@ def dscalar(x, name: str, kind: str):
             raise TypeError("series derivation on a non-series entry")
         return x.deriv(name)
     if isinstance(x, Series):
-        return x.map_coeffs(lambda c: dscalar(c, name, kind))
+        return x.coeff_deriv(name, kind == "q")
     return x.log_deriv(name) if kind == "q" else x.deriv(name)
 
 
@@ -167,7 +167,7 @@ class PreSaitoFamily:
 
     def matrix_is_constant(self, M: Mat) -> bool:
         """Constant in every base direction (parameters allowed to remain)."""
-        if self.svars and any(any(e) for r in M.rows for s in r for e in s.terms):
+        if self.svars and any(s.truncate(0) != s for r in M.rows for s in r):
             return False
         directions = [v.name for v in self.base if v.kind != "series"]
         return all(x.degree_range(v) == (0, 0)
@@ -418,8 +418,7 @@ def _promote_entries(qvars: tuple[str, ...], svars: tuple[str, ...],
                      order: int | None):
     def up(x):
         if isinstance(x, Series):
-            y = x.map_coeffs(lambda c: c.promote(qvars))
-            return y.promote(svars, order)
+            return x.promote(svars, order, qvars)
         y = x.promote(qvars)
         if svars:
             return Series.const(svars, order, y)

@@ -17,11 +17,18 @@ algebra over ``Laurent`` is fraction-free, and its one division,
 An entry knows its ring: ``x * 0`` is the zero of the ring of ``x`` for
 every scalar of the tower, so no separate ring descriptor exists.
 
-Every ``Series`` product, a single ``a * b``, a ``series_dot`` or a whole
-``Series`` matrix product, goes through one matrix-level kernel,
-``series_matmul``: each operand entry is checked, flattened and sorted by
-degree once per product, zero entries are skipped structurally, and each
-output entry is built once, without re-validating its terms.  Every
+A ``Series`` is one flat dict: the key is the series exponents followed by
+the Laurent exponents (``e + k``), the value a nonzero Fraction, and the
+series keeps its Laurent variable tuple.  Every ``Series`` operation works
+on that dict, so none builds a ``Laurent``; ``Series.terms``, the view
+``{e: Laurent}``, is derived on first use for the JSON encoder, the
+potential and printing.  Every ``Series`` product, a single ``a * b``, a
+``series_dot`` or a whole ``Series`` matrix product, goes through one
+matrix-level kernel, ``series_matmul``: each operand is prepared once and
+the result memoised on it (a series is never mutated), as a common
+denominator and its terms sorted by degree with integer numerators; zero
+entries are skipped structurally, and each output entry accumulates
+integers over one denominator and is written once.  Every
 ``Laurent`` product, a single ``a * b`` or an entry of a ``Laurent`` matrix
 product, goes through ``laurent_dot``: pairs with a zero operand are skipped
 and the result is built once, with no intermediate ``Laurent`` products or
@@ -36,7 +43,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from math import lcm
 from operator import add, itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 
@@ -399,36 +407,48 @@ def qlaurent(pairs: Iterable[tuple[int, int | Fraction]]) -> Laurent:
 class Series:
     """A power series in formal variables, truncated in total degree.
 
-    Coefficients are Laurent polynomials in one variable tuple, the top of
-    the tower; ``series_matmul``, behind every product, rejects any other.  A
-    term whose exponents sum to more than ``order`` is discarded by every
-    operation, so instances represent elements of R[[x]] / (x)^{order+1}
-    with R a Laurent ring.
+    Coefficients are Laurent polynomials in one variable tuple ``qvars``, the
+    top of the tower; a coefficient of any other kind raises TypeError at
+    construction.  A series is one flat dict ``flat`` from ``e + k``, the
+    series exponents e followed by the Laurent exponents k, to nonzero
+    Fractions, and every operation works on that dict without building a
+    Laurent.  A term with sum(e) > ``order`` is discarded by every operation,
+    so instances represent elements of R[[x]] / (x)^{order+1} with R a
+    Laurent ring.  The zero series has no Laurent ring (``qvars`` is None)
+    and takes the ring of the other operand.  Instances are never mutated.
     """
 
-    __slots__ = ("vars", "order", "terms")
+    __slots__ = ("vars", "order", "qvars", "flat", "_terms", "_prep")
 
     def __init__(self, variables: tuple[str, ...], order: int,
-                 terms: Mapping[Exponents, object]):
-        self.vars = variables
-        self.order = order
-        kept = {}
+                 terms: Mapping[Exponents, Laurent]):
+        qvars, flat = None, {}
         for e, c in terms.items():
-            if sum(e) > order:
+            if type(c) is not Laurent:
+                raise TypeError(f"Series needs Laurent coefficients, got {type(c).__name__}")
+            if sum(e) > order or not c.terms:
                 continue
-            if is_zero(c):
-                continue
-            kept[e] = c
-        self.terms = kept
+            if c.vars != qvars:
+                if qvars is not None:
+                    raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
+                qvars = c.vars
+            for k, f in c.terms.items():
+                flat[e + k] = f
+        self.vars, self.order, self.flat = variables, order, flat
+        self.qvars = qvars if flat else None
+        self._terms = self._prep = None
 
     @classmethod
-    def _trusted(cls, variables: tuple[str, ...], order: int, terms: dict) -> "Series":
-        """Wrap terms already known to be nonzero and within the order, without a copy."""
+    def _flat(cls, variables: tuple[str, ...], order: int, qvars, flat: dict) -> "Series":
+        """Wrap a flat dict of nonzero Fractions within the order, without a copy."""
         x = object.__new__(cls)
-        x.vars = variables
-        x.order = order
-        x.terms = terms
+        x.vars, x.order, x.flat = variables, order, flat
+        x.qvars = qvars if flat else None
+        x._terms = x._prep = None
         return x
+
+    def _like(self, flat: dict) -> "Series":
+        return Series._flat(self.vars, self.order, self.qvars, flat)
 
     # -- constructors -------------------------------------------------------
 
@@ -446,40 +466,66 @@ class Series:
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls(variables, order, {exps: one})
 
-    # -- predicates ----------------------------------------------------------
+    @property
+    def terms(self) -> Mapping[Exponents, Laurent]:
+        """The read-only view {series exponents: Laurent coefficient}, built once."""
+        if self._terms is None:
+            ns, grouped = len(self.vars), {}
+            for key, c in self.flat.items():
+                grouped.setdefault(key[:ns], {})[key[ns:]] = c
+            self._terms = MappingProxyType(
+                {e: Laurent._trusted(self.qvars, t) for e, t in grouped.items()})
+        return self._terms
+
+    def _prepared(self) -> tuple[int, list]:
+        """(common denominator D, [(degree, flat key, D * coefficient)] by degree), memoised."""
+        if self._prep is None:
+            ns = len(self.vars)
+            den = lcm(*[c.denominator for c in self.flat.values()])
+            self._prep = (den, sorted(
+                [(sum(key[:ns]), key, c.numerator * (den // c.denominator))
+                 for key, c in self.flat.items()], key=itemgetter(0)))
+        return self._prep
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "Series") -> None:
-        if self.vars != other.vars or self.order != other.order:
-            raise ValueError("series ring mismatch")
+        return not self.flat
 
     # -- ring operations -----------------------------------------------------
+
+    def _sum(self, other: "Series", negate: bool) -> "Series":
+        if self.vars != other.vars or self.order != other.order:
+            raise ValueError("series ring mismatch")
+        if self.flat and other.flat and other.qvars != self.qvars:
+            raise ValueError(f"variable mismatch: {self.qvars} vs {other.qvars}")
+        flat = dict(self.flat)
+        get = flat.get
+        for key, c in other.flat.items():
+            if negate:
+                c = -c
+            s = get(key)
+            if s is None:
+                flat[key] = c
+            else:
+                s += c
+                if s:
+                    flat[key] = s
+                else:
+                    del flat[key]
+        return Series._flat(self.vars, self.order,
+                            self.qvars if self.flat else other.qvars, flat)
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in terms:
-                s = terms[e] + c
-                if is_zero(s):
-                    del terms[e]
-                else:
-                    terms[e] = s
-            else:
-                terms[e] = c
-        return Series(self.vars, self.order, terms)
+        return self._sum(other, False)
 
     def __neg__(self):
-        return Series._trusted(self.vars, self.order, {e: -c for e, c in self.terms.items()})
+        return self._like({key: -c for key, c in self.flat.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, True)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Laurent)):
@@ -500,32 +546,49 @@ class Series:
         return NotImplemented
 
     def scale(self, scalar) -> "Series":
-        if isinstance(scalar, (int, Fraction)) and scalar == 0:
-            return Series.zero(self.vars, self.order)
-        return Series(self.vars, self.order,
-                      {e: c * scalar for e, c in self.terms.items()})
+        """Multiply every coefficient by a rational or a Laurent polynomial."""
+        if not isinstance(scalar, Laurent):
+            c0 = as_fraction(scalar)
+            return self._like({key: c * c0 for key, c in self.flat.items()} if c0 else {})
+        if self.flat and scalar.vars != self.qvars:
+            raise ValueError(f"variable mismatch: {self.qvars} vs {scalar.vars}")
+        ns, acc = len(self.vars), {}
+        for key, c in self.flat.items():
+            e, k1 = key[:ns], key[ns:]
+            for k2, c2 in scalar.terms.items():
+                k = e + tuple(map(add, k1, k2))
+                acc[k] = acc.get(k, 0) + c * c2
+        return self._like({k: c for k, c in acc.items() if c})
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         return (self.vars == other.vars and self.order == other.order
-                and self.terms == other.terms)
+                and self.qvars == other.qvars and self.flat == other.flat)
 
     def __hash__(self):
-        return hash((self.vars, self.order, frozenset(self.terms.items())))
+        return hash((self.vars, self.order, self.qvars, frozenset(self.flat.items())))
 
     # -- calculus ------------------------------------------------------------
 
+    def _deriv(self, i: int, shift: bool) -> "Series":
+        """Multiply each term by its exponent at flat position i, lowering it when shift."""
+        flat = {}
+        for key, c in self.flat.items():
+            p = key[i]
+            if p:
+                flat[key[:i] + (p - 1,) + key[i + 1:] if shift else key] = c * p
+        return self._like(flat)
+
     def deriv(self, name: str) -> "Series":
         """Partial derivative in a formal series variable."""
-        i = self.vars.index(name)
-        terms: dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            shifted = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            terms[shifted] = c * e[i]
-        return Series(self.vars, self.order, terms)
+        return self._deriv(self.vars.index(name), True)
+
+    def coeff_deriv(self, name: str, log: bool) -> "Series":
+        """A derivation of the coefficients: q * d/dq in ``name`` when log, else d/dname."""
+        if not self.flat:
+            return self
+        return self._deriv(len(self.vars) + self.qvars.index(name), not log)
 
     def integrate(self, name: str) -> "Series":
         """Antiderivative in a formal variable, vanishing at 0.
@@ -533,18 +596,14 @@ class Series:
         Raises if a term would land beyond the truncation order, since the
         information content would silently be wrong otherwise.
         """
-        i = self.vars.index(name)
-        terms: dict[Exponents, object] = {}
-        for e, c in self.terms.items():
-            if sum(e) + 1 > self.order:
+        i, ns = self.vars.index(name), len(self.vars)
+        flat = {}
+        for key, c in self.flat.items():
+            if sum(key[:ns]) + 1 > self.order:
                 raise ValueError("integration exceeds truncation order")
-            lifted = tuple(x + 1 if j == i else x for j, x in enumerate(e))
-            terms[lifted] = c * Fraction(1, e[i] + 1)
-        return Series(self.vars, self.order, terms)
-
-    def map_coeffs(self, fn: Callable) -> "Series":
-        """Apply a coefficient-ring map (e.g. the q-derivation) termwise."""
-        return Series(self.vars, self.order, {e: fn(c) for e, c in self.terms.items()})
+            p = key[i] + 1
+            flat[key[:i] + (p,) + key[i + 1:]] = c / p
+        return self._like(flat)
 
     # -- structure -----------------------------------------------------------
 
@@ -554,56 +613,61 @@ class Series:
     def coeff_of_var(self, name: str, k: int) -> "Series":
         """The coefficient of name^k, as a series with that exponent zeroed."""
         i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == k:
-                terms[tuple(0 if j == i else x for j, x in enumerate(e))] = c
-        return Series._trusted(self.vars, self.order, terms)
+        return self._like({key[:i] + (0,) + key[i + 1:]: c
+                           for key, c in self.flat.items() if key[i] == k})
 
     def times_var(self, name: str, k: int) -> "Series":
-        i = self.vars.index(name)
-        terms = {}
-        for e, c in self.terms.items():
-            lifted = tuple(x + k if j == i else x for j, x in enumerate(e))
-            if sum(lifted) <= self.order:
-                terms[lifted] = c
-        return Series(self.vars, self.order, terms)
+        i, ns, room = self.vars.index(name), len(self.vars), self.order - k
+        return self._like({key[:i] + (key[i] + k,) + key[i + 1:]: c
+                           for key, c in self.flat.items() if sum(key[:ns]) <= room})
 
     def truncate(self, k: int, name: str | None = None) -> "Series":
         """Drop the terms of total degree above k, or of degree above k in ``name``."""
         if name is None:
-            return Series._trusted(self.vars, self.order,
-                                   {e: c for e, c in self.terms.items() if sum(e) <= k})
+            ns = len(self.vars)
+            return self._like({key: c for key, c in self.flat.items() if sum(key[:ns]) <= k})
         i = self.vars.index(name)
-        return Series._trusted(self.vars, self.order,
-                               {e: c for e, c in self.terms.items() if e[i] <= k})
+        return self._like({key: c for key, c in self.flat.items() if key[i] <= k})
 
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
         idx = [self.vars.index(n) for n in names]
-        terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return Series._trusted(self.vars, self.order, terms)
+        return self._like({key: c for key, c in self.flat.items()
+                           if all(key[i] == 0 for i in idx)})
 
-    def promote(self, new_vars: tuple[str, ...], order: int) -> "Series":
-        """Embed into a larger formal-variable tuple and/or truncation order."""
-        pos = [new_vars.index(v) for v in self.vars]
-        terms = {}
-        for e, c in self.terms.items():
-            big = [0] * len(new_vars)
-            for p, x in zip(pos, e):
-                big[p] = x
-            terms[tuple(big)] = c
-        return Series(new_vars, order, terms)
+    def promote(self, new_vars: tuple[str, ...], order: int,
+                qvars: tuple[str, ...] | None = None) -> "Series":
+        """Embed into a larger formal-variable tuple and/or truncation order.
+
+        With ``qvars``, the coefficients are embedded into that larger Laurent
+        variable tuple in the same pass, as by ``Laurent.promote``.
+        """
+        if not self.flat:
+            return Series._flat(new_vars, order, None, {})
+        qvars = qvars or self.qvars
+        ns, width = len(self.vars), len(new_vars) + len(qvars)
+        pos = ([new_vars.index(v) for v in self.vars]
+               + [len(new_vars) + qvars.index(v) for v in self.qvars])
+        flat = {}
+        for key, c in self.flat.items():
+            if sum(key[:ns]) <= order:
+                big = [0] * width
+                for p, x in zip(pos, key):
+                    big[p] = x
+                flat[tuple(big)] = c
+        return Series._flat(new_vars, order, qvars, flat)
 
     def constant_slice(self):
-        """The scalar at exponent 0, or None when absent."""
-        return self.terms.get((0,) * len(self.vars))
+        """The Laurent coefficient at exponent 0, or None when absent."""
+        ns = len(self.vars)
+        t = {key[ns:]: c for key, c in self.flat.items() if not any(key[:ns])}
+        return Laurent._trusted(self.qvars, t) if t else None
 
-    def sorted_terms(self) -> list[tuple[Exponents, object]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Laurent]]:
         return sorted(self.terms.items())
 
     def __str__(self):
-        if not self.terms:
+        if not self.flat:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -622,82 +686,52 @@ def series_matmul(a_rows: Sequence[Sequence[Series]],
                   b_rows: Sequence[Sequence[Series]]) -> list[list[Series]]:
     """The rows of the matrix product A @ B of Series matrices of one ring.
 
-    Every entry of A and B is checked once, zero partner or not: a series
-    ring other than that of the first entry raises ValueError, a coefficient
-    that is not a Laurent polynomial raises TypeError, and Laurent
-    coefficients in differing variable tuples raise ValueError.  Each
-    nonzero entry is flattened once into (degree, [(series and Laurent
-    exponents, numerator, denominator)]) terms sorted by degree, so a left
-    term of degree d meets the right terms up to ``order - d`` and stops.
-    Output entry (i, j) visits only the k where A[i][k] and B[k][j] are both
-    nonzero, accumulates integer numerator/denominator pairs on the flat
-    exponent keys, and builds each coefficient once.
+    Every entry of A and B is checked, zero partner or not: a series ring
+    other than that of the first entry raises ValueError, and so do nonzero
+    entries over differing Laurent variable tuples.  Each nonzero operand is
+    used in its memoised prepared form (``Series._prepared``): a common
+    denominator and its terms as integer numerators sorted by degree, so a
+    left term of degree d meets the right terms up to ``order - d`` and
+    stops.  Output entry (i, j) visits only the k where A[i][k] and B[k][j]
+    are both nonzero, accumulates integers over one denominator on the flat
+    keys, and writes its flat dict once.
     """
-    first = next(x for rows in (a_rows, b_rows) for r in rows for x in r)
-    svars, order = first.vars, first.order
-    ns = len(svars)
-    for rows in (a_rows, b_rows):
-        for r in rows:
-            for x in r:
-                if x.vars != svars or x.order != order:
-                    raise ValueError("series ring mismatch")
-    qvars = None
+    entries = [x for rows in (a_rows, b_rows) for r in rows for x in r]
+    svars, order = entries[0].vars, entries[0].order
+    if any(x.vars != svars or x.order != order for x in entries):
+        raise ValueError("series ring mismatch")
+    rings = sorted({x.qvars for x in entries if x.flat})
+    if len(rings) > 1:
+        raise ValueError(f"variable mismatch: {rings[0]} vs {rings[1]}")
+    qvars = rings[0] if rings else None
 
-    def flat(x: Series) -> list:
-        nonlocal qvars
-        out = []
-        for e, c in x.terms.items():
-            if type(c) is not Laurent:
-                raise TypeError(f"Series products need Laurent coefficients, got {type(c).__name__}")
-            if c.vars != qvars:
-                if qvars is not None:
-                    raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
-                qvars = c.vars
-            out.append((sum(e), [(e + k, f.numerator, f.denominator)
-                                 for k, f in c.terms.items()]))
-        out.sort(key=itemgetter(0))
-        return out
-
-    left = [[(k, flat(x)) for k, x in enumerate(r) if x.terms] for r in a_rows]
+    left = [[(k, x._prepared()) for k, x in enumerate(r) if x.flat] for r in a_rows]
     right = [{} for _ in b_rows[0]]
     for k, r in enumerate(b_rows):
         for j, x in enumerate(r):
-            if x.terms:
-                right[j][k] = flat(x)
+            if x.flat:
+                right[j][k] = x._prepared()
     out = []
     for row in left:
         out_row = []
         for col in right:
+            pairs = [(a, b) for k, a in row if (b := col.get(k)) is not None]
+            den = lcm(*[a[0] * b[0] for a, b in pairs])
             acc: dict = {}
-            for k, a in row:
-                b = col.get(k)
-                if b is None:
-                    continue
-                for d1, c1 in a:
+            get = acc.get
+            for (da, ta), (db, tb) in pairs:
+                f = den // (da * db)
+                for d1, k1, n1 in ta:
                     room = order - d1
-                    for d2, c2 in b:
+                    n1 *= f
+                    for d2, k2, n2 in tb:
                         if d2 > room:
                             break
-                        for k1, n1, den1 in c1:
-                            for k2, n2, den2 in c2:
-                                key = tuple(map(add, k1, k2))
-                                n, den = n1 * n2, den1 * den2
-                                cur = acc.get(key)
-                                if cur is None:
-                                    acc[key] = [n, den]
-                                elif cur[1] == den:
-                                    cur[0] += n
-                                else:
-                                    m = lcm(cur[1], den)
-                                    cur[0] = cur[0] * (m // cur[1]) + n * (m // den)
-                                    cur[1] = m
-            grouped: dict[Exponents, dict] = {}
-            for ek, (n, den) in acc.items():
-                if n:
-                    grouped.setdefault(ek[:ns], {})[ek[ns:]] = \
-                        Fraction(n) if den == 1 else Fraction(n, den)
-            out_row.append(Series._trusted(svars, order, {
-                e: Laurent._trusted(qvars, t) for e, t in grouped.items()}))
+                        key = tuple(map(add, k1, k2))
+                        acc[key] = get(key, 0) + n1 * n2
+            out_row.append(Series._flat(svars, order, qvars, {
+                key: Fraction(n, den) if den != 1 else Fraction(n)
+                for key, n in acc.items() if n}))
         out.append(out_row)
     return out
 

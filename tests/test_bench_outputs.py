@@ -1,0 +1,51 @@
+"""The ``deform`` benchmark jobs reproduce their recorded digests in-process.
+
+The set-up script writes the jobs' inputs, each job runs through
+``altfrob.cli.main`` in that directory, and the SHA-256 of its stdout and of
+every ``--out`` file must equal the entry in ``bench/digests.json``, so a
+byte drift in ``hm``, ``verify`` or ``gw`` fails here and not only in the
+benchmark.  The job list is the benchmark's own, read from ``bench/run.py``.
+"""
+
+import hashlib
+import importlib.util
+import json
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from altfrob import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_jobs(monkeypatch):
+    """The benchmark's (full, smoke) ``deform`` jobs and its recorded digests."""
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its sibling tracer.py
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    full, smoke = run.WORKLOADS["deform"]
+    return smoke + full, json.loads((BENCH / "digests.json").read_text())
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_deform_jobs_match_the_bench_digests(tmp_path, monkeypatch, capsys):
+    jobs, digests = bench_jobs(monkeypatch)
+    assert len(jobs) == 6
+    monkeypatch.setattr(sys, "argv", ["setup_inputs.py", "deform", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(BENCH / "setup_inputs.py"), run_name="__main__")
+    assert done.value.code == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    for job in jobs:  # smoke first: each verify reads the file its hm wrote
+        assert cli.main(list(job.argv)) == 0, job.name
+        got = {"stdout": sha256(capsys.readouterr().out.encode())}
+        got.update((name, sha256((tmp_path / name).read_bytes())) for name in job.outs)
+        assert got == digests[f"deform/{job.name}"], job.name

@@ -500,6 +500,15 @@ class TestConfigFile:
                          "--config", str(cfg)], capsys)
         assert out.startswith("lambda,mu,nu,")
 
+    @pytest.mark.parametrize("name", ["nope.json", "altfrob.json"])
+    def test_missing_explicit_config_is_an_input_error(self, capsys, tmp_path,
+                                                       monkeypatch, name):
+        # only the implicit ./altfrob.json may be absent
+        monkeypatch.chdir(tmp_path)
+        assert run(["gw", "--dmax", "1"], capsys)[:2] == (0, "N=[1]\n")
+        assert_one_line_usage_error(*run(["gw", "--dmax", "1", "--config", name], capsys),
+                                    f"config file not found: {name}")
+
 
 class TestMirrorPayloads:
     def test_algebra_payload(self, capsys):

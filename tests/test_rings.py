@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob.linalg import Mat
+from altfrob.presaito import dscalar
 from altfrob.rings import Laurent, Series, json_text, laurent_dot, qlaurent, series_dot
 
 QV = ("q",)
@@ -167,8 +168,8 @@ def test_series_integrate_overflow_raises():
 def test_series_q_coefficients_and_map():
     x = sgen(("x",), 3, "x")
     qx = Laurent.gen(QV, "q") * x          # q * x
-    d = qx.map_coeffs(lambda c: c.log_deriv("q"))
-    assert d == qx                 # q d/dq (q x) = q x
+    assert qx.coeff_deriv("q", log=True) == qx    # q d/dq (q x) = q x
+    assert qx.coeff_deriv("q", log=False) == x    # d/dq (q x) = x
 
 
 def test_series_coeff_of_var_and_times_var():
@@ -285,6 +286,147 @@ def test_sparse_series_matmul_matches_entrywise_reference(data, n, m, p):
                        for e, c in got[i, j].terms.items())
 
 
+# -- elementwise Series operations against their Laurent view ------------------
+
+
+def rebuild(svars, order, pairs):
+    """The Series summing the Laurent coefficients of (exponents, Laurent) pairs.
+
+    Series() drops the terms past the truncation order and the zero sums.
+    """
+    terms = {}
+    for e, c in pairs:
+        terms[e] = terms[e] + c if e in terms else c
+    return Series(svars, order, terms)
+
+
+def bump(e, i, k):
+    return e[:i] + (e[i] + k,) + e[i + 1:]
+
+
+def assert_canonical(x):
+    """Nonzero Fraction values, keys of the right length, terms within the order."""
+    width = len(x.vars) + len(x.qvars or ())
+    assert (x.qvars is None) == x.is_zero()
+    for key, c in x.flat.items():
+        assert type(c) is Fraction and c != 0
+        assert len(key) == width and sum(key[:len(x.vars)]) <= x.order
+
+
+@st.composite
+def nonmonomial_laurent(draw, qvars):
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * len(qvars)),
+                                 small_fractions.filter(bool), min_size=2, max_size=3))
+    return Laurent(qvars, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_series_sums_and_scalings_match_the_laurent_view(data):
+    ring = data.draw(series_rings())
+    svars, order, qvars = ring
+    a, b = data.draw(series(ring)), data.draw(series(ring))
+    r, lam = data.draw(small_fractions), data.draw(nonmonomial_laurent(qvars))
+    A, B = list(a.terms.items()), list(b.terms.items())
+    cases = [
+        (a + b, A + B),
+        (a - b, A + [(e, -c) for e, c in B]),
+        (-a, [(e, -c) for e, c in A]),
+        (a.scale(r), [(e, c * r) for e, c in A]),
+        (a * r, [(e, c * r) for e, c in A]),
+        (a.scale(lam), [(e, c * lam) for e, c in A]),
+        (lam * a, [(e, c * lam) for e, c in A]),
+    ]
+    for got, pairs in cases:
+        assert got == rebuild(svars, order, pairs)
+        assert_canonical(got)
+    assert Series(svars, order, a.terms) == a
+    assert hash(Series(svars, order, a.terms)) == hash(a)
+    assert (a - a).is_zero() and a - a == Series.zero(svars, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_structure_maps_match_the_laurent_view(data):
+    ring = data.draw(series_rings())
+    svars, order, qvars = ring
+    x = data.draw(series(ring))
+    X = list(x.terms.items())
+    i = data.draw(st.integers(0, len(svars) - 1))
+    name, k = svars[i], data.draw(st.integers(0, 3))
+    names = data.draw(st.lists(st.sampled_from(svars), unique=True))
+    idx = [svars.index(n) for n in names]
+    cases = [
+        (x.deriv(name), [(bump(e, i, -1), c * e[i]) for e, c in X if e[i]]),
+        (x.times_var(name, k), [(bump(e, i, k), c) for e, c in X]),
+        (x.coeff_of_var(name, k), [(bump(e, i, -k), c) for e, c in X if e[i] == k]),
+        (x.truncate(k), [(e, c) for e, c in X if sum(e) <= k]),
+        (x.truncate(k, name), [(e, c) for e, c in X if e[i] <= k]),
+        (x.restrict_zero(names), [(e, c) for e, c in X if all(e[j] == 0 for j in idx)]),
+    ]
+    for got, pairs in cases:
+        assert got == rebuild(svars, order, pairs)
+        assert_canonical(got)
+    if any(sum(e) == order for e, _ in X):
+        with pytest.raises(ValueError, match="exceeds truncation order"):
+            x.integrate(name)
+    else:
+        got = x.integrate(name)
+        assert got == rebuild(svars, order, [(bump(e, i, 1), c * Fraction(1, e[i] + 1))
+                                             for e, c in X])
+        assert got.deriv(name) == x
+    # a wider series ring at another order, and a wider Laurent ring
+    big_s, big_q = ("s",) + svars[::-1], qvars + ("p",)
+    new_order = data.draw(st.integers(0, 4))
+
+    def embed(e):
+        return (0,) + e[::-1]
+    for qv, coeff in ((None, lambda c: c), (big_q, lambda c: c.promote(big_q))):
+        got = x.promote(big_s, new_order, qv)
+        assert got == rebuild(big_s, new_order, [(embed(e), coeff(c)) for e, c in X])
+        assert_canonical(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_coefficient_derivations_match_the_laurent_view(data):
+    ring = data.draw(series_rings())
+    svars, order, qvars = ring
+    x = data.draw(series(ring))
+    X = list(x.terms.items())
+    lname = qvars[0]  # "lam" in the two-variable ring, else "q"
+    cases = [
+        (dscalar(x, "q", "q"), [(e, c.log_deriv("q")) for e, c in X]),
+        (dscalar(x, lname, "laurent"), [(e, c.deriv(lname)) for e, c in X]),
+    ]
+    for got, pairs in cases:
+        assert got == rebuild(svars, order, pairs)
+        assert_canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_zero_series_takes_the_laurent_ring_of_the_other_operand(data):
+    ring = (data.draw(series_rings())[0], data.draw(st.integers(0, 4)), ("lam", "q"))
+    svars, order, qvars = ring
+    x = data.draw(series(ring))
+    zero = Series.zero(svars, order)
+    assert zero.qvars is None and zero == Series(svars, order, {})
+    assert zero + x == x == x + zero == x - zero
+    assert zero - x == -x
+    assert (zero * x).is_zero() and (x * zero).is_zero()
+    assert zero.scale(Laurent.gen(qvars, "lam")) == zero
+    assert dscalar(zero, "lam", "laurent") == zero == zero.promote(svars, order, ("p",) + qvars)
+    # a zero entry of another Laurent ring is still the zero of this one
+    assert x + Series.const(svars, order, Laurent.zero(("p",))) == x
+    if not x.is_zero():
+        other = Series.const(svars, order, Laurent.const(("p",), 1))
+        with pytest.raises(ValueError, match="variable mismatch"):
+            x + other
+        with pytest.raises(ValueError, match="variable mismatch"):
+            x.scale(Laurent.const(("p",), 2))
+
+
 def test_series_matmul_checks_every_entry():
     x, zero = sgen(("x",), 3, "x"), Series.zero(("x",), 3)
     # a zero entry of another series ring
@@ -295,17 +437,17 @@ def test_series_matmul_checks_every_entry():
             Mat([[x, x]]) @ Mat([[x], [bad]])
     # a coefficient of the wrong kind, in an entry whose partner is zero
     xp = sgen(("x",), 3, "x", qvars=("p",))
-    xf = Series.gen(("x",), 3, "x", Fraction(1))
     with pytest.raises(ValueError, match="variable mismatch"):
         Mat([[x, xp]]) @ Mat([[x], [zero]])
     with pytest.raises(ValueError, match="variable mismatch"):
         Mat([[x, zero]]) @ Mat([[x], [xp]])
     with pytest.raises(ValueError, match="variable mismatch"):
         series_dot([(x, x), (xp, zero)])
+    # a coefficient that is not a Laurent polynomial never makes a Series
     with pytest.raises(TypeError, match="Laurent coefficients"):
-        Mat([[x, xf]]) @ Mat([[x], [zero]])
+        Series.gen(("x",), 3, "x", Fraction(1))
     with pytest.raises(TypeError, match="Laurent coefficients"):
-        series_dot([(x, x), (zero, xf)])
+        Series(("x",), 3, {(0,): Laurent.const(QV, 1), (1,): 1})
 
 
 def test_series_dot_zero_operands():
@@ -342,12 +484,14 @@ def test_series_dot_rejects_mismatched_laurent_variables():
         series_dot([(xq, xq), (xp, xp)])
     with pytest.raises(ValueError, match="variable mismatch"):
         Mat([[xq, xp]]) @ Mat([[xq], [xp]])
-    # the tower is fixed: a Series over rationals has no product
-    xf = Series.gen(("x",), 3, "x", Fraction(1))
+    # the tower is fixed: there is no Series over rationals to multiply
     with pytest.raises(TypeError, match="Laurent coefficients"):
-        xf * xf
+        Series.gen(("x",), 3, "x", Fraction(1))
     with pytest.raises(TypeError, match="Laurent coefficients"):
-        series_dot([(xq, xq), (xf, xq)])
+        Series.const(("x",), 3, 1)
+    # nor one whose coefficients mix Laurent variable tuples
+    with pytest.raises(ValueError, match="variable mismatch"):
+        Series(("x",), 3, {(0,): Laurent.const(QV, 1), (1,): Laurent.const(("p",), 1)})
 
 
 def random_laurent(rng, variables):
