@@ -199,7 +199,7 @@ def _leverrier(M: Mat) -> tuple[list, Mat]:
         MN = M @ N
         c = -(MN.trace() / k)
         coeffs.append(c)
-        N = MN + ident.scale(c)
+        N = Mat([[a + c if i == j else a for j, a in enumerate(r)] for i, r in enumerate(MN.rows)])
     return coeffs, prev
 
 

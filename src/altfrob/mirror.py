@@ -21,7 +21,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, charpoly, det, rank_field, row_reduce
@@ -203,6 +202,14 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     dimension is read off from the inner box alone.  The one-shell padding
     is what lets relation chains leave the inner box and come back.
 
+    Inside, a column is its integer rank: each cell of the padded box has a
+    mixed-radix index, one flat list maps that index to the rank, and each
+    relation's shifts are integer offsets added to its terms' indices.  The
+    rows are streamed, one relation and then its shifts, so no exponent
+    tuple is built per row and the rows are never held all at once.  The
+    result is translated back once: ``free`` and the keys and values of
+    ``rewrites`` are exponent tuples.
+
     The relations must be homogeneous for a ``_grading`` of f, and the
     reduction runs at q = 1 over the rationals.  That is exact: putting
     q = t^(w_q) and scaling column u^a by t^(w.a) turns the system over
@@ -212,69 +219,72 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
 
     Coefficients and rewrite values are ints while they are integral; a
     Fraction enters only through a pivot that does not divide its row.  For
-    the mirrors of projective space none does (checked for n <= 5, B <= 3).
+    the mirrors of projective space none does (checked for n <= 6, B <= 3).
     """
     R = B + 1
+    strides = [(2 * R + 1) ** (n - 1 - j) for j in range(n)]
 
-    def graded_lex(e):
-        return (sum(map(abs, e)), e)
+    def index(e):
+        return sum((a + R) * s for a, s in zip(e, strides))
 
-    flags = _flag_monomials(n)
-    flagset = set(flags)
-    inner = list(product(range(-B, B + 1), repeat=n))
-    shell = [m for m in product(range(-R, R + 1), repeat=n)
-             if max(map(abs, m)) > B]
-    order = flags + sorted((m for m in inner if m not in flagset),
-                           key=graded_lex) + sorted(shell, key=graded_lex)
-    rank = {m: i for i, m in enumerate(order)}
-    n_inner = len(inner)
+    # product() lists the padded box in mixed-radix order: cell i has index i
+    cells = list(product(range(-R, R + 1), repeat=n))
+    flags = [index(m) for m in _flag_monomials(n)]
+    order = flags + [i for *_, i in sorted((max(map(abs, m)) > B, sum(map(abs, m)), m, i)
+                                           for i, m in enumerate(cells) if i not in flags)]
+    rank_at = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
 
     rewrites: dict = {}
     uses: dict = {}
 
-    def insert(row: dict) -> None:
+    def insert(row: list) -> None:
         acc: dict = {}
-        for col, val in row.items():
-            if col in rewrites:
-                for c2, v2 in rewrites[col].items():
-                    acc[c2] = acc.get(c2, 0) + val * v2
-            else:
+        for col, val in row:
+            rw = rewrites.get(col)
+            if rw is None:
                 acc[col] = acc.get(col, 0) + val
-        acc = {c: v for c, v in acc.items() if v}
-        if not acc:
+            else:
+                for c, v in rw.items():
+                    acc[c] = acc.get(c, 0) + val * v
+        if not any(acc.values()):
             return
-        piv = max(acc, key=rank.__getitem__)
+        piv = max(c for c, v in acc.items() if v)  # the least preferred column
         pval = acc.pop(piv)
-        rw = {c: _quotient(-v, pval) for c, v in acc.items()}
-        for user in list(uses.get(piv, ())):
+        rw = {c: _quotient(-v, pval) for c, v in acc.items() if v}
+        # a user whose rewrite no longer holds piv is stale and skipped
+        for user in uses.pop(piv, ()):
             other = rewrites[user]
-            coef = other.pop(piv)
-            uses[piv].discard(user)
+            coef = other.pop(piv, None)
+            if coef is None:
+                continue
             for c, v in rw.items():
                 new = other.get(c, 0) + coef * v
-                if not new:
-                    if c in other:
-                        del other[c]
-                        uses[c].discard(user)
-                else:
+                if new:
                     if c not in other:
-                        uses.setdefault(c, set()).add(user)
+                        uses.setdefault(c, []).append(user)
                     other[c] = new
+                else:
+                    other.pop(c, None)
         rewrites[piv] = rw
         for c in rw:
-            uses.setdefault(c, set()).add(piv)
+            uses.setdefault(c, []).append(piv)
 
     for rel in rels:
         # graded: each u-exponent carries one q-power, which q = 1 drops
         terms = {e[1:]: _quotient(c, 1) for e, c in rel.terms.items()}
-        mins = [min(s[j] for s in terms) for j in range(n)]
-        maxs = [max(s[j] for s in terms) for j in range(n)]
-        ranges = [range(-R - mins[j], R - maxs[j] + 1) for j in range(n)]
-        for m in product(*ranges):
-            insert({tuple(map(add, s, m)): c for s, c in terms.items()})
+        base = [(index(s), c) for s, c in terms.items()]
+        offsets = [0]
+        for j, s in enumerate(strides):
+            shifts = range(-R - min(e[j] for e in terms), R - max(e[j] for e in terms) + 1)
+            offsets = [o + k * s for o in offsets for k in shifts]
+        for off in offsets:
+            insert([(rank_at[i + off], c) for i, c in base])
 
-    free = [m for m in order[:n_inner] if m not in rewrites]
-    return _Echelon(len(free), free, rewrites, R)
+    cells = [cells[i] for i in order]  # now by rank
+    free = [m for r, m in enumerate(cells[:(2 * B + 1) ** n]) if r not in rewrites]
+    for p, rw in rewrites.items():  # in place: int- and tuple-keyed copies never coexist
+        rewrites[p] = {cells[c]: v for c, v in rw.items()}
+    return _Echelon(len(free), free, {cells[p]: rw for p, rw in rewrites.items()}, R)
 
 
 class JacobianAlgebra:
@@ -355,7 +365,8 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
     """The Jacobian quotient of f, computed exactly by box stabilization.
 
     The quotient dimension is evaluated in growing exponent boxes until
-    three consecutive boxes agree; the support must be convenient (0 in the
+    three consecutive boxes agree, so a ``box_max`` below 3 raises NotTame
+    before any box is built; the support must be convenient (0 in the
     interior of the Newton polytope) for the quotient to be finite at all.
     When ``expected_dim`` is given (for example the Kouchnirenko volume
     bound), a mismatch with the stabilized dimension raises.  f must also be
@@ -365,8 +376,11 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
     if witness is not None:
         raise ValueError(f"f is not convenient: {witness}")
     grading = _grading(f)
-    rels = torus_relations(f)
     n = len(f.vars) - 1
+    if box_max < 3:
+        raise NotTame(f"dimensions did not stabilize in box [-{box_max},{box_max}]^{n}: "
+                      "stabilizing takes three equal boxes, so box_max must be at least 3")
+    rels = torus_relations(f)
     dims: list[int] = []
     for B in range(1, box_max + 1):
         ech = _box_echelon(rels, n, B)

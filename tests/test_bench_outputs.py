@@ -1,10 +1,12 @@
-"""The ``deform`` benchmark jobs reproduce their recorded digests in-process.
+"""The ``deform`` and ``mirror`` benchmark jobs reproduce their recorded
+digests in-process.
 
-The set-up script writes the jobs' inputs, each job runs through
-``altfrob.cli.main`` in that directory, and the SHA-256 of its stdout and of
-every ``--out`` file must equal the entry in ``bench/digests.json``, so a
-byte drift in ``hm``, ``verify`` or ``gw`` fails here and not only in the
-benchmark.  The job list is the benchmark's own, read from ``bench/run.py``.
+Each job runs through ``altfrob.cli.main`` (the ``deform`` jobs in the
+directory the set-up script writes their inputs to), and the SHA-256 of its
+stdout and of every ``--out`` file must equal the entry in
+``bench/digests.json``, so a byte drift in ``hm``, ``verify``, ``gw`` or
+``mirror`` fails here and not only in the benchmark.  The job lists are the
+benchmark's own, read from ``bench/run.py``.
 """
 
 import hashlib
@@ -21,13 +23,13 @@ from altfrob import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def bench_jobs(monkeypatch):
-    """The benchmark's (full, smoke) ``deform`` jobs and its recorded digests."""
+def bench_jobs(monkeypatch, workload):
+    """The benchmark's smoke and then full jobs of a workload, and its recorded digests."""
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports its sibling tracer.py
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
-    full, smoke = run.WORKLOADS["deform"]
+    full, smoke = run.WORKLOADS[workload]
     return smoke + full, json.loads((BENCH / "digests.json").read_text())
 
 
@@ -36,7 +38,7 @@ def sha256(data: bytes) -> str:
 
 
 def test_deform_jobs_match_the_bench_digests(tmp_path, monkeypatch, capsys):
-    jobs, digests = bench_jobs(monkeypatch)
+    jobs, digests = bench_jobs(monkeypatch, "deform")
     assert len(jobs) == 6
     monkeypatch.setattr(sys, "argv", ["setup_inputs.py", "deform", str(tmp_path)])
     with pytest.raises(SystemExit) as done:
@@ -49,3 +51,13 @@ def test_deform_jobs_match_the_bench_digests(tmp_path, monkeypatch, capsys):
         got = {"stdout": sha256(capsys.readouterr().out.encode())}
         got.update((name, sha256((tmp_path / name).read_bytes())) for name in job.outs)
         assert got == digests[f"deform/{job.name}"], job.name
+
+
+def test_mirror_jobs_match_the_bench_digests(monkeypatch, capsys):
+    jobs, digests = bench_jobs(monkeypatch, "mirror")
+    assert len(jobs) == 3
+    capsys.readouterr()
+    for job in jobs:
+        assert cli.main(list(job.argv)) == 0, job.name
+        got = {"stdout": sha256(capsys.readouterr().out.encode())}
+        assert got == digests[f"mirror/{job.name}"], job.name

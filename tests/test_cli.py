@@ -72,7 +72,8 @@ class TestExitCodes:
         (["mirror", "--n", "2", "--b-max", "0"], "--b-max must be at least 1"),
         (["mirror", "--n", "2", "--b-max", "2"], "did not stabilize"),
         (["mirror", "--n", "2", "--compare", "--b-max", "2"], "did not stabilize"),
-    ], ids=["zero", "algebra", "compare"])
+        (["mirror", "--n", "9", "--b-max", "2"], "did not stabilize"),
+    ], ids=["zero", "algebra", "compare", "n9"])
     def test_mirror_box_bound(self, capsys, argv, message):
         assert_one_line_usage_error(*run(argv, capsys), message)
 

@@ -46,6 +46,13 @@ def test_charpoly_offdiagonal():
     assert charpoly(M) == [F(1), F(0), F(-4)]
 
 
+def test_charpoly_reads_int_entries_as_fractions():
+    # a diagonal-only update must not leave int entries off the diagonal
+    cp = charpoly(Mat([[1, 2, 0], [3, 4, 1], [0, -1, 2]]))
+    assert cp == [1, -7, 9, 3]
+    assert all(type(c) is Fraction for c in cp)
+
+
 def test_charpoly_quantum_plane_cube():
     # companion-style matrix with corner entry 3q scaled by 3
     z = Laurent.zero(("q",))

@@ -5,9 +5,11 @@ from itertools import product
 
 import pytest
 
-from altfrob.linalg import Mat, charpoly, kron_sum, wedge_indices, wedge_of_sum
+from altfrob.linalg import Mat, charpoly, kron_sum, row_reduce, wedge_indices, wedge_of_sum
 from altfrob.mirror import (
+    NotTame,
     _box_echelon,
+    _flag_monomials,
     _grading,
     _mirror_brieskorn,
     _poly_str,
@@ -45,6 +47,9 @@ def torus_poly(n, terms):
 
 # 2u + 3q/u, whose Jacobian relation u^2 = (3/2)q needs a non-unit pivot
 SCALED_LINE = torus_poly(1, {(1,): 2}) + Laurent(torus_vars(1), {(1, -1): Fraction(3)})
+# u1 + u2 + q/(u1 u2^2): deg u1 = deg u2 = 1, deg q = 4
+WEIGHTED_PLANE = torus_poly(2, {(1, 0): 1, (0, 1): 1}) + Laurent(torus_vars(2),
+                                                                 {(1, -1, -2): Fraction(1)})
 
 
 class TestTorusLaurent:
@@ -154,15 +159,78 @@ class TestJacobianAlgebra:
             J.reduce_monomial((2,))
 
 
+def macaulay_echelon(f, B):
+    """(free, rewrites) of the padded box [-B-1,B+1]^n by a dense route.
+
+    Every relation shift inside the padded box is a row over Fraction at
+    q = 1, and the columns run least preferred first (the reverse of flags,
+    inner box by graded lex, shell by graded lex), so ``row_reduce`` takes
+    each row's least preferred column as its pivot.
+    """
+    n, R = len(f.vars) - 1, B + 1
+
+    def graded_lex(m):
+        return (sum(map(abs, m)), m)
+
+    flags = _flag_monomials(n)
+    inner = [m for m in product(range(-B, B + 1), repeat=n) if m not in flags]
+    shell = [m for m in product(range(-R, R + 1), repeat=n) if max(map(abs, m)) > B]
+    order = flags + sorted(inner, key=graded_lex) + sorted(shell, key=graded_lex)
+    cols = order[::-1]
+    at = {m: j for j, m in enumerate(cols)}
+    rows = []
+    for rel in torus_relations(f):
+        for shift in product(range(-2 * R, 2 * R + 1), repeat=n):
+            row = {tuple(a + b for a, b in zip(e[1:], shift)): Fraction(c)
+                   for e, c in rel.terms.items()}
+            if all(m in at for m in row):
+                dense = [Fraction(0)] * len(cols)
+                for m, c in row.items():
+                    dense[at[m]] = c
+                rows.append(dense)
+    pivots = row_reduce(rows, len(cols))
+    bound = set(pivots)
+    rewrites = {cols[p]: {cols[j]: -a for j, a in enumerate(rows[k]) if a and j not in bound}
+                for k, p in enumerate(pivots)}
+    free = [m for m in order[:(2 * B + 1) ** n] if m not in rewrites]
+    return free, rewrites
+
+
+# name: (f, largest box B checked against the dense route); in the echelon
+# of u1 + u2 + 1/(u1 u2) + u1 u2 the back-substitution cancels entries
+ECHELON_CASES = {"mirror2": (mirror_f(2), 3), "mirror3": (mirror_f(3), 2),
+                 "scaled-line": (SCALED_LINE, 3), "weighted": (WEIGHTED_PLANE, 3),
+                 "cancelling": (torus_poly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1,
+                                               (1, 1): 1}), 3)}
+
+
+class TestBoxEchelon:
+    @pytest.mark.parametrize("name,B", [(name, B) for name, (_, top) in ECHELON_CASES.items()
+                                        for B in range(1, top + 1)])
+    def test_matches_the_dense_macaulay_matrix(self, name, B):
+        f = ECHELON_CASES[name][0]
+        n = len(f.vars) - 1
+        ech = _box_echelon(torus_relations(f), n, B)
+        free, rewrites = macaulay_echelon(f, B)
+        assert (ech.dim, ech.free, ech.reach) == (len(free), free, B + 1)
+        assert ech.rewrites == rewrites
+
+    def test_too_small_a_box_bound_fails_before_any_box(self, monkeypatch):
+        def no_box(*args):
+            raise AssertionError("a box was built")
+
+        monkeypatch.setattr("altfrob.mirror._box_echelon", no_box)
+        with pytest.raises(NotTame, match="did not stabilize"):
+            jacobian_algebra(mirror_f(9), box_max=2)
+
+
 class TestGrading:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_mirror_grading(self, n):
         assert _grading(mirror_f(n)) == ((1,) * n, n + 1)
 
     def test_weighted_mirror(self):
-        # u1 + u2 + q/(u1 u2^2): deg u1 = deg u2 = 1, deg q = 4
-        f = torus_poly(2, {(1, 0): 1, (0, 1): 1})
-        f = f + Laurent(f.vars, {(1, -1, -2): Fraction(1)})
+        f = WEIGHTED_PLANE
         assert _grading(f) == ((1, 1), 4)
         J = jacobian_algebra(f, expected_dim=kouchnirenko_bound(f))
         assert (J.dim, kouchnirenko_bound(f), J.box) == (4, 4, 3)
