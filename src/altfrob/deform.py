@@ -40,8 +40,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, divide_exact, inv_laurent, inv_series, series_constant_slice
-from .presaito import (BaseVar, PreSaitoFamily, _promote_entries, dscalar, frobenius_data,
-                       residue_grading)
+from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _promote_entries,
+                       dscalar, frobenius_data, residue_grading)
 from .projective import pn_small_family
 from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str, json_field
 
@@ -147,21 +147,25 @@ def _assert_commutes(D: Mat, gens: Sequence[Mat], names: Sequence[str],
                      yvar: str, k: int) -> None:
     """Raise for the lowest order m <= k of yvar at which some [D', M] is nonzero.
 
-    The witness is the first generator, then the first entry, failing at m.
-    Only a generator whose products D' M and M D' differ gets a commutator.
+    The witness is the first generator, then the first entry, failing at m;
+    each entry's lowest order is read off its flat keys.  Only a generator
+    whose products D' M and M D' differ gets a commutator.
     """
-    comms = []
+    lowest = None  # (m, generator name, i, j)
     for M, name in zip(gens, names):
         DM, MD = D @ M, M @ D
-        if DM != MD:
-            comms.append((DM - MD, name))
-    for m in range(k + 1):
-        for comm, name in comms:
-            for i in range(comm.nrows):
-                for j in range(comm.ncols):
-                    if not comm[i, j].truncate(m, yvar).is_zero():
-                        raise InvariantViolation(
-                            f"[D', {name}] != 0 at order {m} of {yvar}, entry ({i},{j})")
+        if DM == MD:
+            continue
+        for i, row in enumerate((DM - MD).rows):
+            for j, x in enumerate(row):
+                if x.flat:
+                    y = x.vars.index(yvar)
+                    m = min(key[y] for key in x.flat)
+                    if m <= k and (lowest is None or m < lowest[0]):
+                        lowest = (m, name, i, j)
+    if lowest is not None:
+        m, name, i, j = lowest
+        raise InvariantViolation(f"[D', {name}] != 0 at order {m} of {yvar}, entry ({i},{j})")
 
 
 def hm_extend(problem: DeformationProblem,
@@ -341,22 +345,20 @@ def universal_big_quantum(F: PreSaitoFamily, order: int) -> PreSaitoFamily:
 # ---------------------------------------------------------------------------
 
 
-def _qpow_split(x: Laurent) -> dict[int, Fraction]:
-    if len(x.vars) != 1:
-        raise ValueError("potential extraction expects a single quantum variable")
-    return {e[0]: c for e, c in x.terms.items()}
-
-
 def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> Series:
     """The Frobenius potential: a series whose triple derivatives are c_{ijk}.
 
     Base directions are the flat coordinates; the q-direction derivative is
-    q*d/dq, so a monomial q^d t^alpha is detected by q-derivatives as long
-    as d != 0.  Purely classical monomials involving the never-materialized
-    degree-2 coordinate cannot be represented; accordingly the result is
-    normalized to have no q^0 terms of total degree <= 2, and the
-    integrability verification skips exactly the q^0 sectors with a
-    q-direction witness.
+    q*d/dq.  Each term q^d t^e of each lowered constant c_{abc} is integrated
+    once, into the monomial q^d t^alpha with alpha = e raised by the t-slots
+    of (a, b, c); its coefficient is the term's divided by the exponents the
+    three derivatives bring down (d once per q-slot).  A term where that
+    product is 0, a q-derivative of a q^0 term, is skipped: purely classical
+    monomials involving the never-materialized degree-2 coordinate cannot be
+    represented, so the result has no q^0 terms of total degree <= 2, and the
+    verification of every triple derivative skips exactly the q^0 sectors
+    with a q-direction.  That verification certifies the result, and with it
+    that all the terms integrating to one monomial agree.
     """
     K = F.order if order is None else order
     if F.order is None or K > F.order:
@@ -371,119 +373,65 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
         raise ValueError("exactly one quantum direction is supported")
     qdir = qdirs[0]
     tvars = F.svars
+    ns = len(tvars)
 
-    # check total symmetry of c_{ijk} and of its first derivatives
-    low: dict[tuple[str, str, str], Series] = {}
-    for a in names:
-        for b in names:
-            for c in names:
-                low[(a, b, c)] = fd.c_lower(a, b, c)
-    for a in names:
-        for b in names:
-            for c in names:
-                for perm in ((b, a, c), (a, c, b)):
-                    if not (low[(a, b, c)] - low[perm]).is_zero():
-                        raise InvariantViolation(
-                            f"c_{{{a}{b}{c}}} is not symmetric")
-    for a in names:
-        for b in names:
-            for c in names:
-                for l_ in names:
-                    lhs = dscalar(low[(a, b, c)], l_, F.kind_of(l_))
-                    rhs = dscalar(low[(l_, b, c)], a, F.kind_of(a))
-                    # a derivative in a formal direction is exact only one
-                    # order below the family truncation
-                    m = K
-                    if "series" in (F.kind_of(l_), F.kind_of(a)):
-                        m -= 1
-                    if not (lhs - rhs).truncate(m).is_zero():
-                        raise InvariantViolation(
-                            f"nabla c is not symmetric at ({a},{b},{c},{l_})")
+    # the g-lowered constants c_{abc} = g(d_a * d_b, d_c), one product per a
+    pos = {n: i for i, n in enumerate(names)}
+    lowered = {a: fd.gmat @ fd.products[a] for a in names}
+    low = {(a, b, c): lowered[a][pos[c], pos[b]]
+           for a in names for b in names for c in names}
 
-    # collect candidate potential monomials (d, alpha) from all c-monomials
-    candidates: set[tuple[int, tuple[int, ...]]] = set()
+    # check total symmetry of c_{abc} and of its first derivatives
+    for (a, b, c), x in low.items():
+        for perm in ((b, a, c), (a, c, b)):
+            if x != low[perm]:
+                raise InvariantViolation(f"c_{{{a}{b}{c}}} is not symmetric")
+    for (a, b, c), x in low.items():
+        for l_ in names:
+            lhs = dscalar(x, l_, F.kind_of(l_))
+            rhs = dscalar(low[(l_, b, c)], a, F.kind_of(a))
+            # a derivative in a formal direction is exact only one
+            # order below the family truncation
+            m = K
+            if "series" in (F.kind_of(l_), F.kind_of(a)):
+                m -= 1
+            if not (lhs - rhs).truncate(m).is_zero():
+                raise InvariantViolation(
+                    f"nabla c is not symmetric at ({a},{b},{c},{l_})")
+
+    if len(F.qvars) != 1:
+        raise ValueError("potential extraction expects a single quantum variable")
+    # integrate each flat term e + (d,) of each c_{abc} once
     tindex = {v: i for i, v in enumerate(tvars)}
-
-    def bump(alpha: tuple[int, ...], name: str) -> tuple[int, ...]:
-        if name == qdir:
-            return alpha
-        lst = list(alpha)
-        lst[tindex[name]] += 1
-        return tuple(lst)
-
-    for (a, b, c), mat_c in low.items():
-        for exps, coeff in mat_c.terms.items():
-            for dpow in _qpow_split(coeff):
-                alpha = tuple(exps)
-                for nm in (a, b, c):
-                    alpha = bump(alpha, nm)
-                candidates.add((dpow, alpha))
-
-    def witness(dpow: int, alpha: tuple[int, ...]) -> tuple[str, ...] | None:
-        flat: list[str] = []
-        for v, m in zip(tvars, alpha):
-            flat.extend([v] * m)
-        need = 3 - len(flat)
-        if need > 0:
-            if dpow == 0:
-                return None  # classical low-degree sector: not representable
-            flat = [qdir] * need + flat
-        return tuple(flat[:3])
-
-    def triple_factor(dpow: int, alpha: tuple[int, ...],
-                      idx: tuple[str, ...]) -> Fraction:
-        counts = list(alpha)
-        factor = Fraction(1)
-        for nm in idx:
-            if nm == qdir:
-                factor *= dpow
-            else:
-                i = tindex[nm]
-                factor *= counts[i]
-                counts[i] -= 1
-        return factor
-
-    phi_terms: dict[tuple[int, ...], Laurent] = {}
-    phi_order = K + 3
-    for dpow, alpha in sorted(candidates):
-        if dpow == 0 and sum(alpha) <= 2:
-            continue
-        idx = witness(dpow, alpha)
-        if idx is None:
-            continue
-        rem = list(alpha)
-        for nm in idx:
-            if nm != qdir:
-                rem[tindex[nm]] -= 1
-        cv = low[idx].coeff(tuple(rem))
-        coeff = Fraction(0)
-        if cv is not None:
-            coeff = _qpow_split(cv).get(dpow, Fraction(0))
-        value = coeff / triple_factor(dpow, alpha, idx)
-        if value != 0:
-            key = tuple(alpha)
-            prev = phi_terms.get(key, Laurent.zero(F.qvars))
-            phi_terms[key] = prev + Laurent(F.qvars, {(dpow,): value})
-    phi = Series(tvars, phi_order, phi_terms)
+    phi_flat: dict[tuple[int, ...], Fraction] = {}
+    for (a, b, c), x in low.items():
+        for key, coeff in x.flat.items():
+            alpha, factor = list(key[:ns]), 1
+            for nm in (a, b, c):
+                if nm == qdir:
+                    factor *= key[ns]
+                else:
+                    i = tindex[nm]
+                    alpha[i] += 1
+                    factor *= alpha[i]
+            if factor and sum(alpha) <= K + 3:
+                phi_flat[tuple(alpha) + key[ns:]] = coeff / factor
+    phi = Series._flat(tvars, K + 3, F.qvars, phi_flat)
 
     # verify all triple derivatives against the structure constants
-    for (a, b, c), mat_c in low.items():
+    for (a, b, c), x in low.items():
         dd = phi
         for nm in (a, b, c):
             dd = dscalar(dd, nm, F.kind_of(nm))
-        keys = set(mat_c.terms) | {e for e in dd.terms if sum(e) <= K}
-        for exps in sorted(keys):
-            cv = mat_c.coeff(exps)
-            want = _qpow_split(cv) if cv is not None else {}
-            gv = dd.coeff(exps)
-            got = _qpow_split(gv) if gv is not None else {}
-            for dpow in sorted(set(want) | set(got)):
-                if dpow == 0 and qdir in (a, b, c):
-                    continue  # classical sector through the q-direction
-                if want.get(dpow, Fraction(0)) != got.get(dpow, Fraction(0)):
-                    raise InvariantViolation(
-                        f"d3 potential mismatch at c_{{{a}{b}{c}}}, "
-                        f"q^{dpow} t^{list(exps)}")
+        keys = set(x.flat) | {key for key in dd.flat if sum(key[:ns]) <= K}
+        through_q = qdir in (a, b, c)
+        for key in sorted(keys):
+            if through_q and key[ns] == 0:
+                continue  # classical sector through the q-direction
+            if x.flat.get(key, 0) != dd.flat.get(key, 0):
+                raise InvariantViolation(
+                    f"d3 potential mismatch at c_{{{a}{b}{c}}}, "
+                    f"q^{key[ns]} t^{list(key[:ns])}")
     return phi
 
 
@@ -504,9 +452,7 @@ def gw_pn2(dmax: int) -> list[int]:
         exps = tuple((3 * dd - 1) if i == t2 else 0 for i in range(len(F.svars)))
         if sum(exps) > phi.order:
             raise ValueError("truncation order too small for the requested degree")
-        cv = phi.coeff(exps)
-        split = _qpow_split(cv) if cv is not None else {}
-        nd = split.get(dd, Fraction(0)) * math.factorial(3 * dd - 1)
+        nd = phi.flat.get(exps + (dd,), 0) * math.factorial(3 * dd - 1)
         if nd.denominator != 1:
             raise InvariantViolation(f"non-integer curve count at degree {dd}")
         out.append(int(nd))
@@ -540,17 +486,12 @@ def wdvv_oracle(dmax: int) -> list[int]:
 
 
 def potential_to_json(phi: Series) -> dict:
-    monomials = []
-    for exps, coeff in sorted(phi.terms.items()):
-        for (dpow,), cval in sorted(coeff.terms.items()):
-            monomials.append({"qpow": dpow, "exps": list(exps),
-                              "coef": fraction_to_str(cval)})
-    monomials.sort(key=lambda m: (m["qpow"], m["exps"]))
-    return {"monomials": monomials}
+    """The monomials q^d t^e of a potential, sorted by d and then by e."""
+    return {"monomials": [{"qpow": key[-1], "exps": list(key[:-1]), "coef": fraction_to_str(c)}
+                          for key, c in sorted(phi.flat.items(), key=lambda kc: (kc[0][-1], kc[0]))]}
 
 
 def problem_to_json(p: DeformationProblem) -> dict:
-    from .presaito import _encode_entry  # shared scalar encoding
     return {
         "newVars": list(p.new_vars),
         "order": p.order,
@@ -561,7 +502,6 @@ def problem_to_json(p: DeformationProblem) -> dict:
 
 def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
     """Decode a problem document; a mistyped or missing field raises ValueError."""
-    from .presaito import _decode_entry
     if not isinstance(doc, dict):
         raise ValueError(f"a problem must be a JSON object, got {type(doc).__name__}")
     order, new_vars, psi, omega = (json_field(doc, k) for k in ("order", "newVars", "psi", "omega"))

@@ -28,6 +28,7 @@ from altfrob.presaito import (
     dumps_family,
     frobenius_data,
     loads_family,
+    wedge,
 )
 from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import Laurent, Series
@@ -197,10 +198,30 @@ class TestPotential:
         # one line through two points: q t2^2 / 2
         assert phi.coeff((0, 2)) == Laurent(("q",), {(1,): F(1, 2)})
 
+    def test_p3_potential_carries_the_enumerative_invariants(self):
+        big = universal_big_quantum(pn_small_family(3), 5)
+        phi = potential(big, (1, 0, 0, 0))
+        # flat keys (t0, t2, t3, q-power)
+        assert phi.flat[(0, 0, 2, 1)] == F(1, 2)       # one line through two points
+        assert phi.flat[(0, 2, 1, 1)] == F(1, 2)       # <l, l, pt>_1 = 1
+        assert phi.flat[(0, 4, 0, 1)] == F(2, 24)      # two lines meet four lines
+        assert phi.flat[(0, 8, 0, 2)] == F(92, 40320)  # 92 conics meet eight lines
+        assert phi.flat[(0, 0, 6, 3)] == F(1, 720)     # one twisted cubic through six points
+
+    def test_wedge_family_is_rejected_before_integration(self):
+        g23 = wedge(universal_big_quantum(pn_small_family(2), 4), 2)
+        with pytest.raises(InvariantViolation) as err:
+            potential(g23, (1, 0, 0))
+        assert str(err.value) == "nabla c is not symmetric at (t0,q,t2,q)"
+
     def test_potential_json_is_sorted(self):
         big = universal_big_quantum(pn_small_family(1), 3)
         doc = potential_to_json(potential(big, (1, 0)))
         assert doc == {"monomials": [{"qpow": 1, "exps": [0], "coef": "1"}]}
+        # by q-power first: the classical t0^2 t2 / 2 leads, then one term per degree
+        doc = potential_to_json(potential(universal_big_quantum(pn_small_family(2), 5), (1, 0, 0)))
+        assert [(m["qpow"], m["exps"], m["coef"]) for m in doc["monomials"]] == [
+            (0, [2, 1], "1/2"), (1, [0, 2], "1/2"), (2, [0, 5], "1/120"), (3, [0, 8], "1/3360")]
 
 
 class TestCurveCounts:

@@ -47,6 +47,17 @@ def test_point_family_checks_vacuous():
     assert check_metric(P).ok
 
 
+def test_adjoint_is_g_inverse_transpose_g():
+    # G = diag(1, 2) is not its own inverse: B0 is self-adjoint exactly when G B0 is symmetric
+    c = lambda x: Laurent.const((), F(x))
+    G = Mat.diag([c(1), c(2)])
+    half = Mat.diag([c(F(1, 2)), c(F(1, 2))])
+    good = PreSaitoFamily((), 2, half, Mat([[c(0), c(2)], [c(1), c(0)]]), {}, G, w=1)
+    assert check_metric(good).ok, check_metric(good).first_witness()
+    bad = PreSaitoFamily((), 2, half, Mat([[c(0), c(1)], [c(1), c(0)]]), {}, G, w=1)
+    assert check_metric(bad).first_witness() == "B0* = B0: entry (0,1): 1"
+
+
 def test_corrupted_corner_fails_deformation_relation():
     fam = pn_small_family(2)
     qv = ("q",)
