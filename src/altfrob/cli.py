@@ -341,9 +341,12 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
     fam = _read_input(args.family, "family", loads_family)
     K = settings.get("K", flag_name="order")
     _check_order(K, fam.order, "the family's truncation")
-    reports = [check_pre_saito(fam, order=K)]
-    if fam.G is not None:
-        reports.append(check_metric(fam, order=K))
+    try:
+        reports = [check_pre_saito(fam, order=K)]
+        if fam.G is not None:
+            reports.append(check_metric(fam, order=K))
+    except ValueError as exc:  # a product past the Series key limit
+        raise UsageError(f"cannot check {args.family}: {exc}")
     lines, ok = _report_lines(reports)
     if fam.G is None:
         lines.append("(family carries no metric; metric axioms skipped)")

@@ -341,7 +341,7 @@ def inv_series(M: Mat, slice_inverse: tuple[Mat, Laurent] | None = None
     """
     sample = M.rows[0][0]
     svars, order = sample.vars, sample.order
-    qvars = next((s.qvars for r in M.rows for s in r if s.flat), None)
+    qvars = next((s.qvars for r in M.rows for s in r if s.num), None)
     if qvars is None:
         raise ZeroDivisionError("singular matrix")
     A, delta = slice_inverse or inv_laurent(series_constant_slice(M, qvars))

@@ -126,6 +126,13 @@ class PreSaitoFamily:
         if G is not None and G.shape != (d, d):
             raise ValueError("G has the wrong shape")
 
+    def __eq__(self, other):
+        if not isinstance(other, PreSaitoFamily):
+            return NotImplemented
+        # the ring first: matrices of two series rings do not compare
+        return all(getattr(self, a) == getattr(other, a)
+                   for a in ("base", "params", "d", "order", "w", "Binf", "B0", "C", "G"))
+
     # -- coordinate bookkeeping ------------------------------------------------
 
     @property

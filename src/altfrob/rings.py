@@ -17,32 +17,32 @@ algebra over ``Laurent`` is fraction-free, and its one division,
 An entry knows its ring: ``x * 0`` is the zero of the ring of ``x`` for
 every scalar of the tower, so no separate ring descriptor exists.
 
-A ``Series`` is one flat dict: the key is the series exponents followed by
-the Laurent exponents (``e + k``), the value a nonzero Fraction, and the
-series keeps its Laurent variable tuple.  Every ``Series`` operation works
-on that dict, so none builds a ``Laurent``; ``Series.terms``, the view
-``{e: Laurent}``, is derived on first use for the JSON encoder, the
-potential and printing.  Every ``Series`` product, a single ``a * b``, a
-``series_dot`` or a whole ``Series`` matrix product, goes through one
-matrix-level kernel, ``series_matmul``: each operand is prepared once and
-the result memoised on it (a series is never mutated), as a common
-denominator and its terms sorted by degree with integer numerators; zero
-entries are skipped structurally, and each output entry accumulates
-integers over one denominator and is written once.  Every
-``Laurent`` product, a single ``a * b`` or an entry of a ``Laurent`` matrix
-product, goes through ``laurent_dot``: pairs with a zero operand are skipped
-and the result is built once, with no intermediate ``Laurent`` products or
-sums.
+A ``Series`` is a positive integer denominator and a dict from one packed
+integer key per monomial (its exponents as 16-bit digits, total degree on
+top) to a nonzero integer numerator, in lowest terms, so every ``Series``
+operation is integer arithmetic; the tuple-keyed views ``Series.terms`` and
+``Series.flat`` are built on demand for the JSON encoder, the potential and
+printing.  Every ``Series`` product, a single ``a * b``, a ``series_dot`` or
+a whole ``Series`` matrix product, goes through one matrix-level kernel,
+``series_matmul``: each operand's terms are sorted by key once and memoised
+on it (a series is never mutated), zero entries are skipped structurally,
+and each output entry accumulates integers over one denominator on packed
+keys and is reduced once.  Every ``Laurent`` product, a single ``a * b`` or
+an entry of a ``Laurent`` matrix product, goes through ``laurent_dot``:
+pairs with a zero operand are skipped and the result is built once, with no
+intermediate ``Laurent`` products or sums.
 
 No floating point is used anywhere; all arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from math import lcm
-from operator import add, itemgetter
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -404,25 +404,66 @@ def qlaurent(pairs: Iterable[tuple[int, int | Fraction]]) -> Laurent:
 # ---------------------------------------------------------------------------
 
 
+# -- packed monomial keys ------------------------------------------------------
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_BIAS = 1 << (_BITS - 1)
+KEY_LIMIT = _BIAS - 1  # the largest |Laurent exponent| and the largest Series order
+
+
+@lru_cache(maxsize=None)
+def _layout(ns: int, nq: int) -> tuple[struct.Struct, int, int]:
+    """(digit codec, packed zero Z, shift of the degree digit) of ns + nq exponents."""
+    zero = sum(_BIAS << (_BITS * (ns + j)) for j in range(nq))
+    return struct.Struct(f"<{ns + nq + 1}H"), zero, _BITS * (ns + nq)
+
+
+def _pack(ns: int, nq: int, e: Exponents, k: Exponents) -> int:
+    """The key of q^k t^e: e, then k biased by 2^15, then sum(e), one 16-bit digit each."""
+    if len(e) != ns or len(k) != nq:
+        raise ValueError(f"expected {ns} series and {nq} Laurent exponents, got {e} and {k}")
+    degree = sum(e)
+    if e and min(e) < 0 or degree > KEY_LIMIT:
+        raise ValueError(f"series exponents {list(e)} are outside 0..{KEY_LIMIT}")
+    if k and (min(k) < -KEY_LIMIT or max(k) > KEY_LIMIT):
+        raise ValueError(f"Laurent exponents {list(k)} are past the Series key limit {KEY_LIMIT}")
+    return int.from_bytes(_layout(ns, nq)[0].pack(*e, *[x + _BIAS for x in k], degree), "little")
+
+
+def _check_order(order: int) -> None:
+    if order > KEY_LIMIT:
+        raise ValueError(f"a Series order is at most {KEY_LIMIT}, got {order}")
+
+
 class Series:
     """A power series in formal variables, truncated in total degree.
 
     Coefficients are Laurent polynomials in one variable tuple ``qvars``, the
     top of the tower; a coefficient of any other kind raises TypeError at
-    construction.  A series is one flat dict ``flat`` from ``e + k``, the
-    series exponents e followed by the Laurent exponents k, to nonzero
-    Fractions, and every operation works on that dict without building a
-    Laurent.  A term with sum(e) > ``order`` is discarded by every operation,
-    so instances represent elements of R[[x]] / (x)^{order+1} with R a
-    Laurent ring.  The zero series has no Laurent ring (``qvars`` is None)
-    and takes the ring of the other operand.  Instances are never mutated.
+    construction.  A series is a positive integer ``den`` and a dict ``num``
+    from packed monomial keys to nonzero integer numerators, kept in lowest
+    terms (gcd(den, every numerator) = 1), so ``==`` and ``hash`` are
+    structural.  A term with sum(e) > ``order`` is discarded by every
+    operation, so instances represent elements of R[[x]] / (x)^{order+1}
+    with R a Laurent ring.  The zero series has no Laurent ring (``qvars`` is
+    None) and takes the ring of the other operand.  Instances are never
+    mutated.
+
+    The key of q^k t^e has 16-bit digits, least significant first: e_1 ..
+    e_ns, then k_j + 2^15 for each Laurent variable, then sum(e).  A series
+    order is at most ``KEY_LIMIT``, which bounds every series digit, and a
+    Laurent exponent at most ``KEY_LIMIT`` in absolute value, so no digit
+    carries into the next; a construction, product or derivation that would
+    leave these bounds raises ValueError.
     """
 
-    __slots__ = ("vars", "order", "qvars", "flat", "_terms", "_prep")
+    __slots__ = ("vars", "order", "qvars", "den", "num", "_terms", "_prep")
 
     def __init__(self, variables: tuple[str, ...], order: int,
                  terms: Mapping[Exponents, Laurent]):
-        qvars, flat = None, {}
+        _check_order(order)
+        qvars, items = None, []
         for e, c in terms.items():
             if type(c) is not Laurent:
                 raise TypeError(f"Series needs Laurent coefficients, got {type(c).__name__}")
@@ -432,23 +473,51 @@ class Series:
                 if qvars is not None:
                     raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
                 qvars = c.vars
-            for k, f in c.terms.items():
-                flat[e + k] = f
-        self.vars, self.order, self.flat = variables, order, flat
-        self.qvars = qvars if flat else None
+            items.append((e, c.terms))
+        num, den = {}, 1
+        if items:
+            # over the lcm of reduced denominators the numerators have gcd 1 with it
+            ns, nq = len(variables), len(qvars)
+            den = lcm(*[f.denominator for _, t in items for f in t.values()])
+            for e, t in items:
+                for k, f in t.items():
+                    num[_pack(ns, nq, e, k)] = f.numerator * (den // f.denominator)
+        self.vars, self.order, self.qvars, self.den, self.num = variables, order, qvars, den, num
         self._terms = self._prep = None
 
     @classmethod
-    def _flat(cls, variables: tuple[str, ...], order: int, qvars, flat: dict) -> "Series":
-        """Wrap a flat dict of nonzero Fractions within the order, without a copy."""
+    def _reduced(cls, variables: tuple[str, ...], order: int, qvars, den: int,
+                 num: dict) -> "Series":
+        """Wrap nonzero numerators over den, without a copy, divided to lowest terms."""
+        if not num:
+            qvars, den = None, 1
+        elif den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {key: n // g for key, n in num.items()}
         x = object.__new__(cls)
-        x.vars, x.order, x.flat = variables, order, flat
-        x.qvars = qvars if flat else None
+        x.vars, x.order, x.qvars, x.den, x.num = variables, order, qvars, den, num
         x._terms = x._prep = None
         return x
 
-    def _like(self, flat: dict) -> "Series":
-        return Series._flat(self.vars, self.order, self.qvars, flat)
+    def _like(self, num: dict, den: int | None = None) -> "Series":
+        return Series._reduced(self.vars, self.order, self.qvars,
+                               self.den if den is None else den, num)
+
+    def _shift(self) -> int:
+        """The bit position of the degree digit."""
+        return _BITS * (len(self.vars) + len(self.qvars or ()))
+
+    def _unpacked(self):
+        """(series exponents, Laurent exponents, Fraction coefficient) of each term."""
+        ns, den = len(self.vars), self.den
+        codec = _layout(ns, len(self.qvars or ()))[0]
+        unpack, size = codec.unpack, codec.size
+        for key, n in self.num.items():
+            d = unpack(key.to_bytes(size, "little"))
+            yield (d[:ns], tuple([x - _BIAS for x in d[ns:-1]]),
+                   Fraction(n) if den == 1 else Fraction(n, den))
 
     # -- constructors -------------------------------------------------------
 
@@ -466,53 +535,67 @@ class Series:
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
         return cls(variables, order, {exps: one})
 
+    # -- tuple-keyed views ----------------------------------------------------
+
     @property
     def terms(self) -> Mapping[Exponents, Laurent]:
         """The read-only view {series exponents: Laurent coefficient}, built once."""
         if self._terms is None:
-            ns, grouped = len(self.vars), {}
-            for key, c in self.flat.items():
-                grouped.setdefault(key[:ns], {})[key[ns:]] = c
+            grouped = {}
+            for e, k, c in self._unpacked():
+                grouped.setdefault(e, {})[k] = c
             self._terms = MappingProxyType(
                 {e: Laurent._trusted(self.qvars, t) for e, t in grouped.items()})
         return self._terms
 
-    def _prepared(self) -> tuple[int, list]:
-        """(common denominator D, [(degree, flat key, D * coefficient)] by degree), memoised."""
+    @property
+    def flat(self) -> dict[Exponents, Fraction]:
+        """A new dict {series exponents + Laurent exponents: coefficient}."""
+        return {e + k: c for e, k, c in self._unpacked()}
+
+    def _prepared(self) -> tuple[int, list, int]:
+        """(den, [(key, numerator)] sorted by key, so by degree, largest |Laurent exponent|).
+
+        Memoised: it is the form in which ``series_matmul`` reads an operand.
+        """
         if self._prep is None:
-            ns = len(self.vars)
-            den = lcm(*[c.denominator for c in self.flat.values()])
-            self._prep = (den, sorted(
-                [(sum(key[:ns]), key, c.numerator * (den // c.denominator))
-                 for key, c in self.flat.items()], key=itemgetter(0)))
+            ns, qmax = len(self.vars), 0
+            for j in range(len(self.qvars or ())):
+                digits = [(key >> (_BITS * (ns + j))) & _MASK for key in self.num]
+                qmax = max(qmax, _BIAS - min(digits), max(digits) - _BIAS)
+            self._prep = (self.den, sorted(self.num.items()), qmax)
         return self._prep
 
     def is_zero(self) -> bool:
-        return not self.flat
+        return not self.num
 
     # -- ring operations -----------------------------------------------------
 
     def _sum(self, other: "Series", negate: bool) -> "Series":
         if self.vars != other.vars or self.order != other.order:
             raise ValueError("series ring mismatch")
-        if self.flat and other.flat and other.qvars != self.qvars:
+        if not other.num:
+            return self
+        if not self.num:
+            return -other if negate else other
+        if other.qvars != self.qvars:
             raise ValueError(f"variable mismatch: {self.qvars} vs {other.qvars}")
-        flat = dict(self.flat)
-        get = flat.get
-        for key, c in other.flat.items():
-            if negate:
-                c = -c
+        den = lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
+        num = dict(self.num) if f1 == 1 else {key: n * f1 for key, n in self.num.items()}
+        if negate:
+            f2 = -f2
+        get = num.get
+        for key, n in other.num.items():
+            n *= f2
             s = get(key)
             if s is None:
-                flat[key] = c
+                num[key] = n
+            elif s + n:
+                num[key] = s + n
             else:
-                s += c
-                if s:
-                    flat[key] = s
-                else:
-                    del flat[key]
-        return Series._flat(self.vars, self.order,
-                            self.qvars if self.flat else other.qvars, flat)
+                del num[key]
+        return self._like(num, den)
 
     def __add__(self, other):
         if not isinstance(other, Series):
@@ -520,7 +603,7 @@ class Series:
         return self._sum(other, False)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self.flat.items()})
+        return self._like({key: -n for key, n in self.num.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -549,46 +632,48 @@ class Series:
         """Multiply every coefficient by a rational or a Laurent polynomial."""
         if not isinstance(scalar, Laurent):
             c0 = as_fraction(scalar)
-            return self._like({key: c * c0 for key, c in self.flat.items()} if c0 else {})
-        if self.flat and scalar.vars != self.qvars:
+            p = c0.numerator
+            return self._like({key: n * p for key, n in self.num.items()} if p else {},
+                              self.den * c0.denominator)
+        if self.num and scalar.vars != self.qvars:
             raise ValueError(f"variable mismatch: {self.qvars} vs {scalar.vars}")
-        ns, acc = len(self.vars), {}
-        for key, c in self.flat.items():
-            e, k1 = key[:ns], key[ns:]
-            for k2, c2 in scalar.terms.items():
-                k = e + tuple(map(add, k1, k2))
-                acc[k] = acc.get(k, 0) + c * c2
-        return self._like({k: c for k, c in acc.items() if c})
+        return series_dot([(self, Series.const(self.vars, self.order, scalar))])
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         return (self.vars == other.vars and self.order == other.order
-                and self.qvars == other.qvars and self.flat == other.flat)
+                and self.qvars == other.qvars and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.vars, self.order, self.qvars, frozenset(self.flat.items())))
+        return hash((self.vars, self.order, self.qvars, self.den,
+                     frozenset(self.num.items())))
 
     # -- calculus ------------------------------------------------------------
 
-    def _deriv(self, i: int, shift: bool) -> "Series":
-        """Multiply each term by its exponent at flat position i, lowering it when shift."""
-        flat = {}
-        for key, c in self.flat.items():
-            p = key[i]
+    def _deriv(self, s: int, bias: int, step: int) -> "Series":
+        """Multiply each term by its digit at bit s less bias, and lower its key by step."""
+        num = {}
+        for key, n in self.num.items():
+            p = ((key >> s) & _MASK) - bias
             if p:
-                flat[key[:i] + (p - 1,) + key[i + 1:] if shift else key] = c * p
-        return self._like(flat)
+                num[key - step] = n * p
+        return self._like(num)
 
     def deriv(self, name: str) -> "Series":
         """Partial derivative in a formal series variable."""
-        return self._deriv(self.vars.index(name), True)
+        s = _BITS * self.vars.index(name)
+        return self._deriv(s, 0, (1 << s) + (1 << self._shift()))
 
     def coeff_deriv(self, name: str, log: bool) -> "Series":
         """A derivation of the coefficients: q * d/dq in ``name`` when log, else d/dname."""
-        if not self.flat:
+        if not self.num:
             return self
-        return self._deriv(len(self.vars) + self.qvars.index(name), not log)
+        s = _BITS * (len(self.vars) + self.qvars.index(name))
+        if not log and any((key >> s) & _MASK == _BIAS - KEY_LIMIT for key in self.num):
+            raise ValueError(f"d/d{name} of {name}^-{KEY_LIMIT} is past the Series key limit")
+        return self._deriv(s, _BIAS, 0 if log else 1 << s)
 
     def integrate(self, name: str) -> "Series":
         """Antiderivative in a formal variable, vanishing at 0.
@@ -596,14 +681,14 @@ class Series:
         Raises if a term would land beyond the truncation order, since the
         information content would silently be wrong otherwise.
         """
-        i, ns = self.vars.index(name), len(self.vars)
-        flat = {}
-        for key, c in self.flat.items():
-            if sum(key[:ns]) + 1 > self.order:
-                raise ValueError("integration exceeds truncation order")
-            p = key[i] + 1
-            flat[key[:i] + (p,) + key[i + 1:]] = c / p
-        return self._like(flat)
+        s, shift = _BITS * self.vars.index(name), self._shift()
+        if any(key >> shift >= self.order for key in self.num):
+            raise ValueError("integration exceeds truncation order")
+        step = (1 << s) + (1 << shift)
+        p = {key: ((key >> s) & _MASK) + 1 for key in self.num}
+        m = lcm(*p.values())
+        return self._like({key + step: n * (m // p[key]) for key, n in self.num.items()},
+                          self.den * m)
 
     # -- structure -----------------------------------------------------------
 
@@ -612,28 +697,28 @@ class Series:
 
     def coeff_of_var(self, name: str, k: int) -> "Series":
         """The coefficient of name^k, as a series with that exponent zeroed."""
-        i = self.vars.index(name)
-        return self._like({key[:i] + (0,) + key[i + 1:]: c
-                           for key, c in self.flat.items() if key[i] == k})
+        s = _BITS * self.vars.index(name)
+        step = k * ((1 << s) + (1 << self._shift()))
+        return self._like({key - step: n for key, n in self.num.items()
+                           if (key >> s) & _MASK == k})
 
     def times_var(self, name: str, k: int) -> "Series":
-        i, ns, room = self.vars.index(name), len(self.vars), self.order - k
-        return self._like({key[:i] + (key[i] + k,) + key[i + 1:]: c
-                           for key, c in self.flat.items() if sum(key[:ns]) <= room})
+        s, shift = _BITS * self.vars.index(name), self._shift()
+        room, step = (self.order - k + 1) << shift, k * ((1 << s) + (1 << shift))
+        return self._like({key + step: n for key, n in self.num.items() if key < room})
 
     def truncate(self, k: int, name: str | None = None) -> "Series":
         """Drop the terms of total degree above k, or of degree above k in ``name``."""
         if name is None:
-            ns = len(self.vars)
-            return self._like({key: c for key, c in self.flat.items() if sum(key[:ns]) <= k})
-        i = self.vars.index(name)
-        return self._like({key: c for key, c in self.flat.items() if key[i] <= k})
+            room = (k + 1) << self._shift()
+            return self._like({key: n for key, n in self.num.items() if key < room})
+        s = _BITS * self.vars.index(name)
+        return self._like({key: n for key, n in self.num.items() if (key >> s) & _MASK <= k})
 
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
-        idx = [self.vars.index(n) for n in names]
-        return self._like({key: c for key, c in self.flat.items()
-                           if all(key[i] == 0 for i in idx)})
+        mask = sum(_MASK << (_BITS * self.vars.index(n)) for n in names)
+        return self._like({key: n for key, n in self.num.items() if not key & mask})
 
     def promote(self, new_vars: tuple[str, ...], order: int,
                 qvars: tuple[str, ...] | None = None) -> "Series":
@@ -642,32 +727,42 @@ class Series:
         With ``qvars``, the coefficients are embedded into that larger Laurent
         variable tuple in the same pass, as by ``Laurent.promote``.
         """
-        if not self.flat:
-            return Series._flat(new_vars, order, None, {})
-        qvars = qvars or self.qvars
-        ns, width = len(self.vars), len(new_vars) + len(qvars)
+        _check_order(order)
+        if not self.num:
+            return Series._reduced(new_vars, order, None, 1, {})
+        if qvars is None:
+            qvars = self.qvars
+        if new_vars == self.vars and qvars == self.qvars:
+            room = (order + 1) << self._shift()
+            return Series._reduced(new_vars, order, qvars, self.den,
+                                   {key: n for key, n in self.num.items() if key < room})
+        ns, nq = len(self.vars), len(self.qvars)
+        codec = _layout(ns, nq)[0]
+        new = _layout(len(new_vars), len(qvars))[0]
         pos = ([new_vars.index(v) for v in self.vars]
-               + [len(new_vars) + qvars.index(v) for v in self.qvars])
-        flat = {}
-        for key, c in self.flat.items():
-            if sum(key[:ns]) <= order:
-                big = [0] * width
-                for p, x in zip(pos, key):
+               + [len(new_vars) + qvars.index(v) for v in self.qvars] + [-1])
+        blank = [0] * len(new_vars) + [_BIAS] * len(qvars) + [0]
+        num = {}
+        for key, n in self.num.items():
+            d = codec.unpack(key.to_bytes(codec.size, "little"))
+            if d[-1] <= order:
+                big = blank[:]
+                for p, x in zip(pos, d):
                     big[p] = x
-                flat[tuple(big)] = c
-        return Series._flat(new_vars, order, qvars, flat)
+                num[int.from_bytes(new.pack(*big), "little")] = n
+        return Series._reduced(new_vars, order, qvars, self.den, num)
 
     def constant_slice(self):
         """The Laurent coefficient at exponent 0, or None when absent."""
-        ns = len(self.vars)
-        t = {key[ns:]: c for key, c in self.flat.items() if not any(key[:ns])}
+        x = self.truncate(0)
+        t = {k: c for _, k, c in x._unpacked()}
         return Laurent._trusted(self.qvars, t) if t else None
 
     def sorted_terms(self) -> list[tuple[Exponents, Laurent]]:
         return sorted(self.terms.items())
 
     def __str__(self):
-        if not self.flat:
+        if not self.num:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -689,49 +784,68 @@ def series_matmul(a_rows: Sequence[Sequence[Series]],
     Every entry of A and B is checked, zero partner or not: a series ring
     other than that of the first entry raises ValueError, and so do nonzero
     entries over differing Laurent variable tuples.  Each nonzero operand is
-    used in its memoised prepared form (``Series._prepared``): a common
-    denominator and its terms as integer numerators sorted by degree, so a
-    left term of degree d meets the right terms up to ``order - d`` and
-    stops.  Output entry (i, j) visits only the k where A[i][k] and B[k][j]
-    are both nonzero, accumulates integers over one denominator on the flat
-    keys, and writes its flat dict once.
+    read in its memoised prepared form (``Series._prepared``): its terms
+    sorted by packed key, hence by degree.  The key of a product of terms is
+    k1 + k2 - Z, with Z the packed zero of the ring, and it is past the
+    truncation order exactly when it reaches (order + 1) << degree shift, so
+    a left term meets the right terms up to that bound and stops.  A pair
+    whose largest |Laurent exponents| sum past ``KEY_LIMIT`` raises
+    ValueError instead of wrapping a digit.  Output entry (i, j) visits only
+    the k where A[i][k] and B[k][j] are both nonzero, accumulates integers
+    over one denominator on the packed keys and is reduced once.
     """
-    entries = [x for rows in (a_rows, b_rows) for r in rows for x in r]
-    svars, order = entries[0].vars, entries[0].order
-    if any(x.vars != svars or x.order != order for x in entries):
-        raise ValueError("series ring mismatch")
-    rings = sorted({x.qvars for x in entries if x.flat})
-    if len(rings) > 1:
-        raise ValueError(f"variable mismatch: {rings[0]} vs {rings[1]}")
-    qvars = rings[0] if rings else None
+    svars, order = a_rows[0][0].vars, a_rows[0][0].order
+    qvars = None
 
-    left = [[(k, x._prepared()) for k, x in enumerate(r) if x.flat] for r in a_rows]
+    def prepared(x: Series):
+        """The prepared form of a nonzero entry, None for zero; checks the ring."""
+        nonlocal qvars
+        if x.vars != svars or x.order != order:
+            raise ValueError("series ring mismatch")
+        if not x.num:
+            return None
+        if x.qvars != qvars:
+            if qvars is not None:
+                raise ValueError(f"variable mismatch: {qvars} vs {x.qvars}")
+            qvars = x.qvars
+        return x._prep or x._prepared()
+
+    left = [[(k, p) for k, x in enumerate(r) if (p := prepared(x))] for r in a_rows]
     right = [{} for _ in b_rows[0]]
     for k, r in enumerate(b_rows):
         for j, x in enumerate(r):
-            if x.flat:
-                right[j][k] = x._prepared()
+            if p := prepared(x):
+                right[j][k] = p
+    _, zero, shift = _layout(len(svars), len(qvars or ()))
+    limit = ((order + 1) << shift) + zero
+    nil = Series._reduced(svars, order, None, 1, {})
     out = []
     for row in left:
         out_row = []
         for col in right:
             pairs = [(a, b) for k, a in row if (b := col.get(k)) is not None]
+            if not pairs:
+                out_row.append(nil)
+                continue
             den = lcm(*[a[0] * b[0] for a, b in pairs])
             acc: dict = {}
             get = acc.get
-            for (da, ta), (db, tb) in pairs:
+            for (da, ta, ma), (db, tb, mb) in pairs:
+                if ma + mb > KEY_LIMIT:
+                    raise ValueError(f"Laurent exponents up to {ma} and {mb} multiply "
+                                     f"past the Series key limit {KEY_LIMIT}")
                 f = den // (da * db)
-                for d1, k1, n1 in ta:
-                    room = order - d1
+                for k1, n1 in ta:
+                    room = limit - k1  # k1 + k2 - Z is within the order iff k2 < room
+                    k1 -= zero
                     n1 *= f
-                    for d2, k2, n2 in tb:
-                        if d2 > room:
+                    for k2, n2 in tb:
+                        if k2 >= room:
                             break
-                        key = tuple(map(add, k1, k2))
+                        key = k1 + k2
                         acc[key] = get(key, 0) + n1 * n2
-            out_row.append(Series._flat(svars, order, qvars, {
-                key: Fraction(n, den) if den != 1 else Fraction(n)
-                for key, n in acc.items() if n}))
+            out_row.append(Series._reduced(svars, order, qvars, den,
+                                           {key: n for key, n in acc.items() if n}))
         out.append(out_row)
     return out
 

@@ -1,12 +1,12 @@
-"""The ``deform`` and ``mirror`` benchmark jobs reproduce their recorded
-digests in-process.
+"""The ``deform``, ``mirror`` and ``grassmann`` benchmark jobs reproduce their
+recorded digests in-process.
 
 Each job runs through ``altfrob.cli.main`` (the ``deform`` jobs in the
 directory the set-up script writes their inputs to), and the SHA-256 of its
 stdout and of every ``--out`` file must equal the entry in
-``bench/digests.json``, so a byte drift in ``hm``, ``verify``, ``gw`` or
-``mirror`` fails here and not only in the benchmark.  The job lists are the
-benchmark's own, read from ``bench/run.py``.
+``bench/digests.json``, so a byte drift in ``hm``, ``verify``, ``gw``,
+``mirror`` or ``grassmann`` fails here and not only in the benchmark.  The
+job lists are the benchmark's own, read from ``bench/run.py``.
 """
 
 import hashlib
@@ -61,3 +61,14 @@ def test_mirror_jobs_match_the_bench_digests(monkeypatch, capsys):
         assert cli.main(list(job.argv)) == 0, job.name
         got = {"stdout": sha256(capsys.readouterr().out.encode())}
         assert got == digests[f"mirror/{job.name}"], job.name
+
+
+def test_grassmann_jobs_match_the_bench_digests(monkeypatch, capsys):
+    jobs, digests = bench_jobs(monkeypatch, "grassmann")
+    assert len(jobs) == 3
+    capsys.readouterr()
+    for job in jobs:  # the recorded digests are those of seed 0
+        argv = [arg.replace("{seed}", "0") for arg in job.argv]
+        assert cli.main(argv) == 0, job.name
+        got = {"stdout": sha256(capsys.readouterr().out.encode())}
+        assert got == digests[f"grassmann/{job.name}"], job.name

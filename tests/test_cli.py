@@ -11,7 +11,7 @@ from altfrob.linalg import Mat
 from altfrob.mirror import mirror_brieskorn
 from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family, wedge
 from altfrob.projective import build_pn, pn_small_family
-from altfrob.rings import Laurent, Series
+from altfrob.rings import KEY_LIMIT, Laurent, Series
 
 
 MISSING = object()  # a field value that deletes the field
@@ -331,6 +331,24 @@ class TestPnAndVerify:
         ext_path.write_text(json.dumps(doc))
         code, out, err = run(["verify", "--family", str(ext_path)], capsys)
         assert_one_line_usage_error(code, out, err, message)
+
+    # q-powers put into B0[0][1] and C(q)[1][0] of big-quantum P^1; their
+    # product is the (0, 0) entry of B0 @ C(q), which the checker forms
+    @pytest.mark.parametrize("b0_power,cq_power,message", [
+        (KEY_LIMIT + 1, 0, "could not parse family file"),
+        (-KEY_LIMIT - 1, 0, "could not parse family file"),
+        (20000, 20000, "multiply past the Series key limit"),
+    ], ids=["past-limit", "past-negative-limit", "product-past-limit"])
+    def test_q_exponent_past_the_key_limit_is_an_input_error(
+            self, capsys, tmp_path, b0_power, cq_power, message):
+        doc = json.loads(dumps_family(universal_big_quantum(pn_small_family(1), 3)))
+        doc["B0"][0][1][0]["coef"][0][0] = b0_power
+        doc["C"]["q"][1][0][0]["coef"][0][0] = cq_power
+        fam_path = tmp_path / "far.json"
+        fam_path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", "--family", str(fam_path)], capsys)
+        assert_one_line_usage_error(code, out, err, message)
+        assert "key limit 32767" in err
 
 
 class TestHm:

@@ -151,8 +151,18 @@ class TestUniversalBigQuantum:
 
     def test_family_round_trips_through_json(self):
         big = universal_big_quantum(pn_small_family(1), 3)
-        # equality of families is not defined; compare serializations
         assert dumps_family(loads_family(dumps_family(big))) == dumps_family(big)
+
+    @pytest.mark.parametrize("n,K", [(1, 2), (1, 5), (2, 3), (3, 3), (4, 2)])
+    def test_extension_loads_back_equal(self, n, K):
+        big = universal_big_quantum(pn_small_family(n), K)
+        assert loads_family(dumps_family(big)) == big
+
+    def test_wedge_of_extension_loads_back_equal(self):
+        g24 = wedge(universal_big_quantum(pn_small_family(3), 3), 2)
+        back = loads_family(dumps_family(g24))
+        assert back == g24
+        assert back != wedge(universal_big_quantum(pn_small_family(3), 2), 2)
 
     def test_rejects_tiny_order(self):
         with pytest.raises(ValueError):
@@ -207,6 +217,13 @@ class TestPotential:
         assert phi.flat[(0, 4, 0, 1)] == F(2, 24)      # two lines meet four lines
         assert phi.flat[(0, 8, 0, 2)] == F(92, 40320)  # 92 conics meet eight lines
         assert phi.flat[(0, 0, 6, 3)] == F(1, 720)     # one twisted cubic through six points
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_requested_order_below_the_family_order(self, n):
+        omega = (1,) + (0,) * n
+        low = potential(universal_big_quantum(pn_small_family(n), 6), omega, 4)
+        assert low == potential(universal_big_quantum(pn_small_family(n), 4), omega)
+        assert low.order == 7
 
     def test_wedge_family_is_rejected_before_integration(self):
         g23 = wedge(universal_big_quantum(pn_small_family(2), 4), 2)

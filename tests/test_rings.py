@@ -1,6 +1,7 @@
 """Scalar tower: Laurent polynomials, exact division, truncated series."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from altfrob.linalg import Mat
 from altfrob.presaito import dscalar
-from altfrob.rings import Laurent, Series, json_text, laurent_dot, qlaurent, series_dot
+from altfrob.rings import (KEY_LIMIT, Laurent, Series, _pack, json_text, laurent_dot,
+                           qlaurent, series_dot)
 
 QV = ("q",)
 
@@ -211,15 +213,16 @@ def reference_dot(pairs):
 
 
 SVARS = ("t0", "t1", "t2")
-QVAR_CHOICES = [("q",), ("lam", "q")]
+# () is the Laurent ring of a point family: constant coefficients, no q
+QVAR_CHOICES = [(), ("q",), ("lam", "q")]
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def series_rings(draw):
+def series_rings(draw, qvar_choices=QVAR_CHOICES):
     """(series variables, order, Laurent variables): 1-3 variables, orders 0-4."""
     return (SVARS[:draw(st.integers(1, 3))], draw(st.integers(0, 4)),
-            draw(st.sampled_from(QVAR_CHOICES)))
+            draw(st.sampled_from(qvar_choices)))
 
 
 @st.composite
@@ -257,13 +260,14 @@ def test_series_matmul_matches_pairwise_reference(data, n, m, p):
 def sparse_series_matrix(draw, ring, nrows, ncols):
     """A Series matrix with zero entries and non-monomial, mixed-denominator coefficients.
 
-    Every nonzero coefficient has two or three Laurent terms, so the kernel's
-    inner coefficient loop runs more than once per pair of series terms.
+    Every nonzero coefficient has two or three Laurent terms (one over the
+    empty Laurent tuple), so the kernel's inner coefficient loop runs more
+    than once per pair of series terms.
     """
     svars, order, qvars = ring
     laurent = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * len(qvars)),
                               st.fractions(min_value=-3, max_value=3, max_denominator=6)
-                              .filter(bool), min_size=2, max_size=3)
+                              .filter(bool), min_size=2 if qvars else 1, max_size=3)
     entry = st.dictionaries(st.tuples(*[st.integers(0, order)] * len(svars)),
                             laurent.map(lambda t: Laurent(qvars, t)), min_size=1, max_size=4)
     zero = Series.zero(svars, order)
@@ -305,9 +309,11 @@ def bump(e, i, k):
 
 
 def assert_canonical(x):
-    """Nonzero Fraction values, keys of the right length, terms within the order."""
+    """Lowest terms over a positive denominator, keys of the right length, terms in the order."""
     width = len(x.vars) + len(x.qvars or ())
     assert (x.qvars is None) == x.is_zero()
+    assert type(x.den) is int and x.den > 0 and math.gcd(x.den, *x.num.values()) == 1
+    assert all(type(n) is int and n != 0 for n in x.num.values())
     for key, c in x.flat.items():
         assert type(c) is Fraction and c != 0
         assert len(key) == width and sum(key[:len(x.vars)]) <= x.order
@@ -315,8 +321,10 @@ def assert_canonical(x):
 
 @st.composite
 def nonmonomial_laurent(draw, qvars):
+    """Two or three terms; over the empty tuple, which has only the constant, one."""
     terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * len(qvars)),
-                                 small_fractions.filter(bool), min_size=2, max_size=3))
+                                 small_fractions.filter(bool),
+                                 min_size=2 if qvars else 1, max_size=3))
     return Laurent(qvars, terms)
 
 
@@ -390,7 +398,7 @@ def test_series_structure_maps_match_the_laurent_view(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_series_coefficient_derivations_match_the_laurent_view(data):
-    ring = data.draw(series_rings())
+    ring = data.draw(series_rings([qv for qv in QVAR_CHOICES if qv]))
     svars, order, qvars = ring
     x = data.draw(series(ring))
     X = list(x.terms.items())
@@ -425,6 +433,98 @@ def test_zero_series_takes_the_laurent_ring_of_the_other_operand(data):
             x + other
         with pytest.raises(ValueError, match="variable mismatch"):
             x.scale(Laurent.const(("p",), 2))
+
+
+# -- canonical form and packed keys ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_are_canonical_so_equal_values_are_equal_objects(data):
+    ring = data.draw(series_rings())
+    svars, order, qvars = ring
+    a, b, c = (data.draw(series(ring)) for _ in range(3))
+    r = data.draw(small_fractions.filter(bool))
+    for x in (a, b, a + b, a - b, a * b, a.scale(r), -a):
+        assert_canonical(x)
+    # one value reached five ways is one object with one hash
+    same = [a, (a + c) - c, a.scale(r).scale(1 / r), Series(svars, order, a.terms),
+            series_dot([(a, Series.const(svars, order, Laurent.const(qvars, 1)))])]
+    for x in same:
+        assert x == a and hash(x) == hash(a) and (x.den, x.num) == (a.den, a.num)
+    assert (a == b) == (dict(a.terms) == dict(b.terms))
+    if not a.is_zero():
+        assert a.scale(2) != a and a + a == a.scale(2)
+
+
+# every stored exponent: series exponents of total degree up to the order,
+# Laurent exponents anywhere in -KEY_LIMIT..KEY_LIMIT
+laurent_exponent = st.one_of(st.integers(-KEY_LIMIT, KEY_LIMIT),
+                             st.sampled_from([-KEY_LIMIT, -1, 0, 1, KEY_LIMIT]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_keys_round_trip_and_sort_by_degree(data):
+    svars, _, qvars = data.draw(series_rings())
+    order = data.draw(st.sampled_from([0, 3, 40, KEY_LIMIT]))
+    exps = st.tuples(*[st.integers(0, order)] * len(svars)).filter(lambda e: sum(e) <= order)
+    coeff = st.dictionaries(st.tuples(*[laurent_exponent] * len(qvars)),
+                            small_fractions.filter(bool), min_size=1, max_size=3)
+    terms = data.draw(st.dictionaries(exps, coeff, max_size=5))
+    x = Series(svars, order, {e: Laurent(qvars, t) for e, t in terms.items()})
+    assert_canonical(x)
+    assert dict(x.terms) == {e: Laurent(qvars, t) for e, t in terms.items()}
+    assert x.flat == {e + k: f for e, t in terms.items() for k, f in t.items()}
+    if qvars:  # the Laurent digits read back, extreme exponents included
+        name = qvars[-1]
+        assert x.coeff_deriv(name, True) == Series(
+            svars, order, {e: c.log_deriv(name) for e, c in x.terms.items()})
+    # the packed key of q^k t^e orders the terms by total degree first
+    degree = {_pack(len(svars), len(qvars), e, k): sum(e) for e, t in terms.items() for k in t}
+    assert set(degree) == set(x.num)
+    assert [degree[key] for key in sorted(degree)] == sorted(degree.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_series_exponents_at_the_key_limit_work_and_past_it_raise(data):
+    svars, order, qvars = data.draw(series_rings([qv for qv in QVAR_CHOICES if qv]))
+    j = data.draw(st.integers(0, len(qvars) - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+
+    def mono(k):
+        return Series.const(svars, order, Laurent(
+            qvars, {tuple(k if i == j else 0 for i in range(len(qvars))): Fraction(1)}))
+    edge = mono(sign * KEY_LIMIT)
+    assert edge.coeff((0,) * len(svars)).degree_range(qvars[j]) == (sign * KEY_LIMIT,) * 2
+    assert edge * mono(0) == edge
+    assert edge.coeff_deriv(qvars[j], log=True) == edge.scale(sign * KEY_LIMIT)
+    assert (edge + mono(-sign * KEY_LIMIT)).coeff((0,) * len(svars)).terms == {
+        (0,) * j + (k,) + (0,) * (len(qvars) - j - 1): 1 for k in (KEY_LIMIT, -KEY_LIMIT)}
+    with pytest.raises(ValueError, match="key limit"):
+        mono(sign * (KEY_LIMIT + 1))
+    # a product is checked before its keys are formed
+    a = data.draw(st.integers(0, KEY_LIMIT))
+    assert mono(sign * a) * mono(sign * (KEY_LIMIT - a)) == edge
+    with pytest.raises(ValueError, match="key limit"):
+        mono(sign * a) * mono(sign * (KEY_LIMIT + 1 - a))
+    with pytest.raises(ValueError, match="key limit"):
+        edge.scale(Laurent.gen(qvars, qvars[j], sign))
+    if sign < 0:
+        with pytest.raises(ValueError, match="key limit"):
+            edge.coeff_deriv(qvars[j], log=False)
+    # the truncation order and the series exponents have the same limit
+    one = Laurent.const(qvars, 1)
+    top = Series.gen(svars, KEY_LIMIT, svars[0], one)
+    assert (top.times_var(svars[0], KEY_LIMIT - 1).coeff_of_var(svars[0], KEY_LIMIT)
+            == Series.const(svars, KEY_LIMIT, one))
+    negative = (-1,) + (0,) * (len(svars) - 1)
+    for bad in (lambda: Series.zero(svars, KEY_LIMIT + 1),
+                lambda: top.promote(svars, KEY_LIMIT + 1),
+                lambda: Series(svars, order, {negative: one})):
+        with pytest.raises(ValueError, match="at most|outside"):
+            bad()
 
 
 def test_series_matmul_checks_every_entry():
