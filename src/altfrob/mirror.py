@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 from .linalg import Mat, charpoly, det, rank_field, row_reduce
 from .presaito import PreSaitoFamily, Report, wedge
 from .projective import pn_small_family
-from .rings import QVARS, Laurent, fraction_to_str
+from .rings import QVARS, Laurent, fraction_to_str, laurent_dot
 
 
 def _as_qlaurent(value) -> Laurent:
@@ -456,79 +456,49 @@ mirror_brieskorn.cache_info = _mirror_brieskorn.cache_info
 # ---------------------------------------------------------------------------
 
 
-def _bimul(a: dict, b: dict, zmax: int, tmax: int) -> dict:
-    out: dict = {}
-    for (za, ta), ca in a.items():
-        for (zb, tb), cb in b.items():
-            z, t = za + zb, ta + tb
-            if z > zmax or t > tmax:
-                continue
-            prod = ca * cb
-            key = (z, t)
-            out[key] = out.get(key, Laurent.zero(QVARS)) + prod
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def subset_sum_charpoly(p: Sequence, r: int) -> list[Laurent]:
     """Characteristic polynomial of the r-subset-sum spectrum of p's roots.
 
     Given the monic charpoly coefficients [1, c_1, ..., c_N] of some matrix,
     returns the same encoding for the operator whose eigenvalues are sums
     over r-element subsets of the original eigenvalues, without ever
-    constructing a matrix: Newton's identities produce power sums, a
-    bivariate exponential generating function extracts the subset-sum power
-    sums, and Newton's identities run backwards.
+    constructing a matrix.  With x_i = exp(lambda_i t), e_r(x) is the sum
+    over r-subsets S of exp(t * sum_S lambda), so k! [t^k] e_r(x) is the k-th
+    power sum of the subset sums.  Newton's identity runs three times, each
+    accumulation one ``laurent_dot``: from the c_k to the roots' power sums
+    P_k, from p_m(x) = sum_k P_k m^k t^k / k! to e_1(x), ..., e_r(x) modulo
+    t^(M+1), and from the subset-sum power sums back to the charpoly.
     """
-    coeffs = [_as_qlaurent(c) for c in p]
-    N = len(coeffs) - 1
+    c = [_as_qlaurent(x) for x in p]
+    N = len(c) - 1
     if not 0 <= r <= N:
         raise ValueError(f"subset size {r} out of range for degree {N}")
     M = math.comb(N, r)
-    one = Laurent.const(QVARS, 1)
-    zero = Laurent.zero(QVARS)
+    one, zero = Laurent.const(QVARS, 1), Laurent.zero(QVARS)
+    c += [zero] * M  # c_k = 0 past N
 
-    # elementary symmetric functions of the roots: c_k = (-1)^k e_k
-    e = [coeffs[k] * ((-1) ** k) for k in range(N + 1)]
-    # power sums P as far as we need them
+    # k c_k + sum_{i=1..k} c_{k-i} P_i = 0, solved for the power sum P_k
     P = [Laurent.const(QVARS, N)]
     for k in range(1, M + 1):
-        acc = zero
-        for i in range(1, k):
-            if i <= N:
-                acc = acc + e[i] * P[k - i] * ((-1) ** (i - 1))
-        if k <= N:
-            acc = acc + e[k] * (((-1) ** (k - 1)) * k)
-        P.append(acc)
+        P.append(-laurent_dot([(c[k], Laurent.const(QVARS, k))]
+                              + [(c[k - i], P[i]) for i in range(1, k)]))
 
-    # F(z, t) = sum_m (-1)^(m+1) z^m/m * sum_k P(k) m^k t^k / k!
-    F: dict = {}
-    for m in range(1, r + 1):
-        sign = Fraction((-1) ** (m + 1), m)
-        for k in range(M + 1):
-            val = P[k] * (sign * m ** k / math.factorial(k))
-            if not val.is_zero():
-                F[(m, k)] = F.get((m, k), zero) + val
-
-    # exp(F) truncated to z-degree r, t-degree M
-    total = {(0, 0): one}
-    power = {(0, 0): one}
+    # (-1)^(m-1) p_m(x), then j e_j = sum_m (-1)^(m-1) e_{j-m} p_m in t-coefficients
+    p_signed = {m: [P[k] * Fraction((-1) ** (m - 1) * m ** k, math.factorial(k))
+                    for k in range(M + 1)] for m in range(1, r + 1)}
+    e = [[one] + [zero] * M]
     for j in range(1, r + 1):
-        power = _bimul(power, F, r, M)
-        inv = Fraction(1, math.factorial(j))
-        for key, val in power.items():
-            total[key] = total.get(key, zero) + val * inv
+        e.append([laurent_dot([(e[j - m][a], p_signed[m][k - a])
+                               for m in range(1, j + 1) for a in range(k + 1)])
+                  * Fraction(1, j) for k in range(M + 1)])
 
-    Q = [total.get((r, k), zero) * math.factorial(k) for k in range(M + 1)]
-
-    # Newton back-substitution for the subset-sum spectrum
-    enew = [one]
+    # the same identity with the subset-sum power sums k! [t^k] e_r(x), solved for c_k
+    Q = [e[r][k] * math.factorial(k) for k in range(M + 1)]
+    out = [one]
     for k in range(1, M + 1):
-        acc = zero
-        for i in range(1, k + 1):
-            acc = acc + enew[k - i] * Q[i] * ((-1) ** (i - 1))
-        enew.append(acc * Fraction(1, k))
-
-    return [enew[k] * ((-1) ** k) for k in range(M + 1)]
+        out.append(laurent_dot([(out[k - i], Q[i]) for i in range(1, k + 1)])
+                   * Fraction(-1, k))
+    return out
 
 
 # ---------------------------------------------------------------------------

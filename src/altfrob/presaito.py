@@ -16,14 +16,13 @@ matrix -B_inf and R_0 has matrix B_0.  A pre-Saito structure on a point is
 the family over the empty base; ``wedge`` and ``tensor`` act on families of
 any base, and ``trivial_deformation`` spreads a point over a line.
 
-Base coordinates come in three kinds.  A "q" coordinate is an invertible
+Base coordinates come in two kinds.  A "q" coordinate is an invertible
 Laurent variable whose attached derivation is q*d/dq (the exponentiated flat
-coordinate of a quantum parameter); a "laurent" coordinate is an invertible
-variable with the plain derivation d/dlambda; a "series" coordinate is a
-formal deformation variable truncated in total degree.  Entries of the
-matrices live in Laurent polynomials over the q-type coordinates (plus any
-declared parameters), wrapped in truncated power series when series
-coordinates are present.
+coordinate of a quantum parameter); a "series" coordinate is a formal
+deformation variable truncated in total degree.  Entries of the matrices
+live in Laurent polynomials over the q-type coordinates (plus any declared
+parameters), wrapped in truncated power series when series coordinates are
+present.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .rings import (
     json_text,
 )
 
-VAR_KINDS = ("q", "laurent", "series")
+VAR_KINDS = ("q", "series")
 
 
 class BaseVar(NamedTuple):
@@ -72,16 +71,15 @@ class NotPrimitive(Exception):
 def dscalar(x, name: str, kind: str):
     """The derivation of a base direction applied to a Laurent or Series entry.
 
-    A "q" direction acts by q*d/dq, a "laurent" one by d/dlambda, both on the
-    coefficients of a Series; a "series" direction differentiates the series.
+    A "q" direction acts by q*d/dq, which a Laurent and a Series (on its
+    coefficients) both provide as ``log_deriv``; a "series" direction
+    differentiates the series.
     """
-    if kind == "series":
-        if not isinstance(x, Series):
-            raise TypeError("series derivation on a non-series entry")
-        return x.deriv(name)
-    if isinstance(x, Series):
-        return x.coeff_deriv(name, kind == "q")
-    return x.log_deriv(name) if kind == "q" else x.deriv(name)
+    if kind != "series":
+        return x.log_deriv(name)
+    if not isinstance(x, Series):
+        raise TypeError("series derivation on a non-series entry")
+    return x.deriv(name)
 
 
 class PreSaitoFamily:
@@ -105,8 +103,8 @@ class PreSaitoFamily:
             if v.kind not in VAR_KINDS:
                 raise ValueError(f"unknown base variable kind {v.kind!r}")
         names = [v.name for v in self.base]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate base variable names")
+        if len(set(names + list(self.params))) != len(names) + len(self.params):
+            raise ValueError("duplicate names among the base variables and parameters")
         if set(C) != set(names):
             raise ValueError("C matrices must be keyed by the base variable names")
         self.d = d
@@ -185,20 +183,14 @@ class PreSaitoFamily:
         return self._constant_slice(M).map(Laurent.as_fraction)
 
     def reorder_base(self, names: Sequence[str]) -> "PreSaitoFamily":
-        """Permute the declared base order (series entries are re-indexed)."""
+        """Permute the declared base order, keeping the series directions in order."""
         if sorted(names) != sorted(v.name for v in self.base):
             raise ValueError("reorder must permute the existing base variables")
         new_base = tuple(next(v for v in self.base if v.name == n) for n in names)
-        out = PreSaitoFamily(new_base, self.d, self.Binf, self.B0, self.C,
-                             self.G, self.w, self.order, self.params)
-        if out.svars != self.svars:
-            def remap(M: Mat) -> Mat:
-                return M.map(lambda s: s.promote(out.svars, self.order))
-            out = PreSaitoFamily(new_base, self.d, remap(self.Binf), remap(self.B0),
-                                 {k: remap(v) for k, v in self.C.items()},
-                                 remap(self.G) if self.G is not None else None,
-                                 self.w, self.order, self.params)
-        return out
+        if tuple(v.name for v in new_base if v.kind == "series") != self.svars:
+            raise ValueError("reorder must keep the series directions in their order")
+        return PreSaitoFamily(new_base, self.d, self.Binf, self.B0, self.C,
+                              self.G, self.w, self.order, self.params)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +365,12 @@ def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamil
     """Spread a point over the lambda-line along its R_inf grading.
 
     With integer R_inf eigenvalues d_i, the deformed matrix is
-    B_0(lambda)_{ij} = (B_0)_{ij} * lambda^(1 + d_i - d_j) and the Higgs
-    matrix in the lambda coordinate is C = -B_0(lambda)/lambda.  At
-    lambda = 1 the family restricts to the point.
+    B_0(lambda)_{ij} = (B_0)_{ij} * lambda^(1 + d_i - d_j).  lambda is a "q"
+    direction, so its Higgs matrix is lambda times the one of d/dlambda,
+    C = lambda * (-B_0(lambda)/lambda) = -B_0(lambda).  At lambda = 1 the
+    family restricts to the point.
     """
     dvals = residue_grading(P)
-    if var in P.params:
-        raise ValueError(f"variable name {var} collides with a parameter")
     qvars = P.params + (var,)
     lam = Laurent.gen(qvars, var)
 
@@ -390,11 +381,10 @@ def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamil
         return x.promote(qvars) * lam ** (1 + dvals[i] - dvals[j])
 
     B0 = Mat([[spread(i, j) for j in range(P.d)] for i in range(P.d)])
-    C = (-B0).scale(lam ** -1)
     Binf = P.Binf.map(lambda x: x.promote(qvars))
     G = P.G.map(lambda x: x.promote(qvars)) if P.G is not None else None
     return PreSaitoFamily(
-        base=((var, "laurent"),), d=P.d, Binf=Binf, B0=B0, C={var: C},
+        base=((var, "q"),), d=P.d, Binf=Binf, B0=B0, C={var: -B0},
         G=G, w=P.w, params=P.params)
 
 
@@ -638,7 +628,9 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
         return value
 
     names = strings("vars", json_field(doc, "vars"))
-    kinds = strings("kinds", doc.get("kinds") or ["q"] * len(names))
+    kinds = strings("kinds", doc.get("kinds", ["q"] * len(names)))
+    if len(kinds) != len(names):
+        raise ValueError(f"kinds must name one kind per variable, got {kinds!r} for {names!r}")
     params = tuple(strings("params", doc.get("params", [])))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))
     d = json_field(doc, "rank")
@@ -650,6 +642,8 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
     C = json_field(doc, "C")
     if not isinstance(C, dict):
         raise ValueError(f"C must be an object keyed by the base variables, got {C!r}")
+    if set(C) - set(names):
+        raise ValueError(f"C has matrices for undeclared variables {sorted(set(C) - set(names))}")
     qvars = params + tuple(n for n, k in zip(names, kinds) if k != "series")
     svars = tuple(n for n, k in zip(names, kinds) if k == "series")
     order = doc.get("order")

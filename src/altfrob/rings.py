@@ -297,17 +297,6 @@ class Laurent:
         i = self.vars.index(name)
         return Laurent(self.vars, {e: c * e[i] for e, c in self.terms.items() if e[i] != 0})
 
-    def deriv(self, name: str) -> "Laurent":
-        """The plain derivation d/dq in the named variable."""
-        i = self.vars.index(name)
-        terms: dict[Exponents, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            shifted = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            terms[shifted] = terms.get(shifted, Fraction(0)) + c * e[i]
-        return Laurent(self.vars, {e: c for e, c in terms.items() if c != 0})
-
     def scale_var(self, name: str, factor: int | Fraction) -> "Laurent":
         """Substitute q -> factor * q (factor a nonzero rational)."""
         c0 = as_fraction(factor)
@@ -553,17 +542,18 @@ class Series:
         """A new dict {series exponents + Laurent exponents: coefficient}."""
         return {e + k: c for e, k, c in self._unpacked()}
 
-    def _prepared(self) -> tuple[int, list, int]:
-        """(den, [(key, numerator)] sorted by key, so by degree, largest |Laurent exponent|).
+    def _prepared(self) -> tuple[int, list, list]:
+        """(den, [(key, numerator)] sorted by key, so by degree, [(min, max) exponent]).
 
+        The last entry holds the range of each Laurent variable's exponents.
         Memoised: it is the form in which ``series_matmul`` reads an operand.
         """
         if self._prep is None:
-            ns, qmax = len(self.vars), 0
+            ns, ranges = len(self.vars), []
             for j in range(len(self.qvars or ())):
                 digits = [(key >> (_BITS * (ns + j))) & _MASK for key in self.num]
-                qmax = max(qmax, _BIAS - min(digits), max(digits) - _BIAS)
-            self._prep = (self.den, sorted(self.num.items()), qmax)
+                ranges.append((min(digits) - _BIAS, max(digits) - _BIAS))
+            self._prep = (self.den, sorted(self.num.items()), ranges)
         return self._prep
 
     def is_zero(self) -> bool:
@@ -666,14 +656,11 @@ class Series:
         s = _BITS * self.vars.index(name)
         return self._deriv(s, 0, (1 << s) + (1 << self._shift()))
 
-    def coeff_deriv(self, name: str, log: bool) -> "Series":
-        """A derivation of the coefficients: q * d/dq in ``name`` when log, else d/dname."""
+    def log_deriv(self, name: str) -> "Series":
+        """q * d/dq of the coefficients in the Laurent variable ``name``; no key moves."""
         if not self.num:
             return self
-        s = _BITS * (len(self.vars) + self.qvars.index(name))
-        if not log and any((key >> s) & _MASK == _BIAS - KEY_LIMIT for key in self.num):
-            raise ValueError(f"d/d{name} of {name}^-{KEY_LIMIT} is past the Series key limit")
-        return self._deriv(s, _BIAS, 0 if log else 1 << s)
+        return self._deriv(_BITS * (len(self.vars) + self.qvars.index(name)), _BIAS, 0)
 
     def integrate(self, name: str) -> "Series":
         """Antiderivative in a formal variable, vanishing at 0.
@@ -707,13 +694,10 @@ class Series:
         room, step = (self.order - k + 1) << shift, k * ((1 << s) + (1 << shift))
         return self._like({key + step: n for key, n in self.num.items() if key < room})
 
-    def truncate(self, k: int, name: str | None = None) -> "Series":
-        """Drop the terms of total degree above k, or of degree above k in ``name``."""
-        if name is None:
-            room = (k + 1) << self._shift()
-            return self._like({key: n for key, n in self.num.items() if key < room})
-        s = _BITS * self.vars.index(name)
-        return self._like({key: n for key, n in self.num.items() if (key >> s) & _MASK <= k})
+    def truncate(self, k: int) -> "Series":
+        """Drop the terms of total degree above k."""
+        room = (k + 1) << self._shift()
+        return self._like({key: n for key, n in self.num.items() if key < room})
 
     def restrict_zero(self, names: Iterable[str]) -> "Series":
         """Set the named formal variables to 0."""
@@ -789,10 +773,11 @@ def series_matmul(a_rows: Sequence[Sequence[Series]],
     k1 + k2 - Z, with Z the packed zero of the ring, and it is past the
     truncation order exactly when it reaches (order + 1) << degree shift, so
     a left term meets the right terms up to that bound and stops.  A pair
-    whose largest |Laurent exponents| sum past ``KEY_LIMIT`` raises
-    ValueError instead of wrapping a digit.  Output entry (i, j) visits only
-    the k where A[i][k] and B[k][j] are both nonzero, accumulates integers
-    over one denominator on the packed keys and is reduced once.
+    whose smallest or largest exponents of one Laurent variable sum past
+    ``KEY_LIMIT`` in absolute value raises ValueError instead of wrapping a
+    digit.  Output entry (i, j) visits only the k where A[i][k] and B[k][j]
+    are both nonzero, accumulates integers over one denominator on the packed
+    keys and is reduced once.
     """
     svars, order = a_rows[0][0].vars, a_rows[0][0].order
     qvars = None
@@ -831,9 +816,10 @@ def series_matmul(a_rows: Sequence[Sequence[Series]],
             acc: dict = {}
             get = acc.get
             for (da, ta, ma), (db, tb, mb) in pairs:
-                if ma + mb > KEY_LIMIT:
-                    raise ValueError(f"Laurent exponents up to {ma} and {mb} multiply "
-                                     f"past the Series key limit {KEY_LIMIT}")
+                for (lo1, hi1), (lo2, hi2) in zip(ma, mb):
+                    if lo1 + lo2 < -KEY_LIMIT or hi1 + hi2 > KEY_LIMIT:
+                        raise ValueError(f"Laurent exponents in {lo1}..{hi1} and {lo2}..{hi2} "
+                                         f"multiply past the Series key limit {KEY_LIMIT}")
                 f = den // (da * db)
                 for k1, n1 in ta:
                     room = limit - k1  # k1 + k2 - Z is within the order iff k2 < room

@@ -1,8 +1,12 @@
 """Exit codes, pinned outputs, determinism, and config resolution."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altfrob import cli
 from altfrob.deform import problem_to_json, trivial_deformation_problem, universal_big_quantum
@@ -270,12 +274,15 @@ class TestPnAndVerify:
         (["B0", 1, 0], [[0, 0.5]], "expected a rational string or an integer, got 0.5"),
         (["Binf"], MISSING, "missing field Binf"),
         (["C", "q"], MISSING, "missing field C[q]"),
+        (["kinds"], ["q", "series"], "kinds must name one kind per variable"),
+        (["kinds"], ["laurent"], "unknown base variable kind 'laurent'"),
     ]
 
     @pytest.mark.parametrize("command", ["verify", "hm"])
     @pytest.mark.parametrize("path,value,message", MALFORMED,
                              ids=["vars-int", "B0-int", "exponent-str", "zero-denominator",
-                                  "Binf-float", "entry-float", "missing-Binf", "C-without-q"])
+                                  "Binf-float", "entry-float", "missing-Binf", "C-without-q",
+                                  "kinds-too-long", "kinds-laurent"])
     def test_malformed_family_is_an_input_error(self, capsys, tmp_path, command,
                                                 path, value, message):
         fam_path = tmp_path / "p1.json"
@@ -559,3 +566,100 @@ class TestMirrorPayloads:
     def test_wedge_out_of_range(self, capsys):
         code, _, _ = run(["mirror", "--n", "2", "--wedge", "3"], capsys)
         assert code == 2
+
+
+# -- malformed family documents, fuzzed ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def family_docs(tmp_path_factory):
+    """The family documents written by `pn --n 2` and by `hm` over P^1's q-line.
+
+    Each comes with the fields it cannot do without; `kinds` may be left out
+    of a family whose every direction is a q direction.
+    """
+    d = tmp_path_factory.mktemp("family_docs")
+    pn1, pn2, psi, hm = (d / name for name in ("p1.json", "p2.json", "psi.json", "hm.json"))
+    psi.write_text(json.dumps(problem_to_json(
+        trivial_deformation_problem(build_pn(1), (1, 0), order=3))))
+    assert cli.main(["pn", "--n", "1", "--out", str(pn1)]) == 0
+    assert cli.main(["pn", "--n", "2", "--out", str(pn2)]) == 0
+    assert cli.main(["hm", "--family", str(pn1), "--psi", str(psi), "--out", str(hm)]) == 0
+    required = ["rank", "vars", "Binf", "B0", "C", "G", "w"]
+    return {"pn": (json.loads(pn2.read_text()), required),
+            "hm": (json.loads(hm.read_text()), required + ["kinds", "order"]),
+            "path": d / "mutated.json"}
+
+
+JSON_OF_TYPE = {int: st.integers(-3, 3), float: st.floats(-3, 3, allow_nan=False),
+                str: st.text(max_size=3), list: st.lists(st.integers(-1, 1), max_size=2),
+                dict: st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
+                bool: st.booleans(), type(None): st.none()}
+# the JSON types of each family field's proper values
+FIELD_TYPES = {"rank": (int,), "vars": (list,), "kinds": (list,), "params": (list,),
+               "Binf": (list,), "B0": (list,), "C": (dict,), "G": (list,), "w": (int, str),
+               "order": (int,)}
+
+
+@st.composite
+def mutated_family(draw, doc, required):
+    """A copy of a valid family document with one field dropped, retyped or reshaped."""
+    doc = json.loads(json.dumps(doc))
+    names = doc["vars"]
+    matrices = [["Binf"], ["B0"], ["G"]] + [["C", v] for v in names]
+    how = draw(st.sampled_from(["drop", "retype", "matrix", "entry", "list", "kind"]))
+    if how == "drop":
+        del doc[draw(st.sampled_from(required))]
+    elif how == "retype":
+        field = draw(st.sampled_from(sorted(set(doc) | {"params"})))
+        wrong = [t for t in JSON_OF_TYPE if t not in FIELD_TYPES[field]]
+        doc[field] = draw(JSON_OF_TYPE[draw(st.sampled_from(wrong))])
+    elif how in ("matrix", "entry"):
+        *path, last = draw(st.sampled_from(matrices))
+        parent = doc
+        for key in path:
+            parent = parent[key]
+        rows = parent[last]
+        i = draw(st.integers(0, len(rows) - 1))
+        if how == "entry":  # one entry wrapped in a list
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = [rows[i][j]]
+        else:
+            draw(st.sampled_from([rows.pop, rows[i].pop, lambda: rows.append(rows[0])]))()
+    elif how == "list":
+        step = draw(st.sampled_from(["vars+", "vars-", "kinds+", "kinds-", "rank+",
+                                     "rank-", "C+", "C-", "params"]))
+        if step == "vars+":
+            names.append("x")
+        elif step == "vars-":
+            names.pop()
+        elif step == "kinds+":
+            doc["kinds"].append("q")
+        elif step == "kinds-":
+            doc["kinds"].pop()
+        elif step in ("rank+", "rank-"):
+            doc["rank"] += 1 if step == "rank+" else -1
+        elif step == "C+":
+            doc["C"]["x"] = doc["C"][names[0]]
+        elif step == "C-":
+            del doc["C"][draw(st.sampled_from(names))]
+        else:  # a parameter that repeats a base variable
+            doc["params"] = [draw(st.sampled_from(names))]
+    else:
+        bad = st.one_of(st.just("laurent"), st.text(max_size=8), st.integers(), st.none())
+        i = draw(st.integers(0, len(names) - 1))
+        doc["kinds"][i] = draw(bad.filter(lambda k: k not in ("q", "series")))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_family_documents_are_input_errors(family_docs, data):
+    doc, required = family_docs[data.draw(st.sampled_from(["pn", "hm"]))]
+    bad = data.draw(mutated_family(doc, required))
+    path = family_docs["path"]
+    path.write_text(json.dumps(bad))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", "--family", str(path)])
+    assert_one_line_usage_error(code, out.getvalue(), err.getvalue(), "")

@@ -137,6 +137,16 @@ class TestUniversalBigQuantum:
         assert [v.name for v in big.base] == ["t0", "q", "t2"]
         assert [v.kind for v in big.base] == ["series", "q", "series"]
 
+    def test_reorder_base_moves_only_the_q_directions(self):
+        big = universal_big_quantum(pn_small_family(2), 3)
+        moved = big.reorder_base(["t0", "t2", "q"])
+        assert [v.name for v in moved.base] == ["t0", "t2", "q"]
+        assert moved.svars == big.svars and moved.B0 == big.B0 and moved.C == big.C
+        with pytest.raises(ValueError, match="series directions in their order"):
+            big.reorder_base(["t2", "q", "t0"])
+        with pytest.raises(ValueError, match="permute"):
+            big.reorder_base(["t0", "q"])
+
     def test_extension_is_pre_saito_with_metric(self):
         big = universal_big_quantum(pn_small_family(2), 4)
         assert check_pre_saito(big).ok

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altfrob.linalg import Mat, charpoly, kron_sum, row_reduce, wedge_indices, wedge_of_sum
 from altfrob.mirror import (
@@ -366,6 +368,19 @@ class TestSubsetSumCharpoly:
         T = kron_sum(mirror_b0(1), mirror_b0(1))
         for r in (1, 2, 3):
             assert subset_sum_charpoly(charpoly(T), r) == charpoly(wedge_of_sum(T, r))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_the_wedge_of_random_laurent_matrices(self, data):
+        N = data.draw(st.integers(1, 4))
+        entry = st.dictionaries(st.tuples(st.integers(-2, 2)),
+                                st.fractions(-3, 3, max_denominator=2), max_size=2)
+        M = Mat([[Laurent(("q",), data.draw(entry)) for _ in range(N)] for _ in range(N)])
+        p = charpoly(M)
+        for r in range(N + 1):
+            assert subset_sum_charpoly(p, r) == charpoly(wedge_of_sum(M, r))
+        with pytest.raises(ValueError, match="out of range"):
+            subset_sum_charpoly(p, N + 1)
 
 
 class TestQuantumComparison:

@@ -131,7 +131,7 @@ def test_top_degree_perturbation_passes_the_series_direction_relations():
 def test_trivial_deformation_relations_and_metric():
     P = build_pn(2)
     fam = trivial_deformation(P)
-    assert [v.kind for v in fam.base] == ["laurent"]
+    assert [v.kind for v in fam.base] == ["q"]
     assert check_pre_saito(fam).ok
     assert check_metric(fam).ok
 
@@ -142,13 +142,12 @@ def test_trivial_deformation_matches_small_family():
         P = build_pn(n)
         fam = trivial_deformation(P)
         small = pn_small_family(n)
-        lam = Laurent.gen(("lambda",), "lambda")
 
         def to_q(x):
             return x.compress_var("lambda", n + 1).rename_vars(("q",))
 
         assert fam.B0.map(to_q) == small.B0
-        scaled_C = fam.C["lambda"].scale(lam / (n + 1))
+        scaled_C = fam.C["lambda"].scale(F(1, n + 1))
         assert scaled_C.map(to_q) == small.C["q"]
 
 
@@ -351,12 +350,27 @@ def test_json_roundtrip_small_family():
     assert back.w == fam.w
 
 
+def test_a_parameter_may_not_repeat_a_name():
+    fam = pn_small_family(1)
+    for params in (("q",), ("p", "p")):
+        with pytest.raises(ValueError, match="duplicate names"):
+            PreSaitoFamily(fam.base, fam.d, fam.Binf, fam.B0, fam.C, params=params)
+    # the document form: entries over the ring ("q", "q") as exponent lists
+    doc = family_to_json(fam)
+    doc["params"] = ["q"]
+    for rows in (doc["B0"], doc["C"]["q"]):
+        for row in rows:
+            row[:] = [[[[0, k], c] for k, c in entry] for entry in row]
+    with pytest.raises(ValueError, match="duplicate names"):
+        family_from_json(doc)
+
+
 def test_json_roundtrip_trivial_deformation():
     fam = trivial_deformation(build_pn(2))
     text = dumps_family(fam)
     back = loads_family(text)
     assert dumps_family(back) == text
-    assert back.base == (BaseVar("lambda", "laurent"),)
+    assert back.base == (BaseVar("lambda", "q"),)
 
 
 @pytest.mark.parametrize("n,K", [(2, 3), (3, 3)])

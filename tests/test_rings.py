@@ -49,11 +49,6 @@ def test_laurent_log_deriv():
     assert p.log_deriv("q") == qlaurent([(3, 15), (-1, 2)])
 
 
-def test_laurent_plain_deriv():
-    p = qlaurent([(3, 5), (-1, -2), (0, 7)])
-    assert p.deriv("q") == qlaurent([(2, 15), (-2, 2)])
-
-
 def test_laurent_scale_var_sign_twist():
     p = qlaurent([(2, 3), (1, 1), (0, 4)])
     twisted = p.scale_var("q", -1)
@@ -170,8 +165,7 @@ def test_series_integrate_overflow_raises():
 def test_series_q_coefficients_and_map():
     x = sgen(("x",), 3, "x")
     qx = Laurent.gen(QV, "q") * x          # q * x
-    assert qx.coeff_deriv("q", log=True) == qx    # q d/dq (q x) = q x
-    assert qx.coeff_deriv("q", log=False) == x    # d/dq (q x) = x
+    assert qx.log_deriv("q") == qx    # q d/dq (q x) = q x
 
 
 def test_series_coeff_of_var_and_times_var():
@@ -369,7 +363,6 @@ def test_series_structure_maps_match_the_laurent_view(data):
         (x.times_var(name, k), [(bump(e, i, k), c) for e, c in X]),
         (x.coeff_of_var(name, k), [(bump(e, i, -k), c) for e, c in X if e[i] == k]),
         (x.truncate(k), [(e, c) for e, c in X if sum(e) <= k]),
-        (x.truncate(k, name), [(e, c) for e, c in X if e[i] <= k]),
         (x.restrict_zero(names), [(e, c) for e, c in X if all(e[j] == 0 for j in idx)]),
     ]
     for got, pairs in cases:
@@ -402,11 +395,8 @@ def test_series_coefficient_derivations_match_the_laurent_view(data):
     svars, order, qvars = ring
     x = data.draw(series(ring))
     X = list(x.terms.items())
-    lname = qvars[0]  # "lam" in the two-variable ring, else "q"
-    cases = [
-        (dscalar(x, "q", "q"), [(e, c.log_deriv("q")) for e, c in X]),
-        (dscalar(x, lname, "laurent"), [(e, c.deriv(lname)) for e, c in X]),
-    ]
+    cases = [(dscalar(x, name, "q"), [(e, c.log_deriv(name)) for e, c in X])
+             for name in qvars]
     for got, pairs in cases:
         assert got == rebuild(svars, order, pairs)
         assert_canonical(got)
@@ -424,7 +414,7 @@ def test_zero_series_takes_the_laurent_ring_of_the_other_operand(data):
     assert zero - x == -x
     assert (zero * x).is_zero() and (x * zero).is_zero()
     assert zero.scale(Laurent.gen(qvars, "lam")) == zero
-    assert dscalar(zero, "lam", "laurent") == zero == zero.promote(svars, order, ("p",) + qvars)
+    assert dscalar(zero, "lam", "q") == zero == zero.promote(svars, order, ("p",) + qvars)
     # a zero entry of another Laurent ring is still the zero of this one
     assert x + Series.const(svars, order, Laurent.zero(("p",))) == x
     if not x.is_zero():
@@ -478,7 +468,7 @@ def test_series_keys_round_trip_and_sort_by_degree(data):
     assert x.flat == {e + k: f for e, t in terms.items() for k, f in t.items()}
     if qvars:  # the Laurent digits read back, extreme exponents included
         name = qvars[-1]
-        assert x.coeff_deriv(name, True) == Series(
+        assert x.log_deriv(name) == Series(
             svars, order, {e: c.log_deriv(name) for e, c in x.terms.items()})
     # the packed key of q^k t^e orders the terms by total degree first
     degree = {_pack(len(svars), len(qvars), e, k): sum(e) for e, t in terms.items() for k in t}
@@ -499,21 +489,23 @@ def test_series_exponents_at_the_key_limit_work_and_past_it_raise(data):
     edge = mono(sign * KEY_LIMIT)
     assert edge.coeff((0,) * len(svars)).degree_range(qvars[j]) == (sign * KEY_LIMIT,) * 2
     assert edge * mono(0) == edge
-    assert edge.coeff_deriv(qvars[j], log=True) == edge.scale(sign * KEY_LIMIT)
+    assert edge.log_deriv(qvars[j]) == edge.scale(sign * KEY_LIMIT)
     assert (edge + mono(-sign * KEY_LIMIT)).coeff((0,) * len(svars)).terms == {
         (0,) * j + (k,) + (0,) * (len(qvars) - j - 1): 1 for k in (KEY_LIMIT, -KEY_LIMIT)}
     with pytest.raises(ValueError, match="key limit"):
         mono(sign * (KEY_LIMIT + 1))
-    # a product is checked before its keys are formed
+    # a product is checked before its keys are formed, one Laurent variable at a time
+    assert edge * mono(-sign * KEY_LIMIT) == mono(0)
+    if len(qvars) == 2:
+        both = Series.const(svars, order, Laurent(qvars, {(sign * KEY_LIMIT,) * 2: Fraction(1)}))
+        assert mono(sign * KEY_LIMIT) * Series.const(svars, order, Laurent.gen(
+            qvars, qvars[1 - j], sign * KEY_LIMIT)) == both
     a = data.draw(st.integers(0, KEY_LIMIT))
     assert mono(sign * a) * mono(sign * (KEY_LIMIT - a)) == edge
     with pytest.raises(ValueError, match="key limit"):
         mono(sign * a) * mono(sign * (KEY_LIMIT + 1 - a))
     with pytest.raises(ValueError, match="key limit"):
         edge.scale(Laurent.gen(qvars, qvars[j], sign))
-    if sign < 0:
-        with pytest.raises(ValueError, match="key limit"):
-            edge.coeff_deriv(qvars[j], log=False)
     # the truncation order and the series exponents have the same limit
     one = Laurent.const(qvars, 1)
     top = Series.gen(svars, KEY_LIMIT, svars[0], one)
@@ -525,6 +517,26 @@ def test_series_exponents_at_the_key_limit_work_and_past_it_raise(data):
                 lambda: Series(svars, order, {negative: one})):
         with pytest.raises(ValueError, match="at most|outside"):
             bad()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_series_products_past_the_key_limit_raise_exactly_when_a_digit_leaves_it(data):
+    svars, order, qvars = data.draw(series_rings([qv for qv in QVAR_CHOICES if qv]))
+    exps = st.tuples(*[laurent_exponent] * len(qvars))
+
+    def coeff():
+        return Laurent(qvars, data.draw(st.dictionaries(
+            exps, small_fractions.filter(bool), min_size=1, max_size=2)))
+    a, b = coeff(), coeff()
+    x, y = Series.const(svars, order, a), Series.const(svars, order, b)
+    fits = all(abs(i + j) <= KEY_LIMIT
+               for e1 in a.terms for e2 in b.terms for i, j in zip(e1, e2))
+    if fits:
+        assert x * y == Series.const(svars, order, a * b)
+    else:
+        with pytest.raises(ValueError, match="key limit"):
+            x * y
 
 
 def test_series_matmul_checks_every_entry():
