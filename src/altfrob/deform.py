@@ -14,11 +14,12 @@ The word basis is found once per variable by a greedy shortlex Krylov search
 at the closed point (all deformation variables zero), which also certifies
 the cyclicity of omega; its independence test is over Q(q) but runs
 fraction-free over Q[q, 1/q].  Each word's columns are its parent word's
-columns with one more generator applied.  The word matrix keeps its constant
-slice through a stage, so that slice is inverted once per stage
-(``inv_laurent``); each order completes it to the inverse of the word matrix
-up to a scalar s (``inv_series``), and D' is the exact quotient by s, which
-is 1 whenever the closed-point determinant is a unit.
+columns with one more generator applied.  D' solves D' T = U, with T the
+word matrix on omega and U the same words on Psi, by back-substitution in
+the stage variable y: order k only adds y^(k+1) terms, so T at y = 0 is
+inverted once per stage, up to a scalar s (``inv_series``), and
+D'_k = (U - D'_{<k} T)[y^k] (T at y = 0)^(-1) is an exact quotient by s,
+which is 1 whenever the closed-point determinant is a unit.
 
 The commutation invariant [D', M] = 0 for every known matrix M is asserted
 once per stage, covering every order: the order-k step only adds terms at
@@ -39,7 +40,7 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Mat, divide_exact, inv_laurent, inv_series, series_constant_slice
+from .linalg import Mat, divide_exact, inv_series, series_constant_slice
 from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _promote_entries,
                        dscalar, frobenius_data, residue_grading)
 from .projective import pn_small_family
@@ -177,7 +178,7 @@ def hm_extend(problem: DeformationProblem,
     not depend on it (exercised in tests).  Raises InvariantViolation for
     inconsistent data, NotPrePrimitive when omega is not cyclic, and
     ValueError when a slice of D' has a genuine q-denominator, that is, when
-    the scalar s of the inverse word matrix does not divide it.
+    the scalar s of the inverse of the word matrix at y = 0 does not divide it.
     """
     F0 = problem.initial
     K = problem.order
@@ -204,7 +205,8 @@ def hm_extend(problem: DeformationProblem,
         words = word_basis([series_constant_slice(M, qvars) for M in gens],
                            omega_q, d)
 
-        slice_inverse = None  # of the word matrix's constant slice, fixed per stage
+        # D' T = U, solved by back-substitution in y: the y^<=k slices of T and
+        # U are final at order k, so (U - D'_{<k} T)[y^k] = D'_k T|_{y=0}
         for k in range(K + 1):
             # the word (g,) + w sends (omega, Psi) to gens[g] applied to w's columns
             cols = {(): Mat.from_columns([omega_s, data])}
@@ -212,18 +214,18 @@ def hm_extend(problem: DeformationProblem,
                 cols[w] = gens[w[0]] @ cols[w[1:]]
             T = Mat.from_columns([cols[w].col(0) for w in words])
             U = Mat.from_columns([cols[w].col(1) for w in words])
-            if slice_inverse is None:
-                slice_inverse = inv_laurent(series_constant_slice(T, qvars))
-            W, s = inv_series(T, slice_inverse)
-            X = U @ W  # s * D'
-            Dk = divide_exact(X.map(lambda e: e.coeff_of_var(yname, k)), s)
+            if k == 0:
+                W0, s0 = inv_series(T.map(lambda e: e.restrict_zero((yname,))))
+                D = U.scale(0)
+            X = (U - D @ T).map(lambda e: e.coeff_of_var(yname, k)) @ W0  # s0 * D'_k
+            Dk = divide_exact(X, s0)
             if Dk is None:
-                # X = s * D' has the zero pattern of D', so the same witness
-                _assert_commutes(X, gens, gen_names, yname, k)
+                # s0 * D'_{<=k} has the zero pattern of D'_{<=k}, so the same witness
+                _assert_commutes(D.scale(s0) + X.map(lambda e: e.times_var(yname, k)),
+                                 gens, gen_names, yname, k)
                 raise ValueError(f"D' leaves Q[q, 1/q] at order {k} of {yname}")
+            D = D + Dk.map(lambda e: e.times_var(yname, k))
             if k == K:
-                # the slices below y^K are those of earlier orders: s divides them
-                D = divide_exact(X, s)
                 break
             scale = Fraction(1, k + 1)
             for v in base:

@@ -260,7 +260,11 @@ class QLRTable:
 
     @classmethod
     def from_json(cls, doc: dict) -> "QLRTable":
-        """Decode a table document; a mistyped or missing field raises ValueError."""
+        """Decode a table document; a mistyped or missing field raises ValueError.
+
+        So does a pair (lambda, mu) out of wedge order, a repeated entry or q
+        exponent, and a zero coefficient: a computed table holds none of them.
+        """
         if not isinstance(doc, dict):
             raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
         r, n = json_field(doc, "r"), json_field(doc, "n")
@@ -272,6 +276,7 @@ class QLRTable:
         items = json_field(doc, "entries")
         if not isinstance(items, list) or any(not isinstance(i, dict) for i in items):
             raise ValueError(f"entries must be a list of objects, got {items!r}")
+        order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
         entries = {}
         for item in items:
             parts = [json_field(item, name) for name in ("lambda", "mu", "nu")]
@@ -285,10 +290,19 @@ class QLRTable:
                 raise ValueError("q must be a list of [integer exponent, rational string "
                                  f"or integer coefficient] pairs, got {pairs!r}")
             key = tuple(map(normalize_partition, parts))
-            if any(len(p) > r or p and p[0] > n + 1 - r for p in key):
+            if any(p not in order for p in key):
                 raise ValueError(f"partitions must fit the {r} x {n + 1 - r} rectangle, "
                                  f"got {parts!r}")
-            entries[key] = Laurent(("q",), {(e,): fraction_from_str(c) for e, c in pairs})
+            if order[key[0]] > order[key[1]]:
+                raise ValueError(f"lambda, mu must be in wedge order, got {parts!r}")
+            if key in entries:
+                raise ValueError(f"repeated entry {parts!r}")
+            coeffs = {(e,): fraction_from_str(c) for e, c in pairs}
+            if len(coeffs) < len(pairs):
+                raise ValueError(f"repeated q exponent at {parts!r}")
+            if not any(coeffs.values()):
+                raise ValueError(f"zero coefficient at {parts!r}")
+            entries[key] = Laurent(("q",), coeffs)
         return cls(r, n, entries)
 
 

@@ -29,14 +29,6 @@ from typing import Callable, Sequence
 from .rings import Laurent, Series, is_zero, laurent_dot, series_matmul
 
 
-class NoSolution(Exception):
-    """The linear system is inconsistent."""
-
-
-class AmbiguousSystem(Exception):
-    """The linear system has more than one solution."""
-
-
 class Mat:
     """An immutable dense matrix with exact entries."""
 
@@ -250,19 +242,6 @@ def row_reduce(rows: list[list], ncols: int) -> list[int]:
     return pivots
 
 
-def solve_field(A: Mat, B: Mat) -> Mat:
-    """Solve A @ X = B over Q; raise NoSolution / AmbiguousSystem."""
-    m = A.ncols
-    rows = [list(ar) + list(br) for ar, br in zip(A.rows, B.rows)]
-    pivots = row_reduce(rows, m)
-    if len(pivots) < m:
-        free = next(c for c in range(m) if c not in pivots)
-        raise AmbiguousSystem(f"free column {free}")
-    if any(not is_zero(a) for r in rows[m:] for a in r[m:]):
-        raise NoSolution("inconsistent system")
-    return Mat([r[m:] for r in rows[:m]])
-
-
 def inv_field(A: Mat) -> Mat:
     """Gauss-Jordan inverse of a rational matrix."""
     if A.nrows != A.ncols:
@@ -326,13 +305,11 @@ def series_constant_slice(M: Mat, qvars: tuple[str, ...]) -> Mat:
     return M.map(lambda s: s.constant_slice() or zero)
 
 
-def inv_series(M: Mat, slice_inverse: tuple[Mat, Laurent] | None = None
-               ) -> tuple[Mat, Laurent]:
+def inv_series(M: Mat) -> tuple[Mat, Laurent]:
     """(W, s) with M @ W = s * I, for a square Series matrix M.
 
     Write M = M_0 + M_+ with M_0 the constant slice, and let (A, delta) be
-    ``inv_laurent(M_0)``, so delta is det M_0 up to sign, or 1 for a unit;
-    a caller that already holds it passes it as ``slice_inverse``.  With
+    ``inv_laurent(M_0)``, so delta is det M_0 up to sign, or 1 for a unit.  With
     N = delta * I - A @ M = -A @ M_+, which is nilpotent,
     W = sum_k delta^(m-1-k) N^k A over the nonzero powers N^k, k < m, and
     s = delta^m.  When delta = 1, W is the inverse from the finite Neumann
@@ -344,7 +321,7 @@ def inv_series(M: Mat, slice_inverse: tuple[Mat, Laurent] | None = None
     qvars = next((s.qvars for r in M.rows for s in r if s.num), None)
     if qvars is None:
         raise ZeroDivisionError("singular matrix")
-    A, delta = slice_inverse or inv_laurent(series_constant_slice(M, qvars))
+    A, delta = inv_laurent(series_constant_slice(M, qvars))
     unit = delta == 1
     A = A.map(lambda a: Series.const(svars, order, a))
     ident = Mat.identity(M.nrows, Series.const(svars, order, Laurent.const(qvars, 1)))

@@ -21,7 +21,7 @@ from altfrob.deform import (
     wdvv_oracle,
     word_basis,
 )
-from altfrob.linalg import Mat, inv_laurent
+from altfrob.linalg import Mat, inv_laurent, wedge_indices
 from altfrob.presaito import (
     check_metric,
     check_pre_saito,
@@ -185,9 +185,18 @@ class TestUniversalBigQuantum:
             calls.append(A)
             return inv_laurent(A)
         monkeypatch.setattr(linalg, "inv_laurent", counted)
-        monkeypatch.setattr(deform, "inv_laurent", counted)
         big = universal_big_quantum(pn_small_family(4), 6)
         assert len(calls) <= len(big.svars) == 4
+
+    def test_word_matrix_is_inverted_once_per_stage(self, monkeypatch):
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return linalg.inv_series(M)
+        monkeypatch.setattr(deform, "inv_series", counted)
+        big = universal_big_quantum(pn_small_family(4), 6)
+        assert len(calls) == len(big.svars) == 4
 
     def test_reversed_generators_give_the_same_big_quantum_family(self):
         fam, K = pn_small_family(2), 3
@@ -200,6 +209,29 @@ class TestUniversalBigQuantum:
         b = hm_extend(prob, reverse_generators=True)
         assert a.B0 == b.B0
         assert a.C == b.C
+
+
+class TestGrassmannCompletion:
+    """G(2,4): the wedge of big-quantum P^3, completed along the wedge vectors it misses."""
+
+    @staticmethod
+    def _complete(reverse_generators=False):
+        g24, K = wedge(universal_big_quantum(pn_small_family(3), 3), 2), 3
+        new = {(0, 3): "y03", (2, 3): "y23"}
+        svars = g24.svars + tuple(new.values())
+        one = Laurent.const(g24.qvars, 1)
+        psi = tuple(Series.gen(svars, K, new[I], one) if I in new else Series.zero(svars, K)
+                    for I in wedge_indices(4, 2))
+        omega = (F(1),) + (F(0),) * 5  # e_01
+        prob = DeformationProblem(g24, tuple(new.values()), psi, omega, K)
+        return hm_extend(prob, reverse_generators=reverse_generators)
+
+    def test_completion_is_pre_saito_with_metric(self):
+        full = self._complete()
+        assert full.svars == ("t0", "t2", "t3", "y03", "y23")
+        assert check_pre_saito(full).ok
+        assert check_metric(full).ok
+        assert full == self._complete(reverse_generators=True)
 
 
 class TestPotential:

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altfrob.grassmann import (
     QLRTable,
@@ -281,6 +283,32 @@ class TestTableInvariants:
                 assert left == right, (r, n, a, b, c)
 
 
+@st.composite
+def mutated_table(draw, doc):
+    """A copy of a valid table document with one entry reordered, repeated or zeroed.
+
+    Returns the document and the start of the error it must raise.
+    """
+    doc = json.loads(json.dumps(doc))
+    entries = doc["entries"]
+    how = draw(st.sampled_from(["swap", "repeat", "zero", "repeat-q"]))
+    if how == "swap":  # the pair out of wedge order
+        item = draw(st.sampled_from([e for e in entries if e["lambda"] != e["mu"]]))
+        item["lambda"], item["mu"] = item["mu"], item["lambda"]
+        return doc, "lambda, mu must be in wedge order"
+    item = draw(st.sampled_from(entries))
+    if how == "repeat":  # the same (lambda, mu, nu), its coefficient kept or changed
+        twin = {**item, "q": draw(st.sampled_from([item["q"], [[0, 7]]]))}
+        entries.insert(draw(st.integers(0, len(entries))), twin)
+        return doc, "repeated entry"
+    if how == "zero":
+        item["q"] = draw(st.sampled_from([[], [[e, 0] for e, _ in item["q"]]]))
+        return doc, "zero coefficient"
+    e, c = item["q"][0]
+    item["q"].append([e, draw(st.sampled_from([c, 7]))])
+    return doc, "repeated q exponent"
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         T = alt_structure_constants(2, 3)
@@ -315,6 +343,14 @@ class TestSerialization:
             mutate(doc)
         with pytest.raises(ValueError, match=message):
             QLRTable.from_json(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_table_documents_are_rejected(self, data):
+        doc, message = data.draw(mutated_table(alt_structure_constants(2, 3).to_json()))
+        with pytest.raises(ValueError, match=message) as info:
+            QLRTable.from_json(doc)
+        assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize("write", [QLRTable.to_json, QLRTable.to_csv],
                              ids=["json", "csv"])

@@ -1,4 +1,4 @@
-"""Matrices, charpoly, exact solves, tensor and wedge constructions."""
+"""Matrices, charpoly, exact inverses, tensor and wedge constructions."""
 
 import random
 from fractions import Fraction
@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob.linalg import (
-    AmbiguousSystem,
     divide_exact,
     Mat,
-    NoSolution,
     charpoly,
     det,
     inv_field,
@@ -20,7 +18,6 @@ from altfrob.linalg import (
     kron,
     kron_sum,
     rank_field,
-    solve_field,
     wedge_indices,
     wedge_metric,
     wedge_of_sum,
@@ -79,27 +76,6 @@ def test_cayley_hamilton(entries):
         acc = acc + power.scale(coeff)
         power = power @ M
     assert acc.is_zero()
-
-
-def test_solve_field_unique():
-    A = Mat([[F(2), F(1)], [F(1), F(3)]])
-    b = Mat.column([F(5), F(10)])
-    x = solve_field(A, b)
-    assert x.column_vector() == (F(1), F(3))
-
-
-def test_solve_field_inconsistent():
-    A = Mat([[F(1), F(1)], [F(2), F(2)]])
-    b = Mat.column([F(1), F(3)])
-    with pytest.raises((NoSolution, AmbiguousSystem)):
-        solve_field(A, b)
-
-
-def test_solve_field_underdetermined():
-    A = Mat([[F(1), F(1)], [F(2), F(2)]])
-    b = Mat.column([F(1), F(2)])
-    with pytest.raises(AmbiguousSystem):
-        solve_field(A, b)
 
 
 def test_inv_field_rational():
