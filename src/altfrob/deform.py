@@ -18,8 +18,9 @@ columns with one more generator applied.  D' solves D' T = U, with T the
 word matrix on omega and U the same words on Psi, by back-substitution in
 the stage variable y: order k only adds y^(k+1) terms, so T at y = 0 is
 inverted once per stage, up to a scalar s (``inv_series``), and
-D'_k = (U - D'_{<k} T)[y^k] (T at y = 0)^(-1) is an exact quotient by s,
-which is 1 whenever the closed-point determinant is a unit.
+D'_k = (U - D'_{<k} T)[y^k] (T at y = 0)^(-1), cut to the degree K - k through
+which that slice is exact, is an exact quotient by s, which is 1 whenever
+the closed-point determinant is a unit.
 
 The commutation invariant [D', M] = 0 for every known matrix M is asserted
 once per stage, covering every order: the order-k step only adds terms at
@@ -206,7 +207,8 @@ def hm_extend(problem: DeformationProblem,
                            omega_q, d)
 
         # D' T = U, solved by back-substitution in y: the y^<=k slices of T and
-        # U are final at order k, so (U - D'_{<k} T)[y^k] = D'_k T|_{y=0}
+        # U are final at order k, so (U - D'_{<k} T)[y^k] = D'_k T|_{y=0} through
+        # degree K - k in the other variables; above it, X need not divide by s0
         for k in range(K + 1):
             # the word (g,) + w sends (omega, Psi) to gens[g] applied to w's columns
             cols = {(): Mat.from_columns([omega_s, data])}
@@ -217,7 +219,8 @@ def hm_extend(problem: DeformationProblem,
             if k == 0:
                 W0, s0 = inv_series(T.map(lambda e: e.restrict_zero((yname,))))
                 D = U.scale(0)
-            X = (U - D @ T).map(lambda e: e.coeff_of_var(yname, k)) @ W0  # s0 * D'_k
+            X = (U - D @ T).map(lambda e: e.coeff_of_var(yname, k)) @ W0
+            X = X.map(lambda e: e.truncate(K - k))  # s0 * D'_k
             Dk = divide_exact(X, s0)
             if Dk is None:
                 # s0 * D'_{<=k} has the zero pattern of D'_{<=k}, so the same witness

@@ -276,7 +276,7 @@ class QLRTable:
         items = json_field(doc, "entries")
         if not isinstance(items, list) or any(not isinstance(i, dict) for i in items):
             raise ValueError(f"entries must be a list of objects, got {items!r}")
-        order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
+        empty = cls(r, n, {})  # its wedge order checks the keys
         entries = {}
         for item in items:
             parts = [json_field(item, name) for name in ("lambda", "mu", "nu")]
@@ -290,10 +290,10 @@ class QLRTable:
                 raise ValueError("q must be a list of [integer exponent, rational string "
                                  f"or integer coefficient] pairs, got {pairs!r}")
             key = tuple(map(normalize_partition, parts))
-            if any(p not in order for p in key):
+            if any(p not in empty._order for p in key):
                 raise ValueError(f"partitions must fit the {r} x {n + 1 - r} rectangle, "
                                  f"got {parts!r}")
-            if order[key[0]] > order[key[1]]:
+            if empty._canon(*key[:2]) != key[:2]:
                 raise ValueError(f"lambda, mu must be in wedge order, got {parts!r}")
             if key in entries:
                 raise ValueError(f"repeated entry {parts!r}")
