@@ -40,7 +40,6 @@ from .grassmann import (
     alt_metric,
     alt_structure_constants,
     alternant,
-    bialternant_reduce,
     complement_partition,
     lr_count,
     lr_products,
@@ -64,7 +63,6 @@ from .mirror import (
     JacobianAlgebra,
     compare_quantum_gm,
     convenience_witness,
-    is_convenient,
     jacobian_algebra,
     kouchnirenko_bound,
     mirror_brieskorn,
@@ -114,7 +112,6 @@ __all__ = [
     "alt_metric",
     "alt_structure_constants",
     "alternant",
-    "bialternant_reduce",
     "build_pn",
     "charpoly",
     "check_metric",
@@ -130,7 +127,6 @@ __all__ = [
     "frobenius_data",
     "gw_pn2",
     "hm_extend",
-    "is_convenient",
     "jacobian_algebra",
     "kouchnirenko_bound",
     "kron",

@@ -31,8 +31,8 @@ import random
 import sys
 from pathlib import Path
 
-from .deform import (InvariantViolation, NotPrePrimitive, gw_pn2, hm_extend, problem_from_json,
-                     wdvv_oracle)
+from .deform import (GW_DMAX, InvariantViolation, NotPrePrimitive, gw_pn2, hm_extend,
+                     problem_from_json, wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
 from .linalg import charpoly, wedge_indices
 from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, mirror_brieskorn, mirror_f,
@@ -258,6 +258,9 @@ def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
 def cmd_gw(args: argparse.Namespace, settings: Settings) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be at least 1")
+    if args.dmax > GW_DMAX:
+        raise UsageError(f"--dmax {args.dmax} exceeds the largest degree {GW_DMAX} "
+                         "that the potential's series order allows")
     _note(settings, f"running the big quantum pipeline through degree {args.dmax}")
     counts = gw_pn2(args.dmax)
     oracle = wdvv_oracle(args.dmax)

@@ -45,7 +45,8 @@ from .linalg import Mat, divide_exact, inv_series, series_constant_slice
 from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _promote_entries,
                        dscalar, frobenius_data, residue_grading)
 from .projective import pn_small_family
-from .rings import Laurent, Series, as_fraction, fraction_from_str, fraction_to_str, json_field
+from .rings import (KEY_LIMIT, Laurent, Series, as_fraction, fraction_from_str, fraction_to_str,
+                    json_field)
 
 
 class NotPrePrimitive(Exception):
@@ -440,14 +441,18 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
     return phi
 
 
+# the largest degree for gw_pn2: its potential has Series order 3 * dmax + 2
+GW_DMAX = (KEY_LIMIT - 2) // 3
+
+
 def gw_pn2(dmax: int) -> list[int]:
     """Degree-d counts of rational plane curves through 3d-1 points, d <= dmax.
 
     Read off the potential of the big-quantum plane:
     N_d = (3d-1)! * [q^d t_2^(3d-1)] Phi.
     """
-    if dmax < 1:
-        raise ValueError("dmax must be at least 1")
+    if not 1 <= dmax <= GW_DMAX:
+        raise ValueError(f"dmax must be in 1..{GW_DMAX}")
     K = max(2, 3 * dmax - 1)
     F = universal_big_quantum(pn_small_family(2), K)
     phi = potential(F, (1, 0, 0))

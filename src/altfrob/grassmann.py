@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import Mat, wedge_indices, wedge_metric
-from .presaito import Report
 from .projective import build_pn
 from .rings import Laurent, fraction_from_str, fraction_to_str, json_field
 
@@ -138,48 +136,6 @@ def _straighten(exps: Sequence[int], n: int) -> tuple[int, int, tuple[int, ...]]
         return None
     carries = (sum(exps) - sum(rem)) // (n + 1)
     return _desc_sort_sign(rem), carries, tuple(sorted(rem))
-
-
-def _swap12(P: Laurent) -> Laurent:
-    terms = {}
-    for e, c in P.terms.items():
-        terms[(e[0], e[2], e[1]) + e[3:]] = c
-    return Laurent(P.vars, terms)
-
-
-def bialternant_reduce(P: Laurent, r: int, n: int) -> dict[Partition, Laurent]:
-    """Expand an antisymmetric polynomial in the reduced alternant basis.
-
-    Every monomial exponent is lowered by y^(n+1) -> q until it lies in
-    [0, n]; repeated exponents die, the rest sort with a sign, and the
-    strictly decreasing survivor mu = lambda + delta names the coefficient
-    of [s_lambda * Delta].  Antisymmetry is asserted on one transposition.
-    """
-    vars_ = yq_vars(r)
-    if P.vars != vars_:
-        raise ValueError(f"expected a polynomial in {vars_}")
-    if r >= 2 and _swap12(P) != -P:
-        raise ValueError("input is not antisymmetric")
-    acc: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-    for exps, coef in P.terms.items():
-        qe, ys = exps[0], exps[1:]
-        if any(e < 0 for e in ys):
-            raise ValueError("negative y-exponent; the input must be "
-                             "polynomial in the y's")
-        st = _straighten(ys, n)
-        if st is None:
-            continue
-        sign, carries, I = st
-        bucket = acc.setdefault(I, {})
-        key = (qe + carries,)
-        bucket[key] = bucket.get(key, Fraction(0)) + sign * coef
-    rfact = math.factorial(r)
-    out: dict[Partition, Laurent] = {}
-    for I, bucket in acc.items():
-        coeff = Laurent(("q",), {e: c / rfact for e, c in bucket.items()})
-        if not coeff.is_zero():
-            out[partition_from_indices(I, r)] = coeff
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -544,22 +500,3 @@ def alt_metric(r: int, n: int) -> PartitionMatrix:
     mat = Gw.map(lambda x: x.as_fraction())
     return PartitionMatrix(r, n, labels, mat)
 
-
-def metric_sign_report(r: int, n: int) -> Report:
-    """Computed sign pattern of the wedge metric; reported, not asserted."""
-    pm = alt_metric(r, n)
-    rep = Report(f"alt_metric({r},{n}) sign pattern")
-    for lam in pm.labels:
-        comp = complement_partition(lam, r, n)
-        val = pm.entry(lam, comp)
-        rep.record(f"g({lam or '()'} , {comp or '()'}) == 1", val == 1,
-                   witness=f"value {val}")
-    off = []
-    for lam in pm.labels:
-        comp = complement_partition(lam, r, n)
-        for mu in pm.labels:
-            if mu != comp and pm.entry(lam, mu) != 0:
-                off.append((lam, mu))
-    rep.record("off-complement entries vanish", not off,
-               witness=f"nonzero at {off[:3]}" if off else "")
-    return rep

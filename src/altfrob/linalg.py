@@ -24,6 +24,7 @@ whenever the determinant is a unit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .rings import Laurent, Series, is_zero, laurent_dot, series_matmul
@@ -362,16 +363,7 @@ def kron_sum(A: Mat, B: Mat) -> Mat:
 
 def wedge_indices(d: int, r: int) -> list[tuple[int, ...]]:
     """Strictly increasing r-tuples in range(d), lexicographically ordered."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(start: int, prefix: tuple[int, ...]) -> None:
-        if len(prefix) == r:
-            out.append(prefix)
-            return
-        for i in range(start, d - (r - len(prefix)) + 1):
-            rec(i + 1, prefix + (i,))
-    rec(0, ())
-    return out
+    return list(combinations(range(d), r))
 
 
 def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:

@@ -119,10 +119,6 @@ def convenience_witness(f: Laurent) -> str | None:
     return None
 
 
-def is_convenient(f: Laurent) -> bool:
-    return convenience_witness(f) is None
-
-
 def kouchnirenko_bound(f: Laurent) -> int:
     """n! times the Newton volume, for supports that are full simplices."""
     S = list(_by_u(f))

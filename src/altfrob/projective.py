@@ -57,26 +57,12 @@ def build_pn(n: int) -> PreSaitoFamily:
                           C={}, G=at_one(F.G), w=F.w)
 
 
-def qline_products(n: int) -> list[Mat]:
-    """Matrices of (d_{t_k} *) on the q-line, k = 0..n, in the flat frame.
-
-    The hyperplane product matrix is M_1 = B_0/(n+1); the degree-2k field
-    multiplies by its k-th power, realizing Q[q][y]/(y^{n+1} - q) with
-    d_{t_k} acting as [y^k].
-    """
-    F = pn_small_family(n)
-    M1 = F.B0.scale(Fraction(1, n + 1))
-    out = [Mat.identity(F.d, F.const(1))]
-    for _ in range(n):
-        out.append(out[-1] @ M1)
-    return out
-
-
 def quotient_ring_products(n: int) -> list[Mat]:
     """Multiplication by y^k in Q[q][y]/(y^{n+1} - q), basis (1, y, .., y^n).
 
     Independent of the family constructors: built directly from polynomial
-    reduction, for use as an oracle against ``qline_products``.
+    reduction, for use as an oracle against the powers of B_0/(n+1) of
+    ``pn_small_family(n)``.
     """
     qv = ("q",)
     q = Laurent.gen(qv, "q")

@@ -297,14 +297,6 @@ class Laurent:
         i = self.vars.index(name)
         return Laurent(self.vars, {e: c * e[i] for e, c in self.terms.items() if e[i] != 0})
 
-    def scale_var(self, name: str, factor: int | Fraction) -> "Laurent":
-        """Substitute q -> factor * q (factor a nonzero rational)."""
-        c0 = as_fraction(factor)
-        if c0 == 0:
-            raise ValueError("scale factor must be invertible")
-        i = self.vars.index(name)
-        return Laurent(self.vars, {e: c * c0 ** e[i] for e, c in self.terms.items()})
-
     def eval_var(self, name: str, value: int | Fraction) -> "Laurent":
         """Substitute a rational value, returning a Laurent in the remaining variables."""
         v = as_fraction(value)
@@ -661,21 +653,6 @@ class Series:
         if not self.num:
             return self
         return self._deriv(_BITS * (len(self.vars) + self.qvars.index(name)), _BIAS, 0)
-
-    def integrate(self, name: str) -> "Series":
-        """Antiderivative in a formal variable, vanishing at 0.
-
-        Raises if a term would land beyond the truncation order, since the
-        information content would silently be wrong otherwise.
-        """
-        s, shift = _BITS * self.vars.index(name), self._shift()
-        if any(key >> shift >= self.order for key in self.num):
-            raise ValueError("integration exceeds truncation order")
-        step = (1 << s) + (1 << shift)
-        p = {key: ((key >> s) & _MASK) + 1 for key in self.num}
-        m = lcm(*p.values())
-        return self._like({key + step: n * (m // p[key]) for key, n in self.num.items()},
-                          self.den * m)
 
     # -- structure -----------------------------------------------------------
 

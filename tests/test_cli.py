@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob import cli
-from altfrob.deform import problem_to_json, trivial_deformation_problem, universal_big_quantum
+from altfrob.deform import (GW_DMAX, DeformationProblem, problem_to_json,
+                            trivial_deformation_problem, universal_big_quantum)
 from altfrob.grassmann import QLRTable, alt_structure_constants
 from altfrob.linalg import Mat
 from altfrob.mirror import mirror_brieskorn
@@ -66,6 +67,16 @@ class TestExitCodes:
         assert code == 2
         code, out, err = run(["pn", "--n", "2", "--check", "--order", "-1"], capsys)
         assert_one_line_usage_error(code, out, err, "--order must be at least 0")
+
+    @pytest.mark.parametrize("dmax", [10922, 10923])
+    def test_gw_dmax_past_the_series_key_limit(self, capsys, dmax):
+        # rejected before any work: the potential would need Series order 3 * dmax + 2
+        assert_one_line_usage_error(*run(["gw", "--dmax", str(dmax)], capsys),
+                                    f"--dmax {dmax} exceeds the largest degree 10921")
+        assert GW_DMAX == 10921
+        Series.zero(("t",), 3 * GW_DMAX + 2)
+        with pytest.raises(ValueError, match="order is at most"):
+            Series.zero(("t",), 3 * dmax + 2)
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(["verify", "--family", str(tmp_path / "nope.json")], capsys)
@@ -662,4 +673,61 @@ def test_mutated_family_documents_are_input_errors(family_docs, data):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["verify", "--family", str(path)])
+    assert_one_line_usage_error(code, out.getvalue(), err.getvalue(), "")
+
+
+# -- malformed problem documents, fuzzed --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def problem_doc(tmp_path_factory):
+    """P^1's q-line family file and the problem t0 * omega_0 on it through order 3."""
+    d = tmp_path_factory.mktemp("problem_doc")
+    fam = pn_small_family(1)
+    (d / "p1.json").write_text(dumps_family(fam))
+    one = Laurent.const(fam.qvars, 1)
+    psi = (Series.gen(("t0",), 3, "t0", one), Series.zero(("t0",), 3))
+    doc = problem_to_json(DeformationProblem(fam, ("t0",), psi, (1, 0), 3))
+    (d / "psi1.json").write_text(json.dumps(doc))
+    assert cli.main(["hm", "--family", str(d / "p1.json"), "--psi", str(d / "psi1.json"),
+                     "--out", str(d / "hm.json")]) == 0
+    return doc, d / "p1.json", d / "mutated.json"
+
+
+# the JSON types of each problem field's proper values
+PROBLEM_TYPES = {"order": (int,), "newVars": (list,), "psi": (list,), "omega": (list,)}
+
+
+@st.composite
+def mutated_problem(draw, doc):
+    """A copy of a valid problem document with one field dropped, retyped or reshaped."""
+    doc = json.loads(json.dumps(doc))
+    how = draw(st.sampled_from(["drop", "retype", "psi", "omega", "exps", "newVars"]))
+    if how == "drop":
+        del doc[draw(st.sampled_from(sorted(PROBLEM_TYPES)))]
+    elif how == "retype":
+        field = draw(st.sampled_from(sorted(PROBLEM_TYPES)))
+        wrong = [t for t in JSON_OF_TYPE if t not in PROBLEM_TYPES[field]]
+        doc[field] = draw(JSON_OF_TYPE[draw(st.sampled_from(wrong))])
+    elif how in ("psi", "omega"):  # one coordinate too few or too many
+        coords = doc[how]
+        draw(st.sampled_from([coords.pop, lambda: coords.append(coords[0])]))()
+    elif how == "exps":  # a term with one exponent too few or too many
+        exps = doc["psi"][0][0]["exps"]
+        draw(st.sampled_from([exps.pop, lambda: exps.append(0)]))()
+    else:  # a variable dropped, added, or named like the base variable
+        names = doc["newVars"]
+        draw(st.sampled_from([names.pop, lambda: names.append("x"),
+                              lambda: names.__setitem__(0, "q")]))()
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_problem_documents_are_input_errors(problem_doc, data):
+    doc, family, path = problem_doc
+    path.write_text(json.dumps(data.draw(mutated_problem(doc))))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["hm", "--family", str(family), "--psi", str(path)])
     assert_one_line_usage_error(code, out.getvalue(), err.getvalue(), "")

@@ -7,7 +7,6 @@ from altfrob.presaito import check_metric, check_pre_saito
 from altfrob.projective import (
     build_pn,
     pn_small_family,
-    qline_products,
     quotient_ring_products,
 )
 from altfrob.rings import Laurent, qlaurent
@@ -61,15 +60,19 @@ def test_small_family_checks_through_n6():
 
 
 def test_qline_products_match_quotient_ring():
+    # d_{t_k} * is the k-th power of the hyperplane product M_1 = B_0/(n+1)
     for n in (1, 2, 3, 4):
-        assert qline_products(n) == quotient_ring_products(n)
+        fam = pn_small_family(n)
+        M1 = fam.B0.scale(F(1, n + 1))
+        mats = quotient_ring_products(n)
+        assert mats[0] == Mat.identity(fam.d, fam.const(1))
+        for k in range(1, n + 1):
+            assert mats[k] == mats[k - 1] @ M1
 
 
 def test_hyperplane_power_relation():
     # (d_{t_1} *)^{n+1} = q * identity
     for n in (1, 2, 3):
-        mats = qline_products(n)
-        M1 = mats[1]
-        power = mats[n] @ M1
+        M1 = pn_small_family(n).B0.scale(F(1, n + 1))
         q = Laurent.gen(("q",), "q")
-        assert power == Mat.identity(n + 1, q)
+        assert quotient_ring_products(n)[n] @ M1 == Mat.identity(n + 1, q)

@@ -49,12 +49,6 @@ def test_laurent_log_deriv():
     assert p.log_deriv("q") == qlaurent([(3, 15), (-1, 2)])
 
 
-def test_laurent_scale_var_sign_twist():
-    p = qlaurent([(2, 3), (1, 1), (0, 4)])
-    twisted = p.scale_var("q", -1)
-    assert twisted == qlaurent([(2, 3), (1, -1), (0, 4)])
-
-
 def test_laurent_compress_var():
     p = qlaurent([(6, 2), (3, -1), (0, 4)])
     assert p.compress_var("q", 3) == qlaurent([(2, 2), (1, -1), (0, 4)])
@@ -149,17 +143,10 @@ def test_series_truncation_total_degree():
     assert cubic.is_zero()  # degree 3 exceeds order 2
 
 
-def test_series_deriv_integrate_roundtrip():
+def test_series_deriv_of_a_power():
     x = sgen(("x",), 5, "x")
     p = x * x * x  # x^3
     assert p.deriv("x") == (x * x).scale(3)
-    assert (x * x).scale(3).integrate("x") == p
-
-
-def test_series_integrate_overflow_raises():
-    x = sgen(("x",), 2, "x")
-    with pytest.raises(ValueError):
-        (x * x).integrate("x")
 
 
 def test_series_q_coefficients_and_map():
@@ -368,14 +355,6 @@ def test_series_structure_maps_match_the_laurent_view(data):
     for got, pairs in cases:
         assert got == rebuild(svars, order, pairs)
         assert_canonical(got)
-    if any(sum(e) == order for e, _ in X):
-        with pytest.raises(ValueError, match="exceeds truncation order"):
-            x.integrate(name)
-    else:
-        got = x.integrate(name)
-        assert got == rebuild(svars, order, [(bump(e, i, 1), c * Fraction(1, e[i] + 1))
-                                             for e, c in X])
-        assert got.deriv(name) == x
     # a wider series ring at another order, and a wider Laurent ring
     big_s, big_q = ("s",) + svars[::-1], qvars + ("p",)
     new_order = data.draw(st.integers(0, 4))
