@@ -228,6 +228,8 @@ def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
     r, n = args.r, args.n
     if not 1 <= r <= n:
         raise UsageError("need 1 <= r <= n")
+    if args.oracle and args.metric:
+        raise UsageError("--oracle and --metric cannot be combined")
     _note(settings, f"building alternate product table for r={r}, n={n}")
     table = alt_structure_constants(r, n)
 
@@ -246,7 +248,7 @@ def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
 
     fmt = settings.get("format")
     if fmt == "json":
-        text = json_text(table.to_json())
+        text = table.to_json_text()
     elif fmt == "csv":
         text = table.to_csv()
     else:

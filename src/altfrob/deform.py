@@ -42,8 +42,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, divide_exact, inv_series, series_constant_slice
-from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _promote_entries,
-                       dscalar, frobenius_data, residue_grading)
+from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _names,
+                       _promote_entries, dscalar, frobenius_data, residue_grading)
 from .projective import pn_small_family
 from .rings import (KEY_LIMIT, Laurent, Series, as_fraction, fraction_from_str, fraction_to_str,
                     json_field)
@@ -519,8 +519,7 @@ def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    if not isinstance(new_vars, list) or any(type(v) is not str for v in new_vars):
-        raise ValueError(f"newVars must be a list of strings, got {new_vars!r}")
+    _names("newVars", new_vars)
     if not isinstance(psi, list):
         raise ValueError(f"psi must be a list, got {psi!r}")
     if not isinstance(omega, list) or any(type(x) not in (int, str) for x in omega):

@@ -195,11 +195,29 @@ class QLRTable:
             raise ValueError(f"non-integer coefficient at {key}")
         return [[e, int(c)] for (e,), c in terms]
 
-    def to_json(self) -> dict:
-        entries = [{"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                    "q": self._integer_terms((lam, mu, nu))}
-                   for lam, mu, nu in sorted(self.entries)]
-        return {"r": self.r, "n": self.n, "entries": entries}
+    def to_json_text(self) -> str:
+        """The table document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+        Written in one pass over the sorted entries, each rectangle partition's
+        list text rendered once, and joined once.  Every int goes through
+        ``int.__repr__``, so a value that is not an int raises TypeError
+        instead of reaching the text.
+        """
+        rep, at = int.__repr__, "\n        "
+        part = {lam: f"[{at}{(',' + at).join(map(rep, lam))}\n      ]" if lam else "[]"
+                for lam in self._order}
+        out, sep = ['{\n  "entries": ['], "\n    "
+        for key in sorted(self.entries):
+            lam, mu, nu = key
+            q = ",\n        ".join([f"[\n          {rep(e)},\n          {rep(c)}\n        ]"
+                                    for e, c in self._integer_terms(key)])
+            q = f"[\n        {q}\n      ]" if q else "[]"
+            out.append(f'{sep}{{\n      "lambda": {part[lam]},\n      "mu": {part[mu]},\n'
+                       f'      "nu": {part[nu]},\n      "q": {q}\n    }}')
+            sep = ",\n    "
+        out.append("\n  ]," if self.entries else "],")
+        out.append(f'\n  "n": {rep(self.n)},\n  "r": {rep(self.r)}\n}}\n')
+        return "".join(out)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -284,6 +302,7 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     memo: dict = {}
     weights = {lam: _tableau_weights(lam, r, memo) for lam in parts}
     straightened: dict = {}     # exponent vector -> _straighten of it, each done once
+    coefficient: dict[int, Fraction] = {}   # one shared Fraction per value
     entries = {}
     for lam, mu in _ordered_pairs(parts):
         a, b = (lam, mu) if len(weights[lam]) <= len(weights[mu]) else (mu, lam)
@@ -300,9 +319,14 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
             twisted = sign * k * (-1) ** ((r - 1) * carries)
             bucket[carries] = bucket.get(carries, 0) + twisted
         for I, bucket in acc.items():
-            cf = Laurent(("q",), {(e,): Fraction(c) for e, c in bucket.items()})
-            if not cf.is_zero():
-                entries[(lam, mu, part_of[I])] = cf
+            terms = {}
+            for e, c in bucket.items():
+                if c:
+                    if c not in coefficient:
+                        coefficient[c] = Fraction(c)
+                    terms[(e,)] = coefficient[c]
+            if terms:
+                entries[(lam, mu, part_of[I])] = Laurent._trusted(("q",), terms)
     return QLRTable(r, n, entries)
 
 

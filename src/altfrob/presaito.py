@@ -617,21 +617,29 @@ def family_to_json(F: PreSaitoFamily) -> dict:
     return doc
 
 
+def _strings(key: str, value) -> list:
+    if not isinstance(value, list) or any(type(x) is not str for x in value):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return value
+
+
+def _names(key: str, value) -> list:
+    """A list of variable names; each must be a str and an identifier."""
+    for name in _strings(key, value):
+        if not name.isidentifier():
+            raise ValueError(f"{key} must be identifiers, got {name!r}")
+    return value
+
+
 def family_from_json(doc: dict) -> PreSaitoFamily:
     """Decode a family document; a mistyped or missing field raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError(f"a family must be a JSON object, got {type(doc).__name__}")
-
-    def strings(key: str, value) -> list:
-        if not isinstance(value, list) or any(type(x) is not str for x in value):
-            raise ValueError(f"{key} must be a list of strings, got {value!r}")
-        return value
-
-    names = strings("vars", json_field(doc, "vars"))
-    kinds = strings("kinds", doc.get("kinds", ["q"] * len(names)))
+    names = _names("vars", json_field(doc, "vars"))
+    kinds = _strings("kinds", doc.get("kinds", ["q"] * len(names)))
     if len(kinds) != len(names):
         raise ValueError(f"kinds must name one kind per variable, got {kinds!r} for {names!r}")
-    params = tuple(strings("params", doc.get("params", [])))
+    params = tuple(_names("params", doc.get("params", [])))
     base = tuple(BaseVar(n, k) for n, k in zip(names, kinds))
     d = json_field(doc, "rank")
     if type(d) is not int or d < 1:

@@ -68,6 +68,11 @@ class TestExitCodes:
         code, out, err = run(["pn", "--n", "2", "--check", "--order", "-1"], capsys)
         assert_one_line_usage_error(code, out, err, "--order must be at least 0")
 
+    def test_grassmann_oracle_with_metric_is_usage_error(self, capsys):
+        assert_one_line_usage_error(
+            *run(["grassmann", "--r", "2", "--n", "3", "--oracle", "--metric"], capsys),
+            "--oracle and --metric cannot be combined")
+
     @pytest.mark.parametrize("dmax", [10922, 10923])
     def test_gw_dmax_past_the_series_key_limit(self, capsys, dmax):
         # rejected before any work: the potential would need Series order 3 * dmax + 2
@@ -143,6 +148,8 @@ class TestDeterminism:
         ["mirror", "--n", "2"],
         ["mirror", "--n", "3", "--wedge", "2"],
         ["pn", "--n", "2"],
+        ["grassmann", "--r", "1", "--n", "1"],
+        ["grassmann", "--r", "4", "--n", "7"],
     ])
     def test_json_layout_is_sorted_with_indent_2(self, argv, capsys):
         code, out, _ = run(argv, capsys)
@@ -606,6 +613,9 @@ JSON_OF_TYPE = {int: st.integers(-3, 3), float: st.floats(-3, 3, allow_nan=False
                 str: st.text(max_size=3), list: st.lists(st.integers(-1, 1), max_size=2),
                 dict: st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),
                 bool: st.booleans(), type(None): st.none()}
+# variable names that are not identifiers
+BAD_NAMES = st.one_of(st.sampled_from(["", "t0 ", " q", "1t", "a-b", "y\n"]),
+                      st.text(max_size=4).filter(lambda x: not x.isidentifier()))
 # the JSON types of each family field's proper values
 FIELD_TYPES = {"rank": (int,), "vars": (list,), "kinds": (list,), "params": (list,),
                "Binf": (list,), "B0": (list,), "C": (dict,), "G": (list,), "w": (int, str),
@@ -618,7 +628,7 @@ def mutated_family(draw, doc, required):
     doc = json.loads(json.dumps(doc))
     names = doc["vars"]
     matrices = [["Binf"], ["B0"], ["G"]] + [["C", v] for v in names]
-    how = draw(st.sampled_from(["drop", "retype", "matrix", "entry", "list", "kind"]))
+    how = draw(st.sampled_from(["drop", "retype", "matrix", "entry", "list", "kind", "name"]))
     if how == "drop":
         del doc[draw(st.sampled_from(required))]
     elif how == "retype":
@@ -656,6 +666,14 @@ def mutated_family(draw, doc, required):
             del doc["C"][draw(st.sampled_from(names))]
         else:  # a parameter that repeats a base variable
             doc["params"] = [draw(st.sampled_from(names))]
+    elif how == "name":  # a variable, its C key with it, or a parameter not an identifier
+        bad = draw(BAD_NAMES)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(names) - 1))
+            doc["C"][bad] = doc["C"].pop(names[i])
+            names[i] = bad
+        else:
+            doc["params"] = [bad]
     else:
         bad = st.one_of(st.just("laurent"), st.text(max_size=8), st.integers(), st.none())
         i = draw(st.integers(0, len(names) - 1))
@@ -715,10 +733,11 @@ def mutated_problem(draw, doc):
     elif how == "exps":  # a term with one exponent too few or too many
         exps = doc["psi"][0][0]["exps"]
         draw(st.sampled_from([exps.pop, lambda: exps.append(0)]))()
-    else:  # a variable dropped, added, or named like the base variable
+    else:  # a variable dropped, added, named like the base variable or not an identifier
         names = doc["newVars"]
         draw(st.sampled_from([names.pop, lambda: names.append("x"),
-                              lambda: names.__setitem__(0, "q")]))()
+                              lambda: names.__setitem__(0, "q"),
+                              lambda: names.__setitem__(0, draw(BAD_NAMES))]))()
     return doc
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altfrob.grassmann import (
@@ -296,11 +296,41 @@ def mutated_table(draw, doc):
     return doc, "repeated q exponent"
 
 
+@st.composite
+def table_documents(draw):
+    """A valid table document: entries and q exponents in any order, coefficients
+    small or large, negative, and as integers or integer strings."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, r + 2))
+    parts = rect_partitions(r, n)
+    triples = [(lam, mu, nu) for i, lam in enumerate(parts) for mu in parts[i:]
+               for nu in parts]
+    coef = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).filter(bool)
+    entries = []
+    for lam, mu, nu in draw(st.lists(st.sampled_from(triples), unique=True, max_size=12)):
+        q = draw(st.dictionaries(st.integers(-4, 6), coef, min_size=1, max_size=4))
+        entries.append({"lambda": list(lam), "mu": list(mu), "nu": list(nu),
+                        "q": [[e, draw(st.sampled_from([c, str(c)]))] for e, c in q.items()]})
+    return {"r": r, "n": n, "entries": entries}
+
+
 class TestSerialization:
+    @settings(max_examples=80, deadline=None)
+    @given(table_documents())
+    @example({"r": 2, "n": 3, "entries": []})
+    def test_json_text_is_the_sorted_indent_2_layout(self, doc):
+        T = QLRTable.from_json(doc)
+        text = T.to_json_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        back = json.loads(text)
+        assert QLRTable.from_json(back) == T
+        keys = [(d["lambda"], d["mu"], d["nu"]) for d in back["entries"]]
+        assert keys == sorted(keys)
+        assert all(d["q"] == sorted(d["q"]) for d in back["entries"])
+
     def test_json_round_trip(self):
         T = alt_structure_constants(2, 3)
-        doc = T.to_json()
-        assert QLRTable.from_json(doc) == T
+        assert QLRTable.from_json(json.loads(T.to_json_text())) == T
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda d: d["entries"][0]["q"][0].__setitem__(1, 0.1), "q must be a list of"),
@@ -323,7 +353,7 @@ class TestSerialization:
             "entry-int", "mu-str", "not-an-object", "missing-entries", "missing-nu",
             "missing-q", "zero-denominator", "r-zero", "r-above-n", "lambda-outside"])
     def test_mistyped_table_is_rejected(self, mutate, message):
-        doc = json.loads(json.dumps(alt_structure_constants(2, 3).to_json()))
+        doc = json.loads(alt_structure_constants(2, 3).to_json_text())
         if mutate is None:
             doc = [doc]
         else:
@@ -334,26 +364,26 @@ class TestSerialization:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_mutated_table_documents_are_rejected(self, data):
-        doc, message = data.draw(mutated_table(alt_structure_constants(2, 3).to_json()))
+        doc, message = data.draw(
+            mutated_table(json.loads(alt_structure_constants(2, 3).to_json_text())))
         with pytest.raises(ValueError, match=message) as info:
             QLRTable.from_json(doc)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("write", [QLRTable.to_json, QLRTable.to_csv],
+    @pytest.mark.parametrize("write", [QLRTable.to_json_text, QLRTable.to_csv],
                              ids=["json", "csv"])
     def test_non_integer_coefficient_is_rejected(self, write):
-        doc = json.loads(json.dumps(alt_structure_constants(2, 3).to_json()))
+        doc = json.loads(alt_structure_constants(2, 3).to_json_text())
         doc["entries"][0]["q"][0][1] = "1/2"
         with pytest.raises(ValueError, match="non-integer coefficient"):
             write(QLRTable.from_json(doc))
 
     def test_json_is_deterministic(self):
-        a = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)
-        b = json.dumps(alt_structure_constants(2, 4).to_json(), sort_keys=True)
-        assert a == b
+        assert (alt_structure_constants(2, 4).to_json_text()
+                == alt_structure_constants(2, 4).to_json_text())
 
     def test_json_shape(self):
-        doc = alt_structure_constants(2, 2).to_json()
+        doc = json.loads(alt_structure_constants(2, 2).to_json_text())
         assert set(doc) == {"r", "n", "entries"}
         item = doc["entries"][0]
         assert set(item) == {"lambda", "mu", "nu", "q"}
