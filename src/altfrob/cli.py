@@ -35,12 +35,12 @@ from .deform import (GW_DMAX, InvariantViolation, NotPrePrimitive, gw_pn2, hm_ex
                      problem_from_json, wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
 from .linalg import charpoly, wedge_indices
-from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, mirror_brieskorn, mirror_f,
-                     mult_f_matrix)
+from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, kouchnirenko_bound,
+                     mirror_brieskorn, mirror_f, mult_f_matrix)
 from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
                        loads_family, wedge)
 from .projective import pn_small_family
-from .rings import json_text
+from .rings import Series, json_text
 
 CONFIG_NAME = "altfrob.json"
 FORMATS = ("json", "csv", "pretty")
@@ -53,6 +53,8 @@ DEFAULTS = {
     "seed": 0,
     "verbosity": 1,
 }
+# the flag (argparse dest) that overrides a config key, where the names differ
+FLAG_OF = {"K": "order", "B_max": "b_max"}
 
 
 class UsageError(Exception):
@@ -116,22 +118,6 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-class Settings:
-    """Flag > config file > built-in default, per key."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
-
-    def get(self, key: str, flag_name: str | None = None):
-        flag = getattr(self._args, flag_name or key, None)
-        if flag is not None:
-            return flag
-        if key in self._config:
-            return self._config[key]
-        return DEFAULTS[key]
-
-
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -144,8 +130,8 @@ def _emit(text: str, out: str | None) -> None:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
-def _note(settings: Settings, message: str) -> None:
-    if settings.get("verbosity") >= 2:
+def _note(args: argparse.Namespace, message: str) -> None:
+    if args.verbosity >= 2:
         print(message, file=sys.stderr)
 
 
@@ -159,32 +145,28 @@ def _check_order(K: int | None, limit: int | None, what: str) -> None:
         raise UsageError(f"--order {K} exceeds {what} {limit}")
 
 
-def _report_lines(reports) -> tuple[list[str], bool]:
+def _report(reports, *notes: str) -> tuple[str, int]:
+    """The reports' lines, then ``notes``; exit 0 when every report holds, else 1."""
     lines = []
-    ok = True
     for rep in reports:
         lines.append(f"== {rep.title} ==")
         lines.extend(rep.lines())
-        ok = ok and rep.ok
-    return lines, ok
+    return "\n".join(lines + list(notes)), 0 if all(rep.ok for rep in reports) else 1
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_pn(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_pn(args: argparse.Namespace) -> tuple[str, int]:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
     fam = pn_small_family(args.n)
-    if args.check:
-        K = settings.get("K", flag_name="order")
-        _check_order(K, fam.order, "the family's truncation")
-        lines, ok = _report_lines([check_pre_saito(fam, order=K), check_metric(fam, order=K)])
-        _emit("\n".join(lines), settings.get("out"))
-        return 0 if ok else 1
-    _emit(dumps_family(fam), settings.get("out"))
-    return 0
+    if not args.check:
+        return dumps_family(fam), 0
+    K = args.order
+    _check_order(K, fam.order, "the family's truncation")
+    return _report([check_pre_saito(fam, order=K), check_metric(fam, order=K)])
 
 
 def _pretty_table(table) -> str:
@@ -224,60 +206,49 @@ def _associativity_spot_check(table, seed: int, trials: int = 20) -> None:
                     f"associativity fails at {a} . {b} . {c} in component {f}")
 
 
-def cmd_grassmann(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_grassmann(args: argparse.Namespace) -> tuple[str, int]:
     r, n = args.r, args.n
     if not 1 <= r <= n:
         raise UsageError("need 1 <= r <= n")
     if args.oracle and args.metric:
         raise UsageError("--oracle and --metric cannot be combined")
-    _note(settings, f"building alternate product table for r={r}, n={n}")
+    if args.metric:
+        return json_text(alt_metric(r, n).to_json()), 0
+    _note(args, f"building alternate product table for r={r}, n={n}")
     table = alt_structure_constants(r, n)
 
     if args.oracle:
-        oracle = rimhook_oracle(r, n)
-        if table != oracle:
+        if table != rimhook_oracle(r, n):
             raise CheckFailed("alternate table disagrees with the rim-hook oracle")
-        _associativity_spot_check(table, settings.get("seed"))
+        _associativity_spot_check(table, args.seed)
         count = len(table.basis()) * (len(table.basis()) + 1) // 2 - 1
-        _emit(f"tables agree ({count} products)", settings.get("out"))
-        return 0
-
-    if args.metric:
-        _emit(json_text(alt_metric(r, n).to_json()), settings.get("out"))
-        return 0
-
-    fmt = settings.get("format")
-    if fmt == "json":
-        text = table.to_json_text()
-    elif fmt == "csv":
-        text = table.to_csv()
-    else:
-        text = _pretty_table(table)
-    _emit(text, settings.get("out"))
-    return 0
+        return f"tables agree ({count} products)", 0
+    if args.format == "json":
+        return table.to_json_text(), 0
+    if args.format == "csv":
+        return table.to_csv(), 0
+    return _pretty_table(table), 0
 
 
-def cmd_gw(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_gw(args: argparse.Namespace) -> tuple[str, int]:
     if args.dmax < 1:
         raise UsageError("--dmax must be at least 1")
     if args.dmax > GW_DMAX:
         raise UsageError(f"--dmax {args.dmax} exceeds the largest degree {GW_DMAX} "
                          "that the potential's series order allows")
-    _note(settings, f"running the big quantum pipeline through degree {args.dmax}")
+    _note(args, f"running the big quantum pipeline through degree {args.dmax}")
     counts = gw_pn2(args.dmax)
     oracle = wdvv_oracle(args.dmax)
     if counts != oracle:
         raise CheckFailed(
             f"pipeline counts {counts} disagree with the WDVV recursion {oracle}")
-    _emit("N=[" + ",".join(map(str, counts)) + "]", settings.get("out"))
-    return 0
+    return "N=[" + ",".join(map(str, counts)) + "]", 0
 
 
-def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
-    n = args.n
+def cmd_mirror(args: argparse.Namespace) -> tuple[str, int]:
+    n, box_max = args.n, args.b_max
     if n < 1:
         raise UsageError("--n must be at least 1")
-    box_max = settings.get("B_max", flag_name="b_max")
     if box_max < 1:
         raise UsageError("--b-max must be at least 1")
 
@@ -286,10 +257,7 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
         for r in rs:
             if not 1 <= r <= n:
                 raise UsageError("need 1 <= wedge degree <= n")
-        reports = [compare_quantum_gm(r, n, box_max=box_max) for r in rs]
-        lines, ok = _report_lines(reports)
-        _emit("\n".join(lines), settings.get("out"))
-        return 0 if ok else 1
+        return _report([compare_quantum_gm(r, n, box_max=box_max) for r in rs])
 
     if args.wedge is not None:
         r = args.wedge
@@ -297,54 +265,52 @@ def cmd_mirror(args: argparse.Namespace, settings: Settings) -> int:
             raise UsageError("need 1 <= wedge degree <= n")
         F, labels = mirror_brieskorn(n, box_max=box_max)
         W = wedge(F, r)
-        doc = {
+        return json_text({
             "n": n,
             "wedge": r,
             "rank": W.d,
             "labels": ["^".join(labels[i] for i in I) for I in wedge_indices(n + 1, r)],
             "charpoly": [_encode_laurent(c) for c in charpoly(W.B0)],
-        }
-        _emit(json_text(doc), settings.get("out"))
-        return 0
+        }), 0
 
-    J = jacobian_algebra(mirror_f(n), box_max=box_max)
+    f = mirror_f(n)
+    J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
     M = mult_f_matrix(J)
-    doc = {
+    return json_text({
         "n": n,
         "dim": J.dim,
         "box": J.box,
         "basis": J.labels(),
         "matrix": [[_encode_laurent(M[i, j]) for j in range(J.dim)] for i in range(J.dim)],
-    }
-    _emit(json_text(doc), settings.get("out"))
-    return 0
+    }), 0
 
 
-def cmd_hm(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_hm(args: argparse.Namespace) -> tuple[str, int]:
     initial = _read_input(args.family, "family", loads_family)
     doc = _read_json(args.psi, "problem")
-    K = settings.get("K", flag_name="order")
     try:
         problem = problem_from_json(initial, doc)
-        _check_order(K, problem.order, "the problem data's order")
-        if K is not None and K < problem.order:
-            problem = problem_from_json(initial, {**doc, "order": K})
     except (KeyError, ValueError) as exc:
         raise UsageError(f"could not parse problem file {args.psi}: {exc}")
-    _note(settings, f"extending through order {problem.order}")
+    K = args.order
+    _check_order(K, problem.order, "the problem data's order")
+    if K is not None and K < problem.order:
+        # with no series variable at all psi is Laurent, which hm_extend rejects as it is
+        problem = problem._replace(order=K, psi=tuple(
+            s.promote(s.vars, K) if isinstance(s, Series) else s for s in problem.psi))
+    _note(args, f"extending through order {problem.order}")
     try:
         extended = hm_extend(problem)
     except InvariantViolation as exc:
         raise CheckFailed(f"extension failed: {exc}")
     except (ValueError, NotPrePrimitive) as exc:
         raise UsageError(f"cannot extend {args.family} by {args.psi}: {exc}")
-    _emit(dumps_family(extended), settings.get("out"))
-    return 0
+    return dumps_family(extended), 0
 
 
-def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     fam = _read_input(args.family, "family", loads_family)
-    K = settings.get("K", flag_name="order")
+    K = args.order
     _check_order(K, fam.order, "the family's truncation")
     try:
         reports = [check_pre_saito(fam, order=K)]
@@ -352,11 +318,9 @@ def cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
             reports.append(check_metric(fam, order=K))
     except ValueError as exc:  # a product past the Series key limit
         raise UsageError(f"cannot check {args.family}: {exc}")
-    lines, ok = _report_lines(reports)
     if fam.G is None:
-        lines.append("(family carries no metric; metric axioms skipped)")
-    _emit("\n".join(lines), settings.get("out"))
-    return 0 if ok else 1
+        return _report(reports, "(family carries no metric; metric axioms skipped)")
+    return _report(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="seed for randomized spot checks (default 0)")
     common.add_argument("--verbosity", type=int, default=None,
-                        help="0 quiet, 1 normal, 2 progress notes on stderr")
+                        help="2 adds progress notes on stderr; 0 and 1 (default) "
+                             "print the same")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -446,8 +411,13 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _load_config(args.config)
-        settings = Settings(args, config)
-        return args.handler(args, settings)
+        for key, default in DEFAULTS.items():  # flag > config file > default
+            flag = FLAG_OF.get(key, key)
+            if getattr(args, flag, None) is None:
+                setattr(args, flag, config.get(key, default))
+        text, code = args.handler(args)
+        _emit(text, args.out)
+        return code
     except (UsageError, NotTame) as exc:
         print(f"altfrob: error: {exc}", file=sys.stderr)
         return 2

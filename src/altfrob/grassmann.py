@@ -15,10 +15,10 @@ from __future__ import annotations
 import csv
 import io
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Mat, wedge_indices, wedge_metric
+from .linalg import Mat, permutation_sign, wedge_indices, wedge_metric
 from .projective import build_pn
 from .rings import Laurent, fraction_from_str, fraction_to_str, json_field
 
@@ -68,18 +68,14 @@ def yq_vars(r: int) -> tuple[str, ...]:
     return ("q",) + tuple(f"y{i}" for i in range(1, r + 1))
 
 
-def _desc_sort_sign(vals: Sequence[int]) -> int:
-    """The sign of the permutation sorting distinct values into decreasing order."""
-    return (-1) ** sum(a < b for a, b in combinations(vals, 2))
-
-
 def alternant(mu: Sequence[int], r: int) -> Laurent:
     """a_mu = det(y_i^mu_j) for a strictly decreasing exponent vector mu."""
     if len(mu) != r:
         raise ValueError("exponent vector must have one entry per variable")
     if any(mu[i] <= mu[i + 1] for i in range(r - 1)):
         raise ValueError("exponents must be strictly decreasing")
-    return Laurent(yq_vars(r), {(0,) + exps: Fraction(_desc_sort_sign(exps))
+    # the sign of sorting distinct values decreasingly is that of sorting them reversed
+    return Laurent(yq_vars(r), {(0,) + exps: Fraction(permutation_sign(exps[::-1]))
                                 for exps in permutations(mu)})
 
 
@@ -135,7 +131,7 @@ def _straighten(exps: Sequence[int], n: int) -> tuple[int, int, tuple[int, ...]]
     if len(set(rem)) < len(rem):
         return None
     carries = (sum(exps) - sum(rem)) // (n + 1)
-    return _desc_sort_sign(rem), carries, tuple(sorted(rem))
+    return permutation_sign(rem[::-1]), carries, tuple(sorted(rem))
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +186,12 @@ class QLRTable:
 
     def _integer_terms(self, key) -> list[list[int]]:
         """The [q-power, coefficient] pairs of one entry; raises unless integral."""
-        terms = self.entries[key].sorted_terms()
-        if any(c.denominator != 1 for _, c in terms):
-            raise ValueError(f"non-integer coefficient at {key}")
-        return [[e, int(c)] for (e,), c in terms]
+        out = []
+        for (e,), c in self.entries[key].sorted_terms():
+            if c.denominator != 1:
+                raise ValueError(f"non-integer coefficient at {key}")
+            out.append([e, c.numerator])
+        return out
 
     def to_json_text(self) -> str:
         """The table document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.

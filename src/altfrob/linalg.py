@@ -72,9 +72,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
@@ -366,20 +363,9 @@ def wedge_indices(d: int, r: int) -> list[tuple[int, ...]]:
     return list(combinations(range(d), r))
 
 
-def _sort_with_sign(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sort indices, tracking the permutation sign; None when repeated."""
-    lst = list(idx)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(lst)):
-        if lst[i - 1] == lst[i]:
-            return None
-    return tuple(lst), sign
+def permutation_sign(vals: Sequence[int]) -> int:
+    """The sign of the permutation sorting distinct values increasingly: (-1)^inversions."""
+    return -1 if sum(a > b for a, b in combinations(vals, 2)) & 1 else 1
 
 
 def wedge_of_sum(B: Mat, r: int) -> Mat:
@@ -401,13 +387,11 @@ def wedge_of_sum(B: Mat, r: int) -> Mat:
                 coeff = B[k, I[p]]
                 if is_zero(coeff):
                     continue
-                target = I[:p] + (k,) + I[p + 1:]
-                sorted_sign = _sort_with_sign(target)
-                if sorted_sign is None:
+                if k != I[p] and k in I:  # e_k ^ e_k = 0
                     continue
-                J, sign = sorted_sign
-                a = pos[J]
-                add = coeff if sign == 1 else -coeff
+                target = I[:p] + (k,) + I[p + 1:]
+                a = pos[tuple(sorted(target))]
+                add = coeff if permutation_sign(target) == 1 else -coeff
                 out[a][col] = out[a][col] + add
     return Mat(out)
 
@@ -435,8 +419,8 @@ def wedge_metric(G: Mat, r: int) -> Mat:
                 for k, g in enumerate(col):
                     if k in K or is_zero(g):
                         continue
-                    I, s = _sort_with_sign(K + (k,))
-                    term = c * g if s > 0 else -(c * g)
+                    I = tuple(sorted(K + (k,)))
+                    term = c * g if permutation_sign(K + (k,)) > 0 else -(c * g)
                     vec[I] = vec[I] + term if I in vec else term
             partial[J[:p]] = vec
     return Mat.from_columns([[partial[J].get(I, zero) for I in basis] for J in basis])

@@ -167,19 +167,25 @@ class PreSaitoFamily:
     # -- structural helpers --------------------------------------------------------
 
     def _constant_slice(self, M: Mat) -> Mat:
-        """M over Laurent(qvars): a Series entry keeps only its constant term."""
-        return series_constant_slice(M, self.qvars) if self.svars else M
+        """M over Laurent(qvars); a Series entry with a positive-order term raises ValueError."""
+        if not self.svars:
+            return M
+        bad = next((s for r in M.rows for s in r if s.truncate(0) != s), None)
+        if bad is not None:
+            raise ValueError(f"not a constant: {bad}")
+        return series_constant_slice(M, self.qvars)
 
     def matrix_is_constant(self, M: Mat) -> bool:
         """Constant in every base direction (parameters allowed to remain)."""
-        if self.svars and any(s.truncate(0) != s for r in M.rows for s in r):
+        try:
+            M = self._constant_slice(M)
+        except ValueError:
             return False
         directions = [v.name for v in self.base if v.kind != "series"]
-        return all(x.degree_range(v) == (0, 0)
-                   for r in self._constant_slice(M).rows for x in r for v in directions)
+        return all(x.degree_range(v) == (0, 0) for r in M.rows for x in r for v in directions)
 
     def constant_fraction_matrix(self, M: Mat) -> Mat:
-        """Extract the rational matrix underlying a constant matrix."""
+        """The rational matrix underlying a constant matrix; any other entry raises ValueError."""
         return self._constant_slice(M).map(Laurent.as_fraction)
 
     def reorder_base(self, names: Sequence[str]) -> "PreSaitoFamily":

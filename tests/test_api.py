@@ -28,6 +28,8 @@ ORACLES = {
     "compress_var": "independent route: lambda^(n+1) -> q, trivial deformation vs small family",
     "rename_vars": "independent route: the variable rename of the same comparison",
     "first_witness": "public Report API: the first failing check as one line",
+    "coeff": "public accessor: a Series coefficient, as acceptance criterion 5 reads it",
+    "entry": "public accessor: a pairing (criterion 9) or structure-constant entry",
     "from_json": "public codec: QLRTable documents",
     "indices_from_partition": "public codec: a partition's wedge indices",
     "potential_to_json": "public codec: potential documents",
@@ -40,8 +42,10 @@ ORACLES = {
 def test_no_unreferenced_definitions():
     """Every function, method and class in src/altfrob is named elsewhere in src/.
 
-    A name counts as used when it appears as an identifier, an attribute or
-    an imported name in src/ outside its own definition; the package's
+    A function or class counts as used when its name appears as an
+    identifier, an attribute or an imported name in src/ outside its own
+    definition; a method only when it appears as an attribute (``.name``),
+    so a local variable of the same name is not a use.  The package's
     re-exports in altfrob/__init__.py are not uses, and dunder methods are
     called by the interpreter.  The only exceptions are the ORACLES, and
     each of those must still be defined in src/ and named in tests/.
@@ -61,10 +65,17 @@ def test_no_unreferenced_definitions():
             elif isinstance(sub, ast.alias):
                 yield sub.name.split(".")[-1]
 
+    def attributes_in(node):
+        return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
     init = root / "src" / "altfrob" / "__init__.py"
     src = {path: ast.parse(path.read_text()) for path in (root / "src").rglob("*.py")}
     used = Counter(name for path, tree in src.items() if path != init
                    for name in names_in(tree))
+    used_as_attribute = Counter(name for path, tree in src.items() if path != init
+                                for name in attributes_in(tree))
+    methods = {id(node) for tree in src.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body}
     in_tests = {name for path in (root / "tests").rglob("*.py")
                 for name in names_in(ast.parse(path.read_text()))}
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -73,7 +84,9 @@ def test_no_unreferenced_definitions():
         for node in ast.walk(tree):
             if not isinstance(node, defs) or node.name.startswith("__"):
                 continue
-            if used[node.name] > sum(1 for name in names_in(node) if name == node.name):
+            uses, within = ((used_as_attribute, attributes_in) if id(node) in methods
+                            else (used, names_in))
+            if uses[node.name] > sum(1 for name in within(node) if name == node.name):
                 continue
             if node.name in ORACLES and node.name in in_tests:
                 kept.add(node.name)

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altfrob import cli
-from altfrob.deform import (GW_DMAX, DeformationProblem, problem_to_json,
-                            trivial_deformation_problem, universal_big_quantum)
-from altfrob.grassmann import QLRTable, alt_structure_constants
+from altfrob.deform import (GW_DMAX, DeformationProblem, hm_extend, problem_from_json,
+                            problem_to_json, trivial_deformation_problem, universal_big_quantum)
+from altfrob.grassmann import QLRTable, alt_metric, alt_structure_constants
 from altfrob.linalg import Mat
 from altfrob.mirror import mirror_brieskorn
 from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family, wedge
 from altfrob.projective import build_pn, pn_small_family
-from altfrob.rings import KEY_LIMIT, Laurent, Series
+from altfrob.rings import KEY_LIMIT, Laurent, Series, json_text
 
 
 MISSING = object()  # a field value that deletes the field
@@ -183,6 +183,14 @@ class TestFormats:
         assert doc["r"] == 2 and doc["n"] == 3
         assert len(doc["partitions"]) == 6
         assert len(doc["entries"]) == 6
+
+    def test_metric_builds_no_table(self, capsys, monkeypatch):
+        def no_table(r, n):
+            raise AssertionError("--metric built the structure-constant table")
+        monkeypatch.setattr(cli, "alt_structure_constants", no_table)
+        code, out, _ = run(["grassmann", "--r", "3", "--n", "5", "--metric"], capsys)
+        assert code == 0
+        assert out == json_text(alt_metric(3, 5).to_json())
 
     def test_table_json_round_trips(self, capsys):
         code, out, _ = run(["grassmann", "--r", "3", "--n", "6"], capsys)
@@ -427,6 +435,24 @@ class TestHm:
         assert code == 0
         assert json.loads(out)["order"] == 2
 
+    def test_order_flag_decodes_the_problem_once(self, capsys, monkeypatch, inputs):
+        fam_path, psi_path = inputs
+        initial, doc = loads_family(fam_path.read_text()), json.loads(psi_path.read_text())
+        assert doc["order"] == 4
+        # the family of the document decoded anew at order 2
+        expected = dumps_family(hm_extend(problem_from_json(initial, {**doc, "order": 2})))
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return problem_from_json(*a)
+
+        monkeypatch.setattr(cli, "problem_from_json", counted)
+        code, out, _ = run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                            "--order", "2"], capsys)
+        assert code == 0 and len(calls) == 1
+        assert out == expected
+
     def test_order_above_problem_data_is_rejected(self, capsys, inputs):
         fam_path, psi_path = inputs
         code, _, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
@@ -537,6 +563,17 @@ class TestConfigFile:
         code, out, _ = run(["gw", "--dmax", "1"], capsys)
         assert code == 0 and out == "N=[1]\n"
 
+    def test_renamed_keys_reach_their_flags(self, capsys, tmp_path, monkeypatch):
+        # K is --order and B_max is --b-max; each flag still overrides its key
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "altfrob.json").write_text('{"K": -1, "B_max": 0}')
+        assert_one_line_usage_error(*run(["pn", "--n", "2", "--check"], capsys),
+                                    "--order must be at least 0, got -1")
+        assert_one_line_usage_error(*run(["mirror", "--n", "1"], capsys),
+                                    "--b-max must be at least 1")
+        assert run(["pn", "--n", "2", "--check", "--order", "1"], capsys)[0] == 0
+        assert run(["mirror", "--n", "1", "--b-max", "8"], capsys)[0] == 0
+
     def test_explicit_config_path(self, capsys, tmp_path):
         cfg = tmp_path / "other.json"
         cfg.write_text('{"format": "csv"}')
@@ -562,6 +599,16 @@ class TestMirrorPayloads:
         assert doc["basis"] == ["1", "q*u^(-1)"]
         assert doc["matrix"][0][1] == [[1, "2"]]
         assert doc["matrix"][1][0] == [[0, "2"]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_algebra_dimension_is_certified(self, capsys, monkeypatch, n):
+        # the algebra branch passes the Kouchnirenko bound, n + 1, as the expected dimension
+        real, calls = cli.jacobian_algebra, []
+        monkeypatch.setattr(cli, "jacobian_algebra",
+                            lambda f, **kw: calls.append(kw) or real(f, **kw))
+        _, out, _ = run(["mirror", "--n", str(n)], capsys)
+        assert calls == [{"box_max": 8, "expected_dim": n + 1}]
+        assert json.loads(out)["dim"] == n + 1
 
     def test_wedge_payload(self, capsys):
         _, out, _ = run(["mirror", "--n", "2", "--wedge", "2"], capsys)

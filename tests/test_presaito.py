@@ -82,6 +82,41 @@ def test_wrong_weight_fails_metric():
     assert failing == ["Binf + Binf* = w id"]
 
 
+def bumped_line(kind, name):
+    """P^1's q-line (kind "q") or big-quantum P^1 at order 2 (kind "series"),
+    with q, respectively t0, added to the (0, 1) entry of its Binf or G."""
+    fam = pn_small_family(1)
+    x = Laurent.gen(fam.qvars, "q")
+    if kind == "series":
+        fam = universal_big_quantum(fam, 2)
+        x = Series.gen(fam.svars, fam.order, "t0", Laurent.const(fam.qvars, 1))
+    mats = {"Binf": fam.Binf, "G": fam.G}
+    rows = [list(r) for r in mats[name].rows]
+    rows[0][1] = rows[0][1] + x
+    mats[name] = Mat(rows)
+    return PreSaitoFamily(fam.base, fam.d, mats["Binf"], fam.B0, fam.C, mats["G"],
+                          fam.w, fam.order, fam.params)
+
+
+@pytest.mark.parametrize("kind", ["q", "series"])
+def test_a_non_constant_binf_fails_and_is_not_written(kind):
+    bad = bumped_line(kind, "Binf")
+    assert check_pre_saito(bad).lines()[0] == \
+        "FAIL  Binf constant  [Binf has non-constant entries]"
+    with pytest.raises(ValueError, match="not a constant"):
+        dumps_family(bad)
+
+
+@pytest.mark.parametrize("kind", ["q", "series"])
+def test_a_non_constant_metric_fails_alone_and_is_not_lowered(kind):
+    bad = bumped_line(kind, "G")
+    rep = check_metric(bad)
+    assert rep.lines() == ["FAIL  G constant  [non-constant entry]"]  # no later check runs
+    for lower in (dumps_family, lambda F: wedge(F, 1)):
+        with pytest.raises(ValueError, match="not a constant"):
+            lower(bad)
+
+
 def bumped_big_plane(exps, qpow):
     """The big-quantum plane at order 3 with q^qpow * t^exps added to C(t2)[1, 0]."""
     fam = universal_big_quantum(pn_small_family(2), 3)

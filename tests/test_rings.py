@@ -234,7 +234,7 @@ def test_series_matmul_matches_pairwise_reference(data, n, m, p):
     got = A @ B
     for i in range(n):
         for j in range(p):
-            assert got[i, j] == reference_dot(list(zip(A.row(i), B.col(j))))
+            assert got[i, j] == reference_dot(list(zip(A.rows[i], B.col(j))))
 
 
 @st.composite
@@ -265,7 +265,7 @@ def test_sparse_series_matmul_matches_entrywise_reference(data, n, m, p):
     got = A @ B
     for i in range(n):
         for j in range(p):
-            pairs = list(zip(A.row(i), B.col(j)))
+            pairs = list(zip(A.rows[i], B.col(j)))
             assert got[i, j] == reference_dot(pairs) == series_dot(pairs)
             assert all(sum(e) <= got[i, j].order and not c.is_zero()
                        for e, c in got[i, j].terms.items())
