@@ -40,7 +40,7 @@ from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, kouchnirenko
 from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
                        loads_family, wedge)
 from .projective import pn_small_family
-from .rings import Series, json_text
+from .rings import json_text
 
 CONFIG_NAME = "altfrob.json"
 FORMATS = ("json", "csv", "pretty")
@@ -295,9 +295,7 @@ def cmd_hm(args: argparse.Namespace) -> tuple[str, int]:
     K = args.order
     _check_order(K, problem.order, "the problem data's order")
     if K is not None and K < problem.order:
-        # with no series variable at all psi is Laurent, which hm_extend rejects as it is
-        problem = problem._replace(order=K, psi=tuple(
-            s.promote(s.vars, K) if isinstance(s, Series) else s for s in problem.psi))
+        problem = problem._replace(order=K, psi=tuple(s.promote(s.vars, K) for s in problem.psi))
     _note(args, f"extending through order {problem.order}")
     try:
         extended = hm_extend(problem)

@@ -74,13 +74,20 @@ class DeformationProblem(NamedTuple):
     order: int
 
 
-def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
-    taken = {v.name: "base variable" for v in p.initial.base}
-    taken.update((name, "parameter") for name in p.initial.params)
-    for name in p.new_vars:
+def _check_new_vars(initial: PreSaitoFamily, new_vars: Sequence[str]) -> None:
+    """At least one new variable, each new to the family and named once."""
+    if not new_vars:
+        raise ValueError("a deformation needs at least one new variable")
+    taken = {v.name: "base variable" for v in initial.base}
+    taken.update((name, "parameter") for name in initial.params)
+    for name in new_vars:
         if name in taken:
             raise ValueError(f"new variable {name!r} collides with a {taken[name]}")
         taken[name] = "new variable"
+
+
+def _validate_problem(p: DeformationProblem) -> tuple[str, ...]:
+    _check_new_vars(p.initial, p.new_vars)
     svars_all = p.initial.svars + tuple(p.new_vars)
     if len(p.psi) != p.initial.d:
         raise ValueError("psi must have one coordinate per rank")
@@ -519,7 +526,7 @@ def problem_from_json(initial: PreSaitoFamily, doc: dict) -> DeformationProblem:
         raise ValueError(f"order must be an integer, got {order!r}")
     if order < 0:
         raise ValueError(f"order must be at least 0, got {order}")
-    _names("newVars", new_vars)
+    _check_new_vars(initial, _names("newVars", new_vars))
     if not isinstance(psi, list):
         raise ValueError(f"psi must be a list, got {psi!r}")
     if not isinstance(omega, list) or any(type(x) not in (int, str) for x in omega):

@@ -181,9 +181,6 @@ class QLRTable:
             return NotImplemented
         return (self.r, self.n, self.entries) == (other.r, other.n, other.entries)
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def _integer_terms(self, key) -> list[list[int]]:
         """The [q-power, coefficient] pairs of one entry; raises unless integral."""
         out = []
@@ -411,50 +408,31 @@ def lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
 
 
 def rimhook_reduce(nu: Partition, r: int, n: int):
-    """Strip (n+1)-rim-hooks until nu fits the rectangle.
+    """Strip (n+1)-rim hooks until nu fits the rectangle.
 
-    Returns (core, qpow, sign) or None when the shape gets stuck outside the
-    rectangle.  Each removed hook spanning rows a..b contributes one power
-    of q and the sign (-1)^(b-a) * (-1)^(r-1).
+    A hook is the rim of a cell (a, j) of hook length nu_a - j + nu'_j - a - 1
+    = n+1.  It spans rows a..b with b = nu'_j - 1; removing it sets rows
+    a..b-1 to nu_(i+1) - 1 and row b to j, and contributes one power of q and
+    the sign (-1)^(b-a) * (-1)^(r-1), whichever hook goes first.  Returns
+    (core, qpow, sign), or None when nu has more than r rows or gets stuck
+    outside the rectangle.
     """
-    h = n + 1
-    width = n + 1 - r
-    shape = list(nu)
-    qpow = 0
-    sign = 1
-    while True:
-        while shape and shape[-1] == 0:
-            shape.pop()
-        if len(shape) > r:
+    shape = list(normalize_partition(nu))
+    if len(shape) > r:
+        return None
+    qpow, sign = 0, 1
+    while shape and shape[0] > n + 1 - r:
+        conj = [sum(1 for p in shape if p > j) for j in range(shape[0])]
+        cell = next(((a, j) for a, row in enumerate(shape) for j in range(row)
+                     if row - j + conj[j] - a - 1 == n + 1), None)
+        if cell is None:
             return None
-        if not shape or shape[0] <= width:
-            return normalize_partition(shape), qpow, sign
-        found = None
-        for a in range(len(shape)):
-            for b in range(a, len(shape)):
-                rho = list(shape)
-                removed = 0
-                for i in range(a, b):
-                    rho[i] = shape[i + 1] - 1
-                    removed += shape[i] - rho[i]
-                need_b = h - removed
-                if need_b < 1:
-                    continue
-                rho[b] = shape[b] - need_b
-                nxt = shape[b + 1] if b + 1 < len(shape) else 0
-                if rho[b] < 0 or rho[b] < nxt:
-                    continue
-                if any(rho[i] < 0 for i in range(a, b)):
-                    continue
-                found = (rho, b - a + 1)
-                break
-            if found:
-                break
-        if found is None:
-            return None
-        shape, ht = found
+        a, j = cell
+        b = conj[j] - 1
+        shape[a:b + 1] = [p - 1 for p in shape[a + 1:b + 1]] + [j]
         qpow += 1
-        sign *= (-1) ** (ht - 1) * (-1) ** (r - 1)
+        sign *= (-1) ** (b - a + r - 1)
+    return normalize_partition(shape), qpow, sign
 
 
 def rimhook_oracle(r: int, n: int) -> QLRTable:

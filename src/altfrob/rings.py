@@ -604,12 +604,6 @@ class Series:
             return self.scale(other)
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            return self.scale(1 / c)
-        return NotImplemented
-
     def scale(self, scalar) -> "Series":
         """Multiply every coefficient by a rational or a Laurent polynomial."""
         if not isinstance(scalar, Laurent):
@@ -685,33 +679,26 @@ class Series:
                 qvars: tuple[str, ...] | None = None) -> "Series":
         """Embed into a larger formal-variable tuple and/or truncation order.
 
-        With ``qvars``, the coefficients are embedded into that larger Laurent
-        variable tuple in the same pass, as by ``Laurent.promote``.
+        With ``qvars``, each coefficient is embedded into that larger Laurent
+        variable tuple by ``Laurent.promote``.
         """
         _check_order(order)
-        if not self.num:
-            return Series._reduced(new_vars, order, None, 1, {})
         if qvars is None:
             qvars = self.qvars
         if new_vars == self.vars and qvars == self.qvars:
             room = (order + 1) << self._shift()
             return Series._reduced(new_vars, order, qvars, self.den,
                                    {key: n for key, n in self.num.items() if key < room})
-        ns, nq = len(self.vars), len(self.qvars)
-        codec = _layout(ns, nq)[0]
-        new = _layout(len(new_vars), len(qvars))[0]
-        pos = ([new_vars.index(v) for v in self.vars]
-               + [len(new_vars) + qvars.index(v) for v in self.qvars] + [-1])
-        blank = [0] * len(new_vars) + [_BIAS] * len(qvars) + [0]
-        num = {}
-        for key, n in self.num.items():
-            d = codec.unpack(key.to_bytes(codec.size, "little"))
-            if d[-1] <= order:
-                big = blank[:]
-                for p, x in zip(pos, d):
-                    big[p] = x
-                num[int.from_bytes(new.pack(*big), "little")] = n
-        return Series._reduced(new_vars, order, qvars, self.den, num)
+        pos = [new_vars.index(v) for v in self.vars]
+
+        def embed(e):
+            big = [0] * len(new_vars)
+            for p, x in zip(pos, e):
+                big[p] = x
+            return tuple(big)
+
+        return Series(new_vars, order,
+                      {embed(e): c.promote(qvars) for e, c in self.terms.items()})
 
     def constant_slice(self):
         """The Laurent coefficient at exponent 0, or None when absent."""

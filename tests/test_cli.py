@@ -503,8 +503,10 @@ class TestHm:
         ("omega", ["1"], "omega must have one coordinate per rank"),
         ("newVars", ["q"], "new variable 'q' collides with a base variable"),
         ("omega", ["0", "0"], "omega generates a proper invariant subspace"),
+        ("newVars", [], "a deformation needs at least one new variable"),
+        ("newVars", ["y", "y"], "new variable 'y' collides with a new variable"),
     ], ids=["q-denominator", "psi-constant-term", "omega-short", "newVars-q",
-            "omega-zero"])
+            "omega-zero", "newVars-empty", "newVars-repeated"])
     def test_unusable_problem_is_an_input_error(self, capsys, inputs,
                                                 field, value, message):
         fam_path, psi_path = inputs
@@ -515,6 +517,17 @@ class TestHm:
                              capsys)
         assert_one_line_usage_error(code, out, err, message)
         assert "Traceback" not in err
+
+    def test_new_variable_named_like_a_series_direction_is_rejected(self, capsys, tmp_path,
+                                                                     inputs):
+        fam_path, psi_path = inputs
+        ext_path = tmp_path / "ext.json"
+        assert run(["hm", "--family", str(fam_path), "--psi", str(psi_path),
+                    "--out", str(ext_path)], capsys)[0] == 0
+        code, out, err = run(["hm", "--family", str(ext_path), "--psi", str(psi_path)],
+                             capsys)
+        assert_one_line_usage_error(code, out, err,
+                                    "new variable 'y' collides with a base variable")
 
 
 class TestConfigFile:

@@ -314,7 +314,8 @@ class TestProblemSerialization:
         ("base", ("t0", "q"), "new variable 'q' collides with a base variable"),
         ("param", ("q",), "new variable 'q' collides with a parameter"),
         ("base", ("t0", "t0"), "new variable 't0' collides with a new variable"),
-    ], ids=["base", "parameter", "repeated"])
+        ("base", (), "a deformation needs at least one new variable"),
+    ], ids=["base", "parameter", "repeated", "none"])
     def test_colliding_new_variable_fails_before_extension(self, monkeypatch, qkind,
                                                            new_vars, message):
         import altfrob.deform as deform

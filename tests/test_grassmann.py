@@ -37,6 +37,16 @@ ONE = qpoly((0, 1))
 Q = qpoly((1, 1))
 
 
+def partitions(size, rows, cap):
+    """The partitions of size with at most rows parts, each at most cap."""
+    if size == 0:
+        yield ()
+    elif rows:
+        for first in range(min(size, cap), 0, -1):
+            for rest in partitions(size - first, rows - 1, first):
+                yield (first,) + rest
+
+
 class TestPartitionBookkeeping:
     def test_rect_partition_order_two_by_two(self):
         assert rect_partitions(2, 3) == [
@@ -143,14 +153,6 @@ class TestLittlewoodRichardson:
                              + [(4, n) for n in range(4, 7)])
     def test_products_agree_with_skew_fillings(self, r, n):
         """Lattice tableaux of one factor against skew fillings, both orders."""
-        def partitions(size, rows, cap):
-            if size == 0:
-                yield ()
-            elif rows:
-                for first in range(min(size, cap), 0, -1):
-                    for rest in partitions(size - first, rows - 1, first):
-                        yield (first,) + rest
-
         for lam, mu in product(rect_partitions(r, n), repeat=2):
             size = sum(lam) + sum(mu)
             nus = list(partitions(size, r, size))
@@ -170,9 +172,27 @@ class TestRimHooks:
         assert rimhook_reduce((3, 1), 2, 2) is None
 
     def test_double_removal(self):
-        core, qpow, sign = rimhook_reduce((3, 3), 2, 2)
-        assert (core, qpow) == ((), 2)
-        assert sign in (-1, 1)
+        assert rimhook_reduce((3, 3), 2, 2) == ((), 2, 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_agrees_with_straightening_shape_by_shape(self, n):
+        """nu strips to its core as a_(nu + delta) straightens, up to the q twist.
+
+        A shape with r + 1 rows vanishes, whatever hooks it has.
+        """
+        for r in range(1, n + 1):
+            for size in range(3 * (n + 1) + 1):
+                for nu in partitions(size, r + 1, size):
+                    got = rimhook_reduce(nu, r, n)
+                    padded = nu + (0,) * (r - len(nu))
+                    straight = len(nu) <= r and _straighten(
+                        [padded[i] + r - 1 - i for i in range(r)], n)
+                    if not straight:
+                        assert got is None, (nu, r, n)
+                        continue
+                    sign, carries, I = straight
+                    assert got == (partition_from_indices(I, r), carries,
+                                   sign * (-1) ** ((r - 1) * carries)), (nu, r, n)
 
 
 class TestAnchorProducts:
