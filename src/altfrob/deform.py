@@ -178,16 +178,15 @@ def _assert_commutes(D: Mat, gens: Sequence[Mat], names: Sequence[str],
         raise InvariantViolation(f"[D', {name}] != 0 at order {m} of {yvar}, entry ({i},{j})")
 
 
-def hm_extend(problem: DeformationProblem,
-              reverse_generators: bool = False) -> PreSaitoFamily:
+def hm_extend(problem: DeformationProblem) -> PreSaitoFamily:
     """Extend the initial family by the new variables, one at a time.
 
-    ``reverse_generators`` reverses the generator alphabet of the word-basis
-    search; by the uniqueness of the correspondence the output family must
-    not depend on it (exercised in tests).  Raises InvariantViolation for
-    inconsistent data, NotPrePrimitive when omega is not cyclic, and
-    ValueError when a slice of D' has a genuine q-denominator, that is, when
-    the scalar s of the inverse of the word matrix at y = 0 does not divide it.
+    By the uniqueness of the correspondence the output family does not
+    depend on which word basis the search finds (exercised in tests).  Raises
+    InvariantViolation for inconsistent data, NotPrePrimitive when omega is
+    not cyclic, and ValueError when a slice of D' has a genuine q-denominator,
+    that is, when the scalar s of the inverse of the word matrix at y = 0
+    does not divide it.
     """
     F0 = problem.initial
     K = problem.order
@@ -199,18 +198,16 @@ def hm_extend(problem: DeformationProblem,
     base: list[BaseVar] = list(F0.base)
     C: dict[str, Mat] = {v.name: F0.C[v.name].map(up) for v in base}
     B0 = F0.B0.map(up)
-    Binf = F0.Binf.map(up)
-    omega_s = [Series.const(svars_all, K, Laurent.const(qvars, as_fraction(c)))
-               for c in problem.omega]
+    # Binf lifted once, for the bracket of every new slice of B0
+    Binf = F0.Binf.map(lambda c: Series.const(svars_all, K, Laurent.const(qvars, c)))
     omega_q = [Laurent.const(qvars, as_fraction(c)) for c in problem.omega]
+    omega_s = [Series.const(svars_all, K, c) for c in omega_q]
 
     for stage, yname in enumerate(problem.new_vars):
         later = problem.new_vars[stage + 1:]
         data = [(-problem.psi[i].deriv(yname)).restrict_zero(later) for i in range(d)]
         gens = [C[v.name] for v in base] + [B0]
         gen_names = [f"C({v.name})" for v in base] + ["B0"]
-        if reverse_generators:
-            gens, gen_names = gens[::-1], gen_names[::-1]
         words = word_basis([series_constant_slice(M, qvars) for M in gens],
                            omega_q, d)
 
@@ -247,15 +244,12 @@ def hm_extend(problem: DeformationProblem,
             B0 = B0 + bpiece.map(
                 lambda s: s.times_var(yname, k + 1)).scale(scale)
             gens = [C[v.name] for v in base] + [B0]
-            if reverse_generators:
-                gens = gens[::-1]
         _assert_commutes(D, gens, gen_names, yname, K)
         newvar = BaseVar(yname, "series")
         base.append(newvar)
         C[yname] = D
 
-    G = F0.G.map(up) if F0.G is not None else None
-    return PreSaitoFamily(tuple(base), d, Binf, B0, C, G, F0.w, K, F0.params)
+    return PreSaitoFamily(tuple(base), d, F0.Binf, B0, C, F0.G, F0.w, K, F0.params)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence, order: int,
         raise ValueError("omega must be concentrated in one grading degree "
                          "for the closed-form period data")
     d0 = degs.pop()
-    r0w = (P.constant_fraction_matrix(P.B0) @ Mat.column(omega)).column_vector()
+    r0w = (P.B0.map(Laurent.as_fraction) @ Mat.column(omega)).column_vector()
     psi = []
     for i, coord in enumerate(r0w):
         m = 1 + dvals[i] - d0
@@ -319,11 +313,8 @@ def expand_trivial_in_log(P: PreSaitoFamily, order: int,
         return exp_series(1 + dvals[i] - dvals[j]).scale(x)
 
     B0 = Mat([[entry(i, j) for j in range(P.d)] for i in range(P.d)])
-    C = -B0
-    Binf = P.Binf.map(lambda x: Series.const(svars, order, x))
-    G = P.G.map(lambda x: Series.const(svars, order, x)) if P.G is not None else None
-    return PreSaitoFamily(((var, "series"),), P.d, Binf, B0, {var: C},
-                          G, P.w, order, P.params)
+    return PreSaitoFamily(((var, "series"),), P.d, P.Binf, B0, {var: -B0},
+                          P.G, P.w, order, P.params)
 
 
 def universal_big_quantum(F: PreSaitoFamily, order: int) -> PreSaitoFamily:

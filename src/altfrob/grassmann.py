@@ -494,9 +494,5 @@ def alt_metric(r: int, n: int) -> PartitionMatrix:
     """The induced pairing of wedge classes e_(lam+delta), as rationals."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    G = build_pn(n).G
-    Gw = wedge_metric(G, r)
-    labels = rect_partitions(r, n)
-    mat = Gw.map(lambda x: x.as_fraction())
-    return PartitionMatrix(r, n, labels, mat)
+    return PartitionMatrix(r, n, rect_partitions(r, n), wedge_metric(build_pn(n).G, r))
 

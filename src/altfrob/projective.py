@@ -39,9 +39,8 @@ def pn_small_family(n: int) -> PreSaitoFamily:
 
     B0 = Mat([[b0(i, j) for j in range(d)] for i in range(d)])
     C = (-B0).scale(Fraction(1, n + 1))
-    Binf = Mat.diag([Laurent.const(qv, i) for i in range(d)])
-    G = Mat([[Laurent.const(qv, 1) if i + j == n else zero for j in range(d)]
-             for i in range(d)])
+    Binf = Mat.diag([Fraction(i) for i in range(d)])
+    G = Mat([[Fraction(int(i + j == n)) for j in range(d)] for i in range(d)])
     return PreSaitoFamily(base=(BaseVar("q", "q"),), d=d, Binf=Binf, B0=B0,
                           C={"q": C}, G=G, w=Fraction(n))
 
@@ -49,12 +48,8 @@ def pn_small_family(n: int) -> PreSaitoFamily:
 def build_pn(n: int) -> PreSaitoFamily:
     """Projective n-space at q = 1: ``pn_small_family(n)`` over the empty base."""
     F = pn_small_family(n)
-
-    def at_one(M: Mat) -> Mat:
-        return M.map(lambda x: x.eval_var("q", 1))
-
-    return PreSaitoFamily(base=(), d=F.d, Binf=at_one(F.Binf), B0=at_one(F.B0),
-                          C={}, G=at_one(F.G), w=F.w)
+    B0 = F.B0.map(lambda x: x.eval_var("q", 1))
+    return PreSaitoFamily(base=(), d=F.d, Binf=F.Binf, B0=B0, C={}, G=F.G, w=F.w)
 
 
 def quotient_ring_products(n: int) -> list[Mat]:

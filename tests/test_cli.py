@@ -302,13 +302,17 @@ class TestPnAndVerify:
         (["C", "q"], MISSING, "missing field C[q]"),
         (["kinds"], ["q", "series"], "kinds must name one kind per variable"),
         (["kinds"], ["laurent"], "unknown base variable kind 'laurent'"),
+        (["B0", 0, 0], [[0, "1"], [0, "2"]], "repeated exponent 0 in a Laurent entry"),
+        (["B0", 1, 0], [[0]], "a Laurent entry must be a list of [exponent, coefficient] pairs"),
+        (["params"], ["q"], "duplicate names among the base variables and parameters"),
     ]
 
     @pytest.mark.parametrize("command", ["verify", "hm"])
     @pytest.mark.parametrize("path,value,message", MALFORMED,
                              ids=["vars-int", "B0-int", "exponent-str", "zero-denominator",
                                   "Binf-float", "entry-float", "missing-Binf", "C-without-q",
-                                  "kinds-too-long", "kinds-laurent"])
+                                  "kinds-too-long", "kinds-laurent", "exponent-repeated",
+                                  "pair-short", "params-q"])
     def test_malformed_family_is_an_input_error(self, capsys, tmp_path, command,
                                                 path, value, message):
         fam_path = tmp_path / "p1.json"
@@ -481,9 +485,12 @@ class TestHm:
         ("psi", [[{"exps": [1], "coef": [[0, "1/0"]]}], []], [], "zero denominator"),
         ("omega", MISSING, [], "missing field omega"),
         ("psi", [[{"exps": [1]}], []], [], "missing field coef"),
+        ("psi", [[{"exps": [1], "coef": [[0, "1"]]}] * 2, []], [],
+         "repeated exponent [1] in a series entry"),
     ], ids=["order-str", "order-str-with-flag", "order-bool", "order-negative",
             "newVars-int", "newVars-int-list", "psi-int", "omega-float", "omega-str",
-            "psi-exps-str", "psi-zero-denominator", "missing-omega", "psi-without-coef"])
+            "psi-exps-str", "psi-zero-denominator", "missing-omega", "psi-without-coef",
+            "psi-exps-repeated"])
     def test_mistyped_problem_field_is_rejected(self, capsys, inputs,
                                                 field, value, flags, message):
         fam_path, psi_path = inputs
