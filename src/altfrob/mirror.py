@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .linalg import Mat, charpoly, det, rank_field, row_reduce
@@ -151,10 +151,41 @@ class NotTame(ValueError):
 
 
 class _Echelon(NamedTuple):
+    """A reduced echelon of the padded box [-reach, reach]^n, n = len(flags) - 1.
+
+    ``rewrites`` maps a pivot column to {column: value}, both as the
+    integer keys of ``_box_echelon``; ``key`` and ``cell`` translate them.
+    """
+
     dim: int
     free: list[tuple[int, ...]]
     rewrites: dict
     reach: int
+    flags: tuple
+
+    def key(self, m: tuple[int, ...]) -> int:
+        """The column key of the padded-box cell u^m."""
+        if m in self.flags:
+            return self.flags.index(m) - len(self.flags)
+        R, n = self.reach, len(m)
+        W = 2 * R + 1
+        index = 0
+        for a in m:
+            index = index * W + a + R
+        shell = max(map(abs, m)) >= R
+        return (shell * (n * R + 1) + sum(map(abs, m))) * W ** n + index
+
+    def cell(self, key: int) -> tuple[int, ...]:
+        """The exponent of the column ``key``, the inverse of ``key``."""
+        if key < 0:
+            return self.flags[key]
+        R, n = self.reach, len(self.flags) - 1
+        W = 2 * R + 1
+        index, out = key % W ** n, []
+        for _ in range(n):
+            index, d = divmod(index, W)
+            out.append(d - R)
+        return tuple(out[::-1])
 
 
 def _grading(f: Laurent) -> tuple[tuple[int, ...], int]:
@@ -188,6 +219,40 @@ def _quotient(a, b):
     return q.numerator if q.denominator == 1 else q
 
 
+def _kept_shifts(supports: Sequence[dict], n: int, R: int) -> list[list[int]]:
+    """For each relation support, its shifts into [-R, R]^n that are not Koszul rows.
+
+    A shift m is given as its offset sum_j m_j (2R+1)^(n-1-j) of the
+    mixed-radix cell index, and each list is in lex order of m.  Shift m
+    of relation i is dropped when, for some earlier relation j with
+    lex-largest exponent t_j, every row of u^(m - t_j) (r_j r_i - r_i r_j)
+    fits the box (see ``_box_echelon``): per axis, m - t_j plus the
+    exponents of r_i and r_j stays within [-R, R].  That box of m lies in
+    the shift box of r_i, where distinct shifts have distinct offsets.
+    """
+    strides = [(2 * R + 1) ** (n - 1 - j) for j in range(n)]
+
+    def grid(lows, highs):
+        """The offsets of the shifts lows <= m <= highs, in lex order of m."""
+        out = [0]
+        for lo, hi, s in zip(lows, highs, strides):
+            out = [o + k * s for o in out for k in range(lo, hi + 1)]
+        return out
+
+    lows = [[min(e[j] for e in t) for j in range(n)] for t in supports]
+    highs = [[max(e[j] for e in t) for j in range(n)] for t in supports]
+    kept = []
+    for i in range(len(supports)):
+        skip: set = set()
+        for j in range(i):
+            lead = max(supports[j])
+            skip.update(grid([t - R - a - b for t, a, b in zip(lead, lows[i], lows[j])],
+                             [t + R - a - b for t, a, b in zip(lead, highs[i], highs[j])]))
+        kept.append([off for off in grid([-R - a for a in lows[i]], [R - a for a in highs[i]])
+                     if off not in skip])
+    return kept
+
+
 def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     """Row-reduce all relation shifts supported in the padded box [-B-1,B+1]^n.
 
@@ -198,13 +263,29 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     dimension is read off from the inner box alone.  The one-shell padding
     is what lets relation chains leave the inner box and come back.
 
-    Inside, a column is its integer rank: each cell of the padded box has a
-    mixed-radix index, one flat list maps that index to the rank, and each
-    relation's shifts are integer offsets added to its terms' indices.  The
-    rows are streamed, one relation and then its shifts, so no exponent
-    tuple is built per row and the rows are never held all at once.  The
-    result is translated back once: ``free`` and the keys and values of
-    ``rewrites`` are exponent tuples.
+    A column is an integer key whose order is that preference, so the
+    least preferred column is the largest key.  With R = B + 1, the padded
+    box has N = (2R+1)^n cells, and cell m has the mixed-radix index
+    sum_j (m_j + R)(2R+1)^(n-1-j), which runs in lex order.  The k-th of
+    the n+1 flag monomials has key k - (n+1); any other cell has key
+    (max|m_j| > B)*SH + (sum|m_j|)*N + index(m) with SH = (n*R + 1)*N.  One
+    flat list, built axis by axis, maps each index to its key, and each
+    relation's shifts are integer offsets added to its terms' indices.
+    The rows are streamed, one relation and then its shifts, so no
+    exponent tuple is built per row and the rows are never held all at
+    once.  The result keeps the integer keys; ``free`` alone is decoded,
+    and ``_Echelon.key``/``cell`` translate the rest.
+
+    Koszul rows are never built.  For relations r_j before r_i, let t_j
+    be the lex-largest exponent of r_j.  The shift u^m r_i is skipped when
+    every row of the syzygy u^s (r_j r_i - r_i r_j) = 0, s = m - t_j, fits
+    the padded box, which holds for m in one box per pair (i, j).  Order
+    the rows by (i, m), m in lex order.  In that syzygy, u^m r_i has the
+    nonzero coefficient of u^(t_j) in r_j; every other row is u^(s+t) r_i
+    with t lex-below t_j, or a shift of r_j, so each skipped row is a
+    combination of strictly smaller rows.  By induction on that order the
+    kept rows span the same space, and the reduced echelon of a row space
+    under one column order is unique, so the result is unchanged.
 
     The relations must be homogeneous for a ``_grading`` of f, and the
     reduction runs at q = 1 over the rationals.  That is exact: putting
@@ -218,17 +299,23 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     the mirrors of projective space none does (checked for n <= 6, B <= 3).
     """
     R = B + 1
-    strides = [(2 * R + 1) ** (n - 1 - j) for j in range(n)]
+    W = 2 * R + 1
+    N = W ** n
+    strides = [W ** (n - 1 - j) for j in range(n)]
 
     def index(e):
         return sum((a + R) * s for a, s in zip(e, strides))
 
-    # product() lists the padded box in mixed-radix order: cell i has index i
-    cells = list(product(range(-R, R + 1), repeat=n))
-    flags = [index(m) for m in _flag_monomials(n)]
-    order = flags + [i for *_, i in sorted((max(map(abs, m)) > B, sum(map(abs, m)), m, i)
-                                           for i, m in enumerate(cells) if i not in flags)]
-    rank_at = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+    # keys[index(m)] is the key of cell m; each shell axis adds SH, counted once
+    SH = (n * R + 1) * N
+    keys = [0]
+    for s in strides:
+        axis = [abs(a) * N + (a + R) * s + (abs(a) > B) * SH for a in range(-R, R + 1)]
+        keys = [k + c for k in keys for c in axis]
+    keys = [k if k < SH else SH + k % SH for k in keys]
+    flags = tuple(_flag_monomials(n))
+    for k, m in enumerate(flags):
+        keys[index(m)] = k - len(flags)
 
     rewrites: dict = {}
     uses: dict = {}
@@ -265,22 +352,16 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
         for c in rw:
             uses.setdefault(c, []).append(piv)
 
-    for rel in rels:
-        # graded: each u-exponent carries one q-power, which q = 1 drops
-        terms = {e[1:]: _quotient(c, 1) for e, c in rel.terms.items()}
-        base = [(index(s), c) for s, c in terms.items()]
-        offsets = [0]
-        for j, s in enumerate(strides):
-            shifts = range(-R - min(e[j] for e in terms), R - max(e[j] for e in terms) + 1)
-            offsets = [o + k * s for o in offsets for k in shifts]
+    # graded: each u-exponent carries one q-power, which q = 1 drops
+    supports = [{e[1:]: _quotient(c, 1) for e, c in rel.terms.items()} for rel in rels]
+    for terms, offsets in zip(supports, _kept_shifts(supports, n, R)):
+        base = [(index(e), c) for e, c in terms.items()]
         for off in offsets:
-            insert([(rank_at[i + off], c) for i, c in base])
+            insert([(keys[k + off], c) for k, c in base])
 
-    cells = [cells[i] for i in order]  # now by rank
-    free = [m for r, m in enumerate(cells[:(2 * B + 1) ** n]) if r not in rewrites]
-    for p, rw in rewrites.items():  # in place: int- and tuple-keyed copies never coexist
-        rewrites[p] = {cells[c]: v for c, v in rw.items()}
-    return _Echelon(len(free), free, {cells[p]: rw for p, rw in rewrites.items()}, R)
+    ech = _Echelon(0, [], rewrites, R, flags)
+    free = [ech.cell(k) for k in sorted(k for k in keys if k < SH and k not in rewrites)]
+    return ech._replace(dim=len(free), free=free)
 
 
 class JacobianAlgebra:
@@ -331,15 +412,19 @@ class JacobianAlgebra:
 
         Each coordinate is a Laurent monomial v*q^k: the echelon holds v,
         and the grading fixes k by w.exps = w.c + w_q*k for free monomial c.
+        An exponent whose length is not n raises ValueError.
         """
         exps = tuple(exps)
-        self._ensure_reach(max(map(abs, exps)) if exps else 0)
-        rw = self._ech.rewrites.get(exps)
+        if len(exps) != self.n:
+            raise ValueError(f"expected an exponent of length {self.n}, got {exps}")
+        self._ensure_reach(max(map(abs, exps)))
+        rw = self._ech.rewrites.get(self._ech.key(exps))
         if rw is None:
             return {exps: Laurent.const(QVARS, 1)}
         w, wq = self._grading
         out = {}
-        for c, v in rw.items():
+        for key, v in rw.items():
+            c = self._ech.cell(key)
             k, rest = divmod(sum(wi * (a - b) for wi, a, b in zip(w, exps, c)), wq)
             if rest:
                 raise ValueError(f"u^{exps} rewrites onto u^{c} at the "
@@ -387,6 +472,7 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
                     f"stabilized dimension {ech.dim} does not match the "
                     f"expected value {expected_dim}")
             return JacobianAlgebra(f, ech.dim, ech.free, B, ech, grading)
+        del ech  # not held while the next box is reduced
     raise NotTame(f"not tame in box [-{box_max},{box_max}]^{n}: "
                   f"dimensions {dims} did not stabilize")
 

@@ -11,8 +11,10 @@ from altfrob.linalg import Mat, charpoly, kron_sum, row_reduce, wedge_indices, w
 from altfrob.mirror import (
     NotTame,
     _box_echelon,
+    _Echelon,
     _flag_monomials,
     _grading,
+    _kept_shifts,
     _mirror_brieskorn,
     _poly_str,
     compare_quantum_gm,
@@ -131,7 +133,8 @@ class TestJacobianAlgebra:
         assert J._ech.reach == 4
         assert J.reduce_monomial((-4, 4)) == {(0, 0): ONE}
         assert J.reduce_monomial((-3, 3)) == {(0, 0): ONE}
-        assert _box_echelon(torus_relations(f), 2, 5).rewrites[(-4, 4)] == {(0, 0): 1}
+        ech = _box_echelon(torus_relations(f), 2, 5)
+        assert decoded(ech)[(-4, 4)] == {(0, 0): 1}
         g = Laurent(f.vars, {(0, -4, 4): Fraction(1), (0, -3, 3): Fraction(2)})
         assert jacobian_algebra(f).reduce_poly(g) == {(0, 0): qc(3)}
 
@@ -153,6 +156,17 @@ class TestJacobianAlgebra:
         coeffs = [c for v in values for c in v.terms.values()]
         assert coeffs and all(type(c) is Fraction for c in coeffs)
 
+    def test_exponent_of_the_wrong_length_raises(self):
+        f = mirror_f(2)
+        J = jacobian_algebra(f)
+        for exps in [(1,), (1, 0, 0), ()]:
+            with pytest.raises(ValueError, match="expected an exponent of length 2"):
+                J.reduce_monomial(exps)
+        with pytest.raises(ValueError, match="expected an exponent of length 2"):
+            J.reduce_poly(mirror_f(1))
+        with pytest.raises(ValueError, match="expected an exponent of length 2"):
+            J.reduce_poly(mirror_f(3))
+
     def test_non_integral_q_power_raises(self):
         J = jacobian_algebra(mirror_f(1))
         J._grading = ((1,), 4)  # a wrong grading: u^2 = q would need q^(1/2)
@@ -160,15 +174,10 @@ class TestJacobianAlgebra:
             J.reduce_monomial((2,))
 
 
-def macaulay_echelon(f, B):
-    """(free, rewrites) of the padded box [-B-1,B+1]^n by a dense route.
-
-    Every relation shift inside the padded box is a row over Fraction at
-    q = 1, and the columns run least preferred first (the reverse of flags,
-    inner box by graded lex, shell by graded lex), so ``row_reduce`` takes
-    each row's least preferred column as its pivot.
-    """
-    n, R = len(f.vars) - 1, B + 1
+def macaulay_order(n, B):
+    """The cells of the padded box [-B-1,B+1]^n, most preferred first: flags,
+    then the inner box by graded lex, then the shell by graded lex."""
+    R = B + 1
 
     def graded_lex(m):
         return (sum(map(abs, m)), m)
@@ -176,7 +185,19 @@ def macaulay_echelon(f, B):
     flags = _flag_monomials(n)
     inner = [m for m in product(range(-B, B + 1), repeat=n) if m not in flags]
     shell = [m for m in product(range(-R, R + 1), repeat=n) if max(map(abs, m)) > B]
-    order = flags + sorted(inner, key=graded_lex) + sorted(shell, key=graded_lex)
+    return flags + sorted(inner, key=graded_lex) + sorted(shell, key=graded_lex)
+
+
+def macaulay_echelon(f, B):
+    """(free, rewrites) of the padded box [-B-1,B+1]^n by a dense route.
+
+    Every relation shift inside the padded box is a row over Fraction at
+    q = 1, and the columns run least preferred first (the reverse of
+    ``macaulay_order``), so ``row_reduce`` takes each row's least preferred
+    column as its pivot.
+    """
+    n, R = len(f.vars) - 1, B + 1
+    order = macaulay_order(n, B)
     cols = order[::-1]
     at = {m: j for j, m in enumerate(cols)}
     rows = []
@@ -197,12 +218,26 @@ def macaulay_echelon(f, B):
     return free, rewrites
 
 
+def decoded(ech):
+    """The rewrites of an echelon with pivots and columns as exponent tuples."""
+    return {ech.cell(p): {ech.cell(c): v for c, v in rw.items()}
+            for p, rw in ech.rewrites.items()}
+
+
 # name: (f, largest box B checked against the dense route); in the echelon
-# of u1 + u2 + 1/(u1 u2) + u1 u2 the back-substitution cancels entries
+# of u1 + u2 + 1/(u1 u2) + u1 u2 the back-substitution cancels entries,
+# u + q/u + v + q/v is the Thom-Sebastiani sum of two mirrors of the line, and
+# in u1 + u2/u1 + q/u2 the relation u1 - u2/u1 has its lex-largest exponent
+# (1, 0) below its largest second coordinate, which the Koszul boxes depend on
 ECHELON_CASES = {"mirror2": (mirror_f(2), 3), "mirror3": (mirror_f(3), 2),
                  "scaled-line": (SCALED_LINE, 3), "weighted": (WEIGHTED_PLANE, 3),
                  "cancelling": (torus_poly(2, {(1, 0): 1, (0, 1): 1, (-1, -1): 1,
-                                               (1, 1): 1}), 3)}
+                                               (1, 1): 1}), 3),
+                 "line-plus-line": (torus_poly(2, {(1, 0): 1, (0, 1): 1})
+                                    + Laurent(torus_vars(2), {(1, -1, 0): Fraction(1),
+                                                              (1, 0, -1): Fraction(1)}), 3),
+                 "ladder-plane": (torus_poly(2, {(1, 0): 1, (-1, 1): 1})
+                                  + Laurent(torus_vars(2), {(1, 0, -1): Fraction(1)}), 3)}
 
 
 class TestBoxEchelon:
@@ -214,7 +249,36 @@ class TestBoxEchelon:
         ech = _box_echelon(torus_relations(f), n, B)
         free, rewrites = macaulay_echelon(f, B)
         assert (ech.dim, ech.free, ech.reach) == (len(free), free, B + 1)
-        assert ech.rewrites == rewrites
+        assert decoded(ech) == rewrites
+
+    @pytest.mark.parametrize("n,B", [(n, B) for n in (1, 2, 3) for B in (1, 2, 3)])
+    def test_keys_run_in_the_preference_order(self, n, B):
+        ech = _Echelon(0, [], {}, B + 1, tuple(_flag_monomials(n)))
+        order = macaulay_order(n, B)
+        keys = [ech.key(m) for m in order]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert [ech.cell(k) for k in keys] == order
+        assert [ech.key(ech.cell(k)) for k in keys] == keys
+
+    def test_koszul_shifts_are_skipped(self):
+        # mirror_f(4) at B = 3: relation i has 7 shifts on axis i and 8 on the
+        # others, and the second relation loses one 6*6*7*7 box to the first
+        supports = [{e[1:]: c for e, c in rel.terms.items()}
+                    for rel in torus_relations(mirror_f(4))]
+        kept = _kept_shifts(supports, 4, 4)
+        assert [len(k) for k in kept] == [3584, 3584 - 6 * 6 * 7 * 7, 1568, 1532]
+        assert sum(map(len, kept)) == 8504 < 4 * 7 * 8 ** 3 == 14336
+        assert all(k == sorted(k) for k in kept)
+
+    def test_bench_counter_reads_the_pivots(self, monkeypatch):
+        # the benchmark wraps the module attribute and counts len(result.rewrites)
+        calls = []
+        monkeypatch.setattr("altfrob.mirror._box_echelon",
+                            lambda *args: calls.append(args[1:]) or _box_echelon(*args))
+        J = jacobian_algebra(mirror_f(2))
+        J.reduce_monomial((5, 0))
+        assert calls == [(2, 1), (2, 2), (2, 3), (2, 5)]
+        assert len(_box_echelon(torus_relations(mirror_f(4)), 4, 3).rewrites) == 5786
 
     def test_too_small_a_box_bound_fails_before_any_box(self, monkeypatch):
         def no_box(*args):
