@@ -20,13 +20,19 @@ the stage variable y: order k only adds y^(k+1) terms, so T at y = 0 is
 inverted once per stage, up to a scalar s (``inv_series``), and
 D'_k = (U - D'_{<k} T)[y^k] (T at y = 0)^(-1), cut to the degree K - k through
 which that slice is exact, is an exact quotient by s, which is 1 whenever
-the closed-point determinant is a unit.
+the closed-point determinant is a unit.  The residual R = U - D'_{<k} T is
+formed in full, in one ``product_sum`` pass, and a stage ends at the first
+order where R is zero: nothing moves after it (see ``hm_extend``), so the
+unit direction t0 of a big-quantum family, whose D' = -I is constant, takes
+two orders instead of K + 1.  The slices of C and of B_0 integrate D'_k
+scaled once by 1/(k + 1); the bracket [B_inf, D'_k] - D'_k is one pass too.
 
 The commutation invariant [D', M] = 0 for every known matrix M is asserted
 once per stage, covering every order: the order-k step only adds terms at
 y^(k+1), so the final D' and matrices agree with those of order k through
 y^k, and the lowest order at which the final commutator is nonzero is the
-first order at which the invariant fails.  Its failure means inconsistent
+first order at which the invariant fails.  Each commutator D' M - M D' is
+one ``product_sum`` pass, tested for zero.  Its failure means inconsistent
 input data.
 
 The same machinery specializes to the universal big-quantum family of
@@ -41,7 +47,7 @@ from collections import deque
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import Mat, divide_exact, inv_series, series_constant_slice
+from .linalg import Mat, divide_exact, inv_series, product_sum, series_constant_slice
 from .presaito import (BaseVar, PreSaitoFamily, _decode_entry, _encode_entry, _names,
                        _promote_entries, dscalar, frobenius_data, residue_grading)
 from .projective import pn_small_family
@@ -158,15 +164,16 @@ def _assert_commutes(D: Mat, gens: Sequence[Mat], names: Sequence[str],
     """Raise for the lowest order m <= k of yvar at which some [D', M] is nonzero.
 
     The witness is the first generator, then the first entry, failing at m;
-    each entry's lowest order is read off its series exponents.  Only a generator
-    whose products D' M and M D' differ gets a commutator.
+    each entry's lowest order is read off its series exponents.  Each
+    commutator D' M - M D' is one ``product_sum`` pass and is inspected only
+    when it is not zero.
     """
     lowest = None  # (m, generator name, i, j)
     for M, name in zip(gens, names):
-        DM, MD = D @ M, M @ D
-        if DM == MD:
+        comm = product_sum([(1, D, M), (-1, M, D)])
+        if comm.is_zero():
             continue
-        for i, row in enumerate((DM - MD).rows):
+        for i, row in enumerate(comm.rows):
             for j, x in enumerate(row):
                 if x.num:
                     y = x.vars.index(yvar)
@@ -187,6 +194,16 @@ def hm_extend(problem: DeformationProblem) -> PreSaitoFamily:
     not cyclic, and ValueError when a slice of D' has a genuine q-denominator,
     that is, when the scalar s of the inverse of the word matrix at y = 0
     does not divide it.
+
+    A stage stops at the first order k whose residual R = U - D'_{<k} T is
+    the zero matrix, and the result is the one the full loop through order K
+    would give.  By induction on the later orders m > k: the generators and
+    D' at the start of order m are those of order k, so the word columns,
+    T, U and R are rebuilt unchanged, R = 0, and D'_m = R[y^m] T(0)^(-1) = 0;
+    then D' gains nothing, and each slice of C and B_0 is an integral of
+    D'_m or of [B_inf, D'_m] - D'_m, so it is zero too.  So the final D',
+    the generators and the witness of the commutation check are the full
+    loop's.
     """
     F0 = problem.initial
     K = problem.order
@@ -224,7 +241,10 @@ def hm_extend(problem: DeformationProblem) -> PreSaitoFamily:
             if k == 0:
                 W0, s0 = inv_series(T.map(lambda e: e.restrict_zero((yname,))))
                 D = U.scale(0)
-            X = (U - D @ T).map(lambda e: e.coeff_of_var(yname, k)) @ W0
+            R = product_sum([(-1, D, T)], U)
+            if R.is_zero():
+                break  # D'_k = 0 and nothing moves: every later order rebuilds R = 0
+            X = R.map(lambda e: e.coeff_of_var(yname, k)) @ W0
             X = X.map(lambda e: e.truncate(K - k))  # s0 * D'_k
             Dk = divide_exact(X, s0)
             if Dk is None:
@@ -235,14 +255,13 @@ def hm_extend(problem: DeformationProblem) -> PreSaitoFamily:
             D = D + Dk.map(lambda e: e.times_var(yname, k))
             if k == K:
                 break
-            scale = Fraction(1, k + 1)
+            # integrate in y: the slices are linear in D'_k, so it is scaled once
+            Dk = Dk.scale(Fraction(1, k + 1))
             for v in base:
-                piece = Dk.map(lambda s, _v=v: dscalar(s, _v.name, _v.kind))
-                C[v.name] = C[v.name] + piece.map(
-                    lambda s: s.times_var(yname, k + 1)).scale(scale)
-            bpiece = (Binf @ Dk - Dk @ Binf) - Dk
-            B0 = B0 + bpiece.map(
-                lambda s: s.times_var(yname, k + 1)).scale(scale)
+                C[v.name] = C[v.name] + Dk.map(lambda s, _v=v: dscalar(
+                    s, _v.name, _v.kind).times_var(yname, k + 1))
+            bpiece = product_sum([(1, Binf, Dk), (-1, Dk, Binf)], -Dk)
+            B0 = B0 + bpiece.map(lambda s: s.times_var(yname, k + 1))
             gens = [C[v.name] for v in base] + [B0]
         _assert_commutes(D, gens, gen_names, yname, K)
         newvar = BaseVar(yname, "series")

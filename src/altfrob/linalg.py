@@ -11,7 +11,9 @@ T in a basis (e_0, ..., e_{d-1}) satisfies
     T(e_j) = sum_i e_i * M[i][j],
 
 so composition of operators is the usual matrix product and coordinate
-vectors are columns.
+vectors are columns.  Every matrix product, ``A @ B`` included, is a
+``product_sum``, a signed sum of products plus an addend, which over Series
+entries is one kernel pass per output entry.
 
 Characteristic polynomials use the Faddeev-LeVerrier recursion, which only
 ever divides by integers and therefore stays inside any Q-algebra; this is
@@ -24,7 +26,9 @@ whenever the determinant is a unit.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .rings import Laurent, Series, is_zero, laurent_dot, series_matmul
@@ -102,25 +106,7 @@ class Mat:
         return Mat([[-a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        kinds = {type(a) for m in (self, other) for r in m.rows for a in r}
-        if kinds == {Series}:
-            return Mat(series_matmul(self.rows, other.rows))
-        bt = tuple(zip(*other.rows))
-        if kinds == {Laurent}:
-            return Mat([[laurent_dot(list(zip(r, c))) for c in bt] for r in self.rows])
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in bt:
-                acc = None
-                for a, b in zip(r, c):
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(out)
+        return product_sum([(1, self, other)])
 
     def scale(self, scalar) -> "Mat":
         return Mat([[a * scalar for a in r] for r in self.rows])
@@ -156,6 +142,40 @@ class Mat:
         body = "\n".join("  [" + ", ".join(str(a) for a in r) + "]"
                          for r in self.rows)
         return f"Mat(\n{body}\n)"
+
+
+def product_sum(products: Sequence[tuple[int, Mat, Mat]], addend: Mat | None = None) -> Mat:
+    """The sum of sign * A @ B over (sign, A, B), plus addend when given; a sign is 1 or -1.
+
+    The one matrix product: ``A @ B`` is the sum of one term, and a residual
+    C - A B or a commutator A B - B A is one call.  When every entry of every
+    operand is a Series, the whole sum is one ``series_matmul`` pass, which
+    forms each output entry once; otherwise each product is formed (one
+    ``laurent_dot`` per entry of a Laurent product, the generic loop for
+    rationals) and the products are added and subtracted in order.
+    """
+    shape = (products[0][1].nrows, products[0][2].ncols)
+    for _, A, B in products:
+        if A.ncols != B.nrows or (A.nrows, B.ncols) != shape:
+            raise ValueError(f"cannot multiply {A.shape} by {B.shape}")
+    if addend is not None and addend.shape != shape:
+        raise ValueError(f"shape mismatch {addend.shape} vs {shape}")
+    mats = [M for _, A, B in products for M in (A, B)] + ([] if addend is None else [addend])
+    kinds = {id(M): {type(a) for r in M.rows for a in r} for M in mats}
+    if set().union(*kinds.values()) == {Series}:
+        return Mat(series_matmul([(s, A.rows, B.rows) for s, A, B in products],
+                                 None if addend is None else addend.rows))
+    acc = addend
+    for sign, A, B in products:
+        bt = tuple(zip(*B.rows))
+        laurent = kinds[id(A)] | kinds[id(B)] == {Laurent}
+        P = Mat([[laurent_dot(list(zip(r, c))) if laurent else reduce(add, map(mul, r, c))
+                  for c in bt] for r in A.rows])
+        if acc is None:
+            acc = P if sign > 0 else -P
+        else:
+            acc = acc + P if sign > 0 else acc - P
+    return acc
 
 
 # ---------------------------------------------------------------------------

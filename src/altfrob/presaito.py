@@ -43,6 +43,7 @@ from .linalg import (
     inv_series,
     kron,
     kron_sum,
+    product_sum,
     wedge_metric,
     wedge_of_sum,
 )
@@ -231,22 +232,15 @@ class Report:
         return "\n".join([self.title] + self.lines())
 
 
-def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
-    """First nonzero coefficient of A - B, truncated to total degree k.
+def _witness(D: Mat, k: int | None = None) -> str | None:
+    """The first nonzero entry of the difference D, truncated to total degree k.
 
-    Entries are canonical, so they are compared first, truncated when they
-    differ and k applies; A - B is built only at a mismatch, to name it.
+    A series entry is named by its lowest deformation exponent.
     """
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            a, b = A[i, j], B[i, j]
-            if a == b:
-                continue
-            if k is not None and isinstance(a, Series) and isinstance(b, Series):
-                a, b = a.truncate(k), b.truncate(k)
-                if a == b:
-                    continue
-            x = a - b
+    for i, row in enumerate(D.rows):
+        for j, x in enumerate(row):
+            if k is not None and isinstance(x, Series):
+                x = x.truncate(k)
             if is_zero(x):
                 continue
             if isinstance(x, Series):
@@ -254,6 +248,14 @@ def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
                 return f"entry ({i},{j}), deformation exponent {list(e)}: {c}"
             return f"entry ({i},{j}): {x}"
     return None
+
+
+def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
+    """The witness of A - B, built only when some entries differ.
+
+    Entries are canonical, so they are compared first.
+    """
+    return None if A == B else _witness(A - B, k)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +298,13 @@ def check_pre_saito(F: PreSaitoFamily, order: int | None = None) -> Report:
             rhs = F.dmat(F.C[j], i)
             w = _diff_witness(lhs, rhs, drop(i, j))
             rep.record(f"d_{j} C({i}) = d_{i} C({j})", w is None, w or "")
-            w = _diff_witness(F.C[i] @ F.C[j], F.C[j] @ F.C[i], drop())
+            w = _witness(product_sum([(1, F.C[i], F.C[j]), (-1, F.C[j], F.C[i])]), drop())
             rep.record(f"[C({i}), C({j})] = 0", w is None, w or "")
     for i in names:
-        w = _diff_witness(F.B0 @ F.C[i], F.C[i] @ F.B0, drop())
+        w = _witness(product_sum([(1, F.B0, F.C[i]), (-1, F.C[i], F.B0)]), drop())
         rep.record(f"[B0, C({i})] = 0", w is None, w or "")
         lhs = F.C[i] + F.dmat(F.B0, i)
-        rhs = Binf @ F.C[i] - F.C[i] @ Binf
-        w = _diff_witness(lhs, rhs, drop(i))
+        w = _witness(product_sum([(-1, Binf, F.C[i]), (1, F.C[i], Binf)], lhs), drop(i))
         rep.record(f"C({i}) + d_{i} B0 = [Binf, C({i})]", w is None, w or "")
     return rep
 
@@ -523,17 +524,13 @@ def frobenius_data(F: PreSaitoFamily, omega: Sequence) -> FrobeniusData:
 # ---------------------------------------------------------------------------
 
 
+def _json_exponent(k: Exponents):
+    """A Laurent exponent as written: 0 with no variable, an int with one, else a list."""
+    return list(k) if len(k) > 1 else k[0] if k else 0
+
+
 def _encode_laurent(x: Laurent) -> list:
-    out = []
-    for e, c in x.sorted_terms():
-        if len(x.vars) == 0:
-            key = 0
-        elif len(x.vars) == 1:
-            key = e[0]
-        else:
-            key = list(e)
-        out.append([key, fraction_to_str(c)])
-    return out
+    return [[_json_exponent(e), fraction_to_str(c)] for e, c in x.sorted_terms()]
 
 
 def _exponent_list(key, n: int) -> Exponents:
@@ -542,7 +539,8 @@ def _exponent_list(key, n: int) -> Exponents:
     return tuple(key)
 
 
-def _decode_laurent(data: list, qvars: tuple[str, ...]) -> Laurent:
+def _laurent_terms(data: list, qvars: tuple[str, ...]) -> dict[Exponents, Fraction]:
+    """The {exponents: coefficient} pairs of a Laurent entry, zero coefficients kept."""
     if not isinstance(data, list) or any(not isinstance(t, list) or len(t) != 2 for t in data):
         raise ValueError(f"a Laurent entry must be a list of [exponent, coefficient] "
                          f"pairs, got {data!r}")
@@ -564,28 +562,35 @@ def _decode_laurent(data: list, qvars: tuple[str, ...]) -> Laurent:
         if e in terms:
             raise ValueError(f"repeated exponent {key!r} in a Laurent entry")
         terms[e] = fraction_from_str(cs)
-    return Laurent(qvars, terms)
+    return terms
 
 
 def _encode_entry(x) -> object:
-    if isinstance(x, Series):
-        return [{"exps": list(e), "coef": _encode_laurent(c)}
-                for e, c in x.sorted_terms()]
-    return _encode_laurent(x)
+    """A Series as [{"exps", "coef"}] in (series, Laurent) exponent order, or a Laurent."""
+    if not isinstance(x, Series):
+        return _encode_laurent(x)
+    ns, out, last = len(x.vars), [], None
+    for ek, c in sorted(x.flat.items()):
+        if ek[:ns] != last:
+            last, coef = ek[:ns], []
+            out.append({"exps": list(last), "coef": coef})
+        coef.append([_json_exponent(ek[ns:]), fraction_to_str(c)])
+    return out
 
 
 def _decode_entry(data, qvars, svars, order):
-    if svars:
-        if not isinstance(data, list) or any(not isinstance(t, dict) for t in data):
-            raise ValueError(f"a series entry must be a list of objects, got {data!r}")
-        terms = {}
-        for item in data:
-            e = _exponent_list(json_field(item, "exps"), len(svars))
-            if e in terms:
-                raise ValueError(f"repeated exponent {list(e)} in a series entry")
-            terms[e] = _decode_laurent(json_field(item, "coef"), qvars)
-        return Series(svars, order, terms)
-    return _decode_laurent(data, qvars)
+    """A Series over svars read straight into its packed terms, or a Laurent."""
+    if not svars:
+        return Laurent(qvars, _laurent_terms(data, qvars))
+    if not isinstance(data, list) or any(not isinstance(t, dict) for t in data):
+        raise ValueError(f"a series entry must be a list of objects, got {data!r}")
+    terms = {}
+    for item in data:
+        e = _exponent_list(json_field(item, "exps"), len(svars))
+        if e in terms:
+            raise ValueError(f"repeated exponent {list(e)} in a series entry")
+        terms[e] = _laurent_terms(json_field(item, "coef"), qvars)
+    return Series.from_fractions(svars, order, qvars, terms)
 
 
 def _encode_matrix(M: Mat) -> list:

@@ -22,12 +22,15 @@ integer key per monomial (its exponents as 16-bit digits, total degree on
 top) to a nonzero integer numerator, in lowest terms, so every ``Series``
 operation is integer arithmetic; the tuple-keyed views ``Series.terms`` and
 ``Series.flat`` are built on demand for the JSON encoder, the potential and
-printing.  Every ``Series`` product, a single ``a * b``, a ``series_dot`` or
-a whole ``Series`` matrix product, goes through one matrix-level kernel,
-``series_matmul``: each operand's terms are sorted by key once and memoised
-on it (a series is never mutated), zero entries are skipped structurally,
-and each output entry accumulates integers over one denominator on packed
-keys and is reduced once.  Every ``Laurent`` product, a single ``a * b`` or
+printing, and ``Series.from_fractions`` packs decoded rationals directly.
+Every ``Series`` product, a single ``a * b``, a ``series_dot``, a whole
+``Series`` matrix product or a signed sum of matrix products plus an addend
+(a residual C - A B, a commutator A B - B A), goes through one matrix-level
+kernel, ``series_matmul``: each operand's terms are sorted by key once and
+memoised on it (a series is never mutated), zero entries are skipped
+structurally, and each output entry accumulates integers over one
+denominator on packed keys, across all the products, and is reduced once.
+Every ``Laurent`` product, a single ``a * b`` or
 an entry of a ``Laurent`` matrix product, goes through ``laurent_dot``:
 pairs with a zero operand are skipped and the result is built once, with no
 intermediate ``Laurent`` products or sums.
@@ -42,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd, lcm
-from operator import add
+from operator import add, lshift
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -69,6 +72,12 @@ def fraction_from_str(text: str | int) -> Fraction:
     """Read a "num/den" string or an integer; anything else raises ValueError."""
     if type(text) is not int and not isinstance(text, str):
         raise ValueError(f"expected a rational string or an integer, got {text!r}")
+    num, slash, den = str(text).partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        d = int(den) if slash else 1
+        if d:  # the plain "num/den" form, read without Fraction's parser
+            return Fraction(int(num), d)
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -412,6 +421,31 @@ def _pack(ns: int, nq: int, e: Exponents, k: Exponents) -> int:
     return int.from_bytes(_layout(ns, nq)[0].pack(*e, *[x + _BIAS for x in k], degree), "little")
 
 
+def _packed(ns: int, nq: int,
+            items: Sequence[tuple[Exponents, Mapping[Exponents, Fraction]]]) -> tuple[int, dict]:
+    """(den, num) of the terms q^k t^e over nonzero Fractions, from [(e, {k: coefficient})].
+
+    den is the lcm of the reduced denominators, so the numerators have gcd 1
+    with it.  Keys are those of ``_pack``, summed digit by digit: e once per
+    term, then each k; an exponent that ``_pack`` rejects raises its error.
+    """
+    den = lcm(*[f.denominator for _, t in items for f in t.values()])
+    _, zero, shift = _layout(ns, nq)
+    eshifts = range(0, _BITS * ns, _BITS)
+    kshifts = range(_BITS * ns, shift, _BITS)
+    num = {}
+    for e, t in items:
+        degree = sum(e)
+        if len(e) != ns or e and min(e) < 0 or degree > KEY_LIMIT:
+            _pack(ns, nq, e, (0,) * nq)  # raises
+        base = sum(map(lshift, e, eshifts)) + zero + (degree << shift)
+        for k, f in t.items():
+            if k and (min(k) < -KEY_LIMIT or max(k) > KEY_LIMIT):
+                _pack(ns, nq, e, k)  # raises
+            num[base + sum(map(lshift, k, kshifts))] = f.numerator * (den // f.denominator)
+    return den, num
+
+
 def _check_order(order: int) -> None:
     if order > KEY_LIMIT:
         raise ValueError(f"a Series order is at most {KEY_LIMIT}, got {order}")
@@ -455,14 +489,7 @@ class Series:
                     raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
                 qvars = c.vars
             items.append((e, c.terms))
-        num, den = {}, 1
-        if items:
-            # over the lcm of reduced denominators the numerators have gcd 1 with it
-            ns, nq = len(variables), len(qvars)
-            den = lcm(*[f.denominator for _, t in items for f in t.values()])
-            for e, t in items:
-                for k, f in t.items():
-                    num[_pack(ns, nq, e, k)] = f.numerator * (den // f.denominator)
+        den, num = _packed(len(variables), len(qvars), items) if items else (1, {})
         self.vars, self.order, self.qvars, self.den, self.num = variables, order, qvars, den, num
         self._terms = self._prep = None
 
@@ -509,6 +536,23 @@ class Series:
     @classmethod
     def const(cls, variables: tuple[str, ...], order: int, value) -> "Series":
         return cls(variables, order, {(0,) * len(variables): value})
+
+    @classmethod
+    def from_fractions(cls, variables: tuple[str, ...], order: int, qvars: tuple[str, ...],
+                       terms: Mapping[Exponents, Mapping[Exponents, Fraction]]) -> "Series":
+        """The series with coefficient sum_k c_k q^k at t^e, from {e: {k: c_k}} over Q.
+
+        What ``Series(variables, order, {e: Laurent(qvars, ...)})`` builds, with
+        the same checks, but packed straight from the rationals: zero
+        coefficients and terms past the order are dropped.
+        """
+        _check_order(order)
+        items = [(e, nz) for e, t in terms.items()
+                 if sum(e) <= order and (nz := {k: c for k, c in t.items() if c})]
+        if not items:
+            return cls._reduced(variables, order, None, 1, {})
+        den, num = _packed(len(variables), len(qvars), items)
+        return cls._reduced(variables, order, qvars, den, num)
 
     @classmethod
     def gen(cls, variables: tuple[str, ...], order: int, name: str, one) -> "Series":
@@ -725,25 +769,32 @@ class Series:
     __repr__ = __str__
 
 
-def series_matmul(a_rows: Sequence[Sequence[Series]],
-                  b_rows: Sequence[Sequence[Series]]) -> list[list[Series]]:
-    """The rows of the matrix product A @ B of Series matrices of one ring.
+def series_matmul(products: Sequence[tuple[int, Sequence[Sequence[Series]],
+                                            Sequence[Sequence[Series]]]],
+                  addend: Sequence[Sequence[Series]] | None = None) -> list[list[Series]]:
+    """The rows of the sum of sign * A @ B over (sign, A, B), plus addend C when given.
 
-    Every entry of A and B is checked, zero partner or not: a series ring
-    other than that of the first entry raises ValueError, and so do nonzero
-    entries over differing Laurent variable tuples.  Each nonzero operand is
-    read in its memoised prepared form (``Series._prepared``): its terms
-    sorted by packed key, hence by degree.  The key of a product of terms is
-    k1 + k2 - Z, with Z the packed zero of the ring, and it is past the
-    truncation order exactly when it reaches (order + 1) << degree shift, so
-    a left term meets the right terms up to that bound and stops.  A pair
-    whose smallest or largest exponents of one Laurent variable sum past
-    ``KEY_LIMIT`` in absolute value raises ValueError instead of wrapping a
-    digit.  Output entry (i, j) visits only the k where A[i][k] and B[k][j]
-    are both nonzero, accumulates integers over one denominator on the packed
-    keys and is reduced once.
+    The one kernel behind every ``Series`` product: a matrix product is a sum
+    of one term, and a residual C - A B or a commutator A B - B A is one pass.
+    A sign is 1 or -1, the operands are row sequences of Series matrices of
+    one ring and the shapes agree.  Every entry of every operand is checked,
+    zero partner or not: a series ring other than that of the first entry
+    raises ValueError, and so do nonzero entries over differing Laurent
+    variable tuples.  Each nonzero operand is read in its memoised prepared
+    form (``Series._prepared``): its terms sorted by packed key, hence by
+    degree; a matrix that appears in several terms is prepared once.  The
+    key of a product of terms is k1 + k2 - Z, with Z the packed zero of the
+    ring, and it is past the truncation order exactly when it reaches
+    (order + 1) << degree shift, so a left term meets the right terms up to
+    that bound and stops.  A pair whose smallest or largest exponents of one
+    Laurent variable sum past ``KEY_LIMIT`` in absolute value raises
+    ValueError instead of wrapping a digit.  Output entry (i, j) visits only
+    the pairs where A[i][k] and B[k][j] are both nonzero, across all terms,
+    accumulates integers over one denominator on the packed keys, starting
+    from C[i][j], and is reduced once.
     """
-    svars, order = a_rows[0][0].vars, a_rows[0][0].order
+    first = products[0][1][0][0]
+    svars, order = first.vars, first.order
     qvars = None
 
     def prepared(x: Series):
@@ -759,32 +810,49 @@ def series_matmul(a_rows: Sequence[Sequence[Series]],
             qvars = x.qvars
         return x._prep or x._prepared()
 
-    left = [[(k, p) for k, x in enumerate(r) if (p := prepared(x))] for r in a_rows]
-    right = [{} for _ in b_rows[0]]
-    for k, r in enumerate(b_rows):
-        for j, x in enumerate(r):
-            if p := prepared(x):
-                right[j][k] = p
+    # each row of a left operand and each column of a right one, once per matrix
+    lefts: dict = {}
+    rights: dict = {}
+    terms = []
+    for sign, a_rows, b_rows in products:
+        left = lefts.get(id(a_rows))
+        if left is None:
+            left = lefts[id(a_rows)] = [[(k, p) for k, x in enumerate(r) if (p := prepared(x))]
+                                        for r in a_rows]
+        right = rights.get(id(b_rows))
+        if right is None:
+            right = rights[id(b_rows)] = [{} for _ in b_rows[0]]
+            for k, r in enumerate(b_rows):
+                for j, x in enumerate(r):
+                    if p := prepared(x):
+                        right[j][k] = p
+        terms.append((sign, left, right))
+    extra = None if addend is None else [[prepared(x) for x in r] for r in addend]
     _, zero, shift = _layout(len(svars), len(qvars or ()))
     limit = ((order + 1) << shift) + zero
     nil = Series._reduced(svars, order, None, 1, {})
     out = []
-    for row in left:
+    for i in range(len(products[0][1])):
         out_row = []
-        for col in right:
-            pairs = [(a, b) for k, a in row if (b := col.get(k)) is not None]
-            if not pairs:
+        for j in range(len(terms[0][2])):
+            pairs = [(sign, a, b) for sign, left, right in terms
+                     for k, a in left[i] if (b := right[j].get(k)) is not None]
+            c = extra and extra[i][j]
+            if not pairs and not c:
                 out_row.append(nil)
                 continue
-            den = lcm(*[a[0] * b[0] for a, b in pairs])
+            den = lcm(*[a[0] * b[0] for _, a, b in pairs], c[0] if c else 1)
             acc: dict = {}
+            if c:  # the addend's entry, over the common denominator
+                f = den // c[0]
+                acc = {key: n * f for key, n in c[1]}
             get = acc.get
-            for (da, ta, ma), (db, tb, mb) in pairs:
+            for sign, (da, ta, ma), (db, tb, mb) in pairs:
                 for (lo1, hi1), (lo2, hi2) in zip(ma, mb):
                     if lo1 + lo2 < -KEY_LIMIT or hi1 + hi2 > KEY_LIMIT:
                         raise ValueError(f"Laurent exponents in {lo1}..{hi1} and {lo2}..{hi2} "
                                          f"multiply past the Series key limit {KEY_LIMIT}")
-                f = den // (da * db)
+                f = sign * (den // (da * db))
                 for k1, n1 in ta:
                     room = limit - k1  # k1 + k2 - Z is within the order iff k2 < room
                     k1 -= zero
@@ -805,7 +873,7 @@ def series_dot(pairs: Sequence[tuple[Series, Series]]) -> Series:
 
     It is the 1 x n by n x 1 case of ``series_matmul``, checks included.
     """
-    return series_matmul([[a for a, _ in pairs]], [[b] for _, b in pairs])[0][0]
+    return series_matmul([(1, [[a for a, _ in pairs]], [[b] for _, b in pairs])])[0][0]
 
 
 def laurent_dot(pairs: Sequence[tuple[Laurent, Laurent]]) -> Laurent:

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -817,3 +818,89 @@ def test_mutated_problem_documents_are_input_errors(problem_doc, data):
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(["hm", "--family", str(family), "--psi", str(path)])
     assert_one_line_usage_error(code, out.getvalue(), err.getvalue(), "")
+
+
+class TestCorruptedExtensionWitnesses:
+    """The witnesses of verify and hm on a corrupted P^4 extension, pinned.
+
+    The family is the extension the deform benchmark writes: P^4's q-line
+    extended along t0, t2, t3, t4 to order 6 by tautological period data.
+    One entry of C(t2), then one of B0, gets a wrong term; every FAIL line of
+    verify and the InvariantViolation of a further hm stage are pinned as
+    the two-product commutators and differences reported them.
+    """
+
+    CORRUPTIONS = {
+        "C(t2)": (("C", "t2", 3, 1), [0, 0, 1, 0], [[1, "1"]]),
+        "B0": (("B0", 2, 0), [0, 1, 0, 0], [[1, "3"]]),
+    }
+    VERIFY_FAILS = {
+        "C(t2)": [
+            "FAIL  d_t2 C(q) = d_q C(t2)  [entry (3,1), deformation exponent [0, 0, 1, 0]: -q]",
+            "FAIL  [C(q), C(t2)] = 0  [entry (0,1), deformation exponent [0, 0, 2, 3]: -1/2*q^4]",
+            "FAIL  d_t3 C(t2) = d_t2 C(t3)  [entry (3,1), deformation exponent [0, 0, 0, 0]: q]",
+            "FAIL  [C(t2), C(t3)] = 0  [entry (0,1), deformation exponent [0, 0, 1, 3]: 1/6*q^4]",
+            "FAIL  [C(t2), C(t4)] = 0  [entry (0,1), deformation exponent [0, 0, 2, 2]: 1/2*q^4]",
+            "FAIL  [B0, C(t2)] = 0  [entry (0,1), deformation exponent [0, 0, 2, 3]: 2/3*q^4]",
+            "FAIL  C(t2) + d_t2 B0 = [Binf, C(t2)]  "
+            "[entry (3,1), deformation exponent [0, 0, 1, 0]: -q]",
+        ],
+        "B0": [
+            "FAIL  [B0, C(q)] = 0  [entry (0,0), deformation exponent [0, 1, 1, 0]: q + 3*q^2]",
+            "FAIL  C(q) + d_q B0 = [Binf, C(q)]  "
+            "[entry (2,0), deformation exponent [0, 1, 0, 0]: 3*q]",
+            "FAIL  [B0, C(t2)] = 0  "
+            "[entry (0,0), deformation exponent [0, 1, 0, 2]: 1/2*q^2 + 3/2*q^3]",
+            "FAIL  C(t2) + d_t2 B0 = [Binf, C(t2)]  "
+            "[entry (2,0), deformation exponent [0, 0, 0, 0]: 1 + 3*q]",
+            "FAIL  [B0, C(t3)] = 0  [entry (0,0), deformation exponent [0, 1, 0, 0]: q + 3*q^2]",
+            "FAIL  [B0, C(t4)] = 0  "
+            "[entry (0,0), deformation exponent [0, 1, 1, 4]: 3/8*q^4 + 9/8*q^5]",
+            "FAIL  B0* = B0  [entry (2,0), deformation exponent [0, 1, 0, 0]: -1 - 3*q]",
+        ],
+    }
+    HM_WITNESS = {
+        "C(t2)": "[D', C(t2)] != 0 at order 0 of s, entry (0,1)",
+        "B0": "[D', B0] != 0 at order 0 of s, entry (0,0)",
+    }
+
+    @pytest.fixture(scope="class")
+    def extension(self):
+        fam, K = pn_small_family(4), 6
+        new_vars = ("t0", "t2", "t3", "t4")
+        one = Laurent.const(fam.qvars, 1)
+        psi = tuple(Series.zero(new_vars, K) if i == 1 else Series.gen(new_vars, K, f"t{i}", one)
+                    for i in range(fam.d))
+        omega = tuple(Fraction(int(i == 0)) for i in range(fam.d))
+        problem = DeformationProblem(fam, new_vars, psi, omega, K)
+        return json.loads(dumps_family(hm_extend(problem)))
+
+    @pytest.fixture(params=sorted(CORRUPTIONS))
+    def corrupted(self, request, extension, tmp_path):
+        path, exps, coef = self.CORRUPTIONS[request.param]
+        doc = json.loads(json.dumps(extension))
+        entry = doc
+        for key in path:
+            entry = entry[key]
+        entry[:] = sorted([t for t in entry if t["exps"] != exps] + [{"coef": coef, "exps": exps}],
+                          key=lambda t: t["exps"])
+        fam_path = tmp_path / "bad.json"
+        fam_path.write_text(json.dumps(doc))
+        return request.param, fam_path
+
+    def test_verify_fail_lines(self, capsys, corrupted):
+        name, fam_path = corrupted
+        code, out, _ = run(["verify", "--family", str(fam_path)], capsys)
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == self.VERIFY_FAILS[name]
+
+    def test_hm_invariant_violation(self, capsys, corrupted, tmp_path):
+        name, fam_path = corrupted
+        psi = [[] for _ in range(5)]
+        psi[2] = [{"coef": [[0, "1"]], "exps": [0, 0, 0, 0, 1]}]
+        psi_path = tmp_path / "psi_s.json"
+        psi_path.write_text(json.dumps({"newVars": ["s"], "omega": ["1", "0", "0", "0", "0"],
+                                        "order": 6, "psi": psi}))
+        code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"altfrob: check failed: extension failed: {self.HM_WITNESS[name]}\n"

@@ -122,6 +122,27 @@ class TestUnitDirection:
         assert check_metric(big).ok
 
 
+def count_residuals(monkeypatch) -> list:
+    """Record how many residuals U - D'T each hm_extend stage forms.
+
+    A stage starts with its word-basis search; a residual is the product sum
+    of one term with an addend (a bracket or a commutator has two terms).
+    """
+    search, form, stages = deform.word_basis, deform.product_sum, []
+
+    def searched(*args):
+        stages.append(0)
+        return search(*args)
+
+    def formed(products, addend=None):
+        if len(products) == 1 and addend is not None:
+            stages[-1] += 1
+        return form(products, addend)
+    monkeypatch.setattr(deform, "word_basis", searched)
+    monkeypatch.setattr(deform, "product_sum", formed)
+    return stages
+
+
 class TestTrivialDeformationRoundTrip:
     """The recursion reproduces the grading flow written in y = log(lambda)."""
 
@@ -147,6 +168,37 @@ class TestTrivialDeformationRoundTrip:
     def test_closed_form_is_pre_saito(self):
         want = expand_trivial_in_log(build_pn(2), order=6)
         assert check_pre_saito(want).ok
+
+
+class TestEarlyStop:
+    """A stage ends at the first order whose residual U - D'_{<k} T is zero."""
+
+    @pytest.mark.parametrize("n,K", [(1, 5), (2, 8), (4, 6)])
+    def test_unit_stage_forms_its_residual_at_orders_0_and_1(self, monkeypatch, n, K):
+        stages = count_residuals(monkeypatch)
+        big = universal_big_quantum(pn_small_family(n), K)
+        # C(t0) = -I is constant: the order-1 residual is already zero
+        assert stages[0] == 2
+        assert len(stages) == n
+        assert big.C["t0"] == Mat.identity(n + 1, big.const(-1))
+
+    def test_a_variable_the_period_data_ignores_stops_after_one_order(self, monkeypatch):
+        P, K = build_pn(2), 5
+        one = trivial_deformation_problem(P, (1, 0, 0), order=K)
+        svars = ("y", "z")
+        two = DeformationProblem(P, svars, tuple(s.promote(svars, K) for s in one.psi),
+                                 one.omega, K)
+        want = hm_extend(one)
+        stages = count_residuals(monkeypatch)
+        got = hm_extend(two)
+        assert stages == [K + 1, 1]
+        assert got.C["z"].shape == (3, 3) and got.C["z"].is_zero()
+
+        def up(M):
+            return M.map(lambda s: s.promote(svars, K))
+        assert got.B0 == up(want.B0)
+        assert got.C["y"] == up(want.C["y"])
+        assert check_pre_saito(got).ok
 
 
 class TestUniversalBigQuantum:

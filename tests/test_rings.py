@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altfrob.linalg import Mat
+from altfrob.linalg import Mat, product_sum
 from altfrob.presaito import dscalar
 from altfrob.rings import (KEY_LIMIT, Laurent, Series, _pack, json_text, laurent_dot,
-                           qlaurent, series_dot)
+                           qlaurent, series_dot, series_matmul)
 
 QV = ("q",)
 
@@ -269,6 +269,85 @@ def test_sparse_series_matmul_matches_entrywise_reference(data, n, m, p):
             assert got[i, j] == reference_dot(pairs) == series_dot(pairs)
             assert all(sum(e) <= got[i, j].order and not c.is_zero()
                        for e, c in got[i, j].terms.items())
+
+
+def reference_product_sum(products, addend):
+    """sum of sign * A @ B plus the addend, entry by entry from reference_dot and Series sums."""
+    A0, B0 = products[0][1], products[0][2]
+    rows = []
+    for i in range(A0.nrows):
+        row = []
+        for j in range(B0.ncols):
+            acc = Series.zero(A0[0, 0].vars, A0[0, 0].order) if addend is None else addend[i, j]
+            for sign, A, B in products:
+                p = reference_dot(list(zip(A.rows[i], B.col(j))))
+                acc = acc + p if sign > 0 else acc - p
+            row.append(acc)
+        rows.append(row)
+    return Mat(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans())
+def test_signed_product_sum_matches_pairwise_reference(data, n, m, p, sparse):
+    ring = data.draw(series_rings())
+
+    def matrix(rows, cols):
+        if sparse:
+            return data.draw(sparse_series_matrix(ring, rows, cols))
+        return Mat([[data.draw(series(ring)) for _ in range(cols)] for _ in range(rows)])
+    products = [(data.draw(st.sampled_from([1, -1])), matrix(n, m), matrix(m, p))
+                for _ in range(data.draw(st.integers(1, 3)))]
+    addend = matrix(n, p) if data.draw(st.booleans()) else None
+    got = product_sum(products, addend)
+    assert got == reference_product_sum(products, addend)
+    assert got == Mat(series_matmul([(s, A.rows, B.rows) for s, A, B in products],
+                                     addend and addend.rows))
+    # a sum that cancels is the zero matrix, entry by entry the zero of the ring
+    A, B = products[0][1], products[0][2]
+    for zero in (product_sum([(1, A, B), (-1, A, B)]), product_sum([(-1, A, B)], A @ B),
+                 product_sum(products + [(-s, X, Y) for s, X, Y in products])):
+        assert zero.is_zero()
+        assert all(x == Series.zero(*ring[:2]) for r in zero.rows for x in r)
+
+
+def test_product_sum_checks_every_operand_of_every_term():
+    x, zero = sgen(("x",), 3, "x"), Series.zero(("x",), 3)
+    good = Mat([[x, zero], [zero, x]])
+    for bad in (Series.zero(("y",), 3), Series.zero(("x",), 2)):
+        # a zero entry of another series ring, where its partners are zero too
+        B = Mat([[x, zero], [zero, bad]])
+        for products, addend in (([(1, good, good), (-1, B, good)], None),
+                                 ([(1, good, good), (-1, good, B)], None),
+                                 ([(1, good, good), (-1, good, good)], B)):
+            with pytest.raises(ValueError, match="series ring mismatch"):
+                product_sum(products, addend)
+    xp = sgen(("x",), 3, "x", qvars=("p",))
+    B = Mat([[x, zero], [xp, zero]])
+    for products, addend in (([(1, good, good), (-1, B, good)], None),
+                             ([(1, good, good), (-1, good, B)], None),
+                             ([(1, good, good)], B)):
+        with pytest.raises(ValueError, match=r"variable mismatch: \('q',\) vs \('p',\)"):
+            product_sum(products, addend)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        product_sum([(1, good, good), (-1, Mat([[x, x]]), good)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        product_sum([(1, good, good)], Mat([[x, x]]))
+
+
+def test_product_sum_key_limit_message_is_unchanged():
+    top = Series.const(("x",), 2, Laurent.gen(QV, "q", KEY_LIMIT))
+    q = Series.const(("x",), 2, Laurent.gen(QV, "q"))
+    one = Series.const(("x",), 2, Laurent.const(QV, 1))
+    message = (f"Laurent exponents in {KEY_LIMIT}..{KEY_LIMIT} and 1..1 "
+               f"multiply past the Series key limit {KEY_LIMIT}")
+    for fn in (lambda: top * q,
+               lambda: product_sum([(1, Mat([[one]]), Mat([[one]])),
+                                    (-1, Mat([[top]]), Mat([[q]]))]),
+               lambda: product_sum([(-1, Mat([[top]]), Mat([[q]]))], Mat([[one]]))):
+        with pytest.raises(ValueError) as err:
+            fn()
+        assert str(err.value) == message
 
 
 # -- elementwise Series operations against their Laurent view ------------------
