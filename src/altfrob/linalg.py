@@ -150,8 +150,8 @@ def product_sum(products: Sequence[tuple[int, Mat, Mat]], addend: Mat | None = N
     The one matrix product: ``A @ B`` is the sum of one term, and a residual
     C - A B or a commutator A B - B A is one call.  When every entry of every
     operand is a Series, the whole sum is one ``series_matmul`` pass, which
-    forms each output entry once; otherwise each product is formed (one
-    ``laurent_dot`` per entry of a Laurent product, the generic loop for
+    forms each output entry once; otherwise each product is formed (by
+    ``_laurent_product`` over Laurent entries, the generic loop for
     rationals) and the products are added and subtracted in order.
     """
     shape = (products[0][1].nrows, products[0][2].ncols)
@@ -167,15 +167,37 @@ def product_sum(products: Sequence[tuple[int, Mat, Mat]], addend: Mat | None = N
                                  None if addend is None else addend.rows))
     acc = addend
     for sign, A, B in products:
-        bt = tuple(zip(*B.rows))
-        laurent = kinds[id(A)] | kinds[id(B)] == {Laurent}
-        P = Mat([[laurent_dot(list(zip(r, c))) if laurent else reduce(add, map(mul, r, c))
-                  for c in bt] for r in A.rows])
+        if kinds[id(A)] | kinds[id(B)] == {Laurent}:
+            P = _laurent_product(A, B)
+        else:
+            bt = tuple(zip(*B.rows))
+            P = Mat([[reduce(add, map(mul, r, c)) for c in bt] for r in A.rows])
         if acc is None:
             acc = P if sign > 0 else -P
         else:
             acc = acc + P if sign > 0 else acc - P
     return acc
+
+
+def _laurent_product(A: Mat, B: Mat) -> Mat:
+    """A @ B over one Laurent ring, one ``laurent_dot`` per output entry.
+
+    An entry visits only the pairs where A[i][k] and B[k][j] are both
+    nonzero, and an entry with no such pair is one shared zero of the ring.
+    Nonzero entries over differing variable tuples raise ValueError.
+    """
+    nonzero = [x for M in (A, B) for r in M.rows for x in r if x.terms]
+    zero = Laurent.zero((nonzero or [A[0, 0]])[0].vars)
+    for x in nonzero:
+        if x.vars != zero.vars:
+            raise ValueError(f"variable mismatch: {zero.vars} vs {x.vars}")
+    cols = [{k: x for k, x in enumerate(c) if x.terms} for c in zip(*B.rows)]
+    out = []
+    for r in A.rows:
+        row = [(k, x) for k, x in enumerate(r) if x.terms]
+        out.append([laurent_dot(pairs) if (pairs := [(a, c[k]) for k, a in row if k in c])
+                    else zero for c in cols])
+    return Mat(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Mat, charpoly, det, rank_field, row_reduce
 from .presaito import PreSaitoFamily, Report, wedge
@@ -147,7 +147,7 @@ def _flag_monomials(n: int) -> list[tuple[int, ...]]:
 
 
 class NotTame(ValueError):
-    """The Jacobian quotient did not stabilize within the largest box tried."""
+    """The box search found no certified Jacobian quotient within the largest box tried."""
 
 
 class _Echelon(NamedTuple):
@@ -186,6 +186,35 @@ class _Echelon(NamedTuple):
             index, d = divmod(index, W)
             out.append(d - R)
         return tuple(out[::-1])
+
+    def closure_witness(self) -> str | None:
+        """None when every neighbour u_i^(+-1) u^m of a free monomial m lies
+        in the inner box and reduces onto the free monomials, else the first
+        that does not.
+
+        Every rewrite is a consequence of the relations, so then the span of
+        the free classes is closed under the torus action; it holds the
+        class of 1, the most preferred column, which is free unless it is
+        zero, so it is the whole quotient and dim bounds its dimension.
+        """
+        free = {self.key(m) for m in self.free}
+        for m in self.free:
+            for i in range(len(m)):
+                for step in (-1, 1):
+                    nb = m[:i] + (m[i] + step,) + m[i + 1:]
+                    if abs(nb[i]) < self.reach:
+                        k = self.key(nb)
+                        if k in free or free.issuperset(self.rewrites[k]):
+                            continue
+                        why = "does not reduce onto the free monomials"
+                    else:
+                        why = "leaves the inner box"
+                    return f"u^{_exponent_str(nb)}, next to the free u^{_exponent_str(m)}, {why}"
+        return None
+
+
+def _exponent_str(m: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, m)) + ")"
 
 
 def _grading(f: Laurent) -> tuple[tuple[int, ...], int]:
@@ -253,6 +282,100 @@ def _kept_shifts(supports: Sequence[dict], n: int, R: int) -> list[list[int]]:
     return kept
 
 
+def _elimination(rows: Iterable[list]) -> dict:
+    """The reduced echelon of rows of (column, value) pairs, by Gauss-Jordan.
+
+    Each row is reduced by the rewrites so far and pivots on its largest
+    column; its rewrite is then substituted into every earlier rewrite that
+    holds that column, found through the ``uses`` index.  Returns the
+    rewrites {pivot: {column: value}}.
+    """
+    rewrites: dict = {}
+    uses: dict = {}
+    for row in rows:
+        acc: dict = {}
+        for col, val in row:
+            rw = rewrites.get(col)
+            if rw is None:
+                acc[col] = acc.get(col, 0) + val
+            else:
+                for c, v in rw.items():
+                    acc[c] = acc.get(c, 0) + val * v
+        if not any(acc.values()):
+            continue
+        piv = max(c for c, v in acc.items() if v)  # the least preferred column
+        pval = acc.pop(piv)
+        rw = {c: _quotient(-v, pval) for c, v in acc.items() if v}
+        # a user whose rewrite no longer holds piv is stale and skipped
+        for user in uses.pop(piv, ()):
+            other = rewrites[user]
+            coef = other.pop(piv, None)
+            if coef is None:
+                continue
+            for c, v in rw.items():
+                new = other.get(c, 0) + coef * v
+                if new:
+                    if c not in other:
+                        uses.setdefault(c, []).append(user)
+                    other[c] = new
+                else:
+                    other.pop(c, None)
+        rewrites[piv] = rw
+        for c in rw:
+            uses.setdefault(c, []).append(piv)
+    return rewrites
+
+
+def _binomial_echelon(rows: Iterable[list]) -> dict:
+    """The reduced echelon of two-term rows a*x + b*y, as a weighted union-find.
+
+    ``parent`` maps a column x to (p, w), p < x, with u^x = w * u^p; a root
+    has no entry.  A row points the larger of the roots of x and y at the
+    smaller, or, when they share one, puts it in ``dead`` if its weights
+    disagree.  ``find`` is iterative, since chains grow long.  At the end
+    ``parent`` becomes the rewrites in place: {root: w}, or {} on a dead
+    component, whose root is a pivot too (see ``_box_echelon``).
+    """
+    parent: dict = {}
+    dead: set = set()
+
+    def find(x):
+        """(root, w) with u^x = w * u^root; a longer path is compressed."""
+        link = parent.get(x)
+        if link is None or link[0] not in parent:
+            return link or (x, 1)
+        path = [x]
+        x = link[0]
+        while x in parent:
+            path.append(x)
+            x = parent[x][0]
+        w = 1
+        for y in reversed(path):
+            w = parent[y][1] * w
+            parent[y] = (x, w)
+        return x, w
+
+    for (x, a), (y, b) in rows:
+        x, wx = find(x)
+        y, wy = find(y)
+        if x == y:
+            if a * wx + b * wy:
+                dead.add(x)
+            continue
+        if x < y:
+            x, wx, a, y, wy, b = y, wy, b, x, wx, a
+        parent[x] = (y, _quotient(-b * wy, a * wx))  # a wx u^x + b wy u^y = 0
+        if x in dead:
+            dead.discard(x)
+            dead.add(y)
+    for x in parent:
+        find(x)
+    for x, (root, w) in parent.items():
+        parent[x] = {} if root in dead else {root: w}
+    parent.update((root, {}) for root in dead)
+    return parent
+
+
 def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     """Row-reduce all relation shifts supported in the padded box [-B-1,B+1]^n.
 
@@ -294,9 +417,24 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     the same column, and a rewrite value v of u^p on u^c stands for
     v * q^k with w.p = w.c + w_q*k (see ``JacobianAlgebra.reduce_monomial``).
 
+    The route is chosen from the relations alone.  When each has exactly
+    two terms, as the u_i df/du_i of the mirrors of projective space and of
+    their Thom-Sebastiani sums do, ``_binomial_echelon`` reduces the rows;
+    otherwise ``_elimination`` does.  A binomial row a u^x + b u^y touches
+    two columns, so the row space splits over the connected components of
+    the graph whose edges are the rows (Eisenbud and Sturmfels, "Binomial
+    ideals", 1996).  Where every cycle of a component agrees, u^x = w_x u^r
+    for its smallest column r, and its rows span the vectors orthogonal to
+    (w_x): every column but r is a pivot rewriting onto r with weight w_x.
+    A cycle that disagrees adds a row outside that span, so the rows reach
+    every column of the component, and each is a pivot with the empty
+    rewrite.  Either way that is the reduced echelon, which is unique, so
+    the two routes agree.
+
     Coefficients and rewrite values are ints while they are integral; a
-    Fraction enters only through a pivot that does not divide its row.  For
-    the mirrors of projective space none does (checked for n <= 6, B <= 3).
+    Fraction enters only through a pivot that does not divide its row, or
+    a weight -b/a that is not integral.  For the mirrors of projective
+    space none does (checked for n <= 6, B <= 3).
     """
     R = B + 1
     W = 2 * R + 1
@@ -317,47 +455,17 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     for k, m in enumerate(flags):
         keys[index(m)] = k - len(flags)
 
-    rewrites: dict = {}
-    uses: dict = {}
-
-    def insert(row: list) -> None:
-        acc: dict = {}
-        for col, val in row:
-            rw = rewrites.get(col)
-            if rw is None:
-                acc[col] = acc.get(col, 0) + val
-            else:
-                for c, v in rw.items():
-                    acc[c] = acc.get(c, 0) + val * v
-        if not any(acc.values()):
-            return
-        piv = max(c for c, v in acc.items() if v)  # the least preferred column
-        pval = acc.pop(piv)
-        rw = {c: _quotient(-v, pval) for c, v in acc.items() if v}
-        # a user whose rewrite no longer holds piv is stale and skipped
-        for user in uses.pop(piv, ()):
-            other = rewrites[user]
-            coef = other.pop(piv, None)
-            if coef is None:
-                continue
-            for c, v in rw.items():
-                new = other.get(c, 0) + coef * v
-                if new:
-                    if c not in other:
-                        uses.setdefault(c, []).append(user)
-                    other[c] = new
-                else:
-                    other.pop(c, None)
-        rewrites[piv] = rw
-        for c in rw:
-            uses.setdefault(c, []).append(piv)
-
     # graded: each u-exponent carries one q-power, which q = 1 drops
     supports = [{e[1:]: _quotient(c, 1) for e, c in rel.terms.items()} for rel in rels]
-    for terms, offsets in zip(supports, _kept_shifts(supports, n, R)):
-        base = [(index(e), c) for e, c in terms.items()]
-        for off in offsets:
-            insert([(keys[k + off], c) for k, c in base])
+
+    def rows():
+        for terms, offsets in zip(supports, _kept_shifts(supports, n, R)):
+            base = [(index(e), c) for e, c in terms.items()]
+            for off in offsets:
+                yield [(keys[k + off], c) for k, c in base]
+
+    binomial = all(len(terms) == 2 for terms in supports)
+    rewrites = (_binomial_echelon if binomial else _elimination)(rows())
 
     ech = _Echelon(0, [], rewrites, R, flags)
     free = [ech.cell(k) for k in sorted(k for k in keys if k < SH and k not in rewrites)]
@@ -393,7 +501,7 @@ class JacobianAlgebra:
                 out.append("1")
             else:
                 head = "q*" if a == 1 else (f"q^{a}*" if a else "")
-                out.append(head + "u^(" + ",".join(map(str, m)) + ")")
+                out.append(head + "u^" + _exponent_str(m))
         return tuple(out)
 
     def _ensure_reach(self, norm: int) -> None:
@@ -447,11 +555,14 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
 
     The quotient dimension is evaluated in growing exponent boxes until
     three consecutive boxes agree, so a ``box_max`` below 3 raises NotTame
-    before any box is built; the support must be convenient (0 in the
-    interior of the Newton polytope) for the quotient to be finite at all.
-    When ``expected_dim`` is given (for example the Kouchnirenko volume
-    bound), a mismatch with the stabilized dimension raises.  f must also be
-    quasi-homogeneous (see ``_grading``); otherwise this raises ValueError.
+    before any box is built.  At that box the free monomials must be closed
+    under the torus action (``_Echelon.closure_witness``), which certifies
+    the dimension as an upper bound; otherwise this raises NotTame.  The
+    support must be convenient (0 in the interior of the Newton polytope)
+    for the quotient to be finite at all.  When ``expected_dim`` is given
+    (for example the Kouchnirenko volume bound), a mismatch with the
+    stabilized dimension raises.  f must also be quasi-homogeneous (see
+    ``_grading``); otherwise this raises ValueError.
     """
     witness = convenience_witness(f)
     if witness is not None:
@@ -467,6 +578,10 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
         ech = _box_echelon(rels, n, B)
         dims.append(ech.dim)
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            witness = ech.closure_witness()
+            if witness is not None:
+                raise NotTame(f"dimensions {dims} stopped in box [-{B},{B}]^{n}, "
+                              f"but its free monomials are not closed: {witness}")
             if expected_dim is not None and ech.dim != expected_dim:
                 raise ValueError(
                     f"stabilized dimension {ech.dim} does not match the "

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from altfrob.linalg import Mat, charpoly, kron_sum, row_reduce, wedge_indices, wedge_of_sum
 from altfrob.mirror import (
     NotTame,
+    _binomial_echelon,
     _box_echelon,
     _Echelon,
+    _elimination,
     _flag_monomials,
     _grading,
     _kept_shifts,
@@ -53,6 +55,13 @@ SCALED_LINE = torus_poly(1, {(1,): 2}) + Laurent(torus_vars(1), {(1, -1): Fracti
 # u1 + u2 + q/(u1 u2^2): deg u1 = deg u2 = 1, deg q = 4
 WEIGHTED_PLANE = torus_poly(2, {(1, 0): 1, (0, 1): 1}) + Laurent(torus_vars(2),
                                                                  {(1, -1, -2): Fraction(1)})
+
+# the ladder mirror of G(2,4) over (x11, x21, x12, x22), after Batyrev,
+# Ciocan-Fontanine, Kim and van Straten: boxes 1..3 all leave 6 monomials
+# free, but the quotient has dimension 4
+LADDER = torus_poly(4, {(1, 0, 0, 0): 1, (-1, 1, 0, 0): 1, (-1, 0, 1, 0): 1,
+                        (0, -1, 0, 1): 1, (0, 0, -1, 1): 1}) + Laurent(
+    torus_vars(4), {(1, 0, 0, 0, -1): Fraction(1)})
 
 
 class TestTorusLaurent:
@@ -167,6 +176,19 @@ class TestJacobianAlgebra:
         with pytest.raises(ValueError, match="expected an exponent of length 2"):
             J.reduce_poly(mirror_f(3))
 
+    def test_ladder_of_the_grassmannian_is_refused_at_the_stop(self):
+        with pytest.raises(NotTame, match=r"dimensions \[6, 6, 6\] stopped in box \[-3,3\]\^4, "
+                           r"but its free monomials are not closed: u\^\(-4,0,0,3\), "
+                           r"next to the free u\^\(-3,0,0,3\), leaves the inner box"):
+            jacobian_algebra(LADDER)
+
+    def test_a_neighbour_that_reduces_off_the_free_set_is_named(self):
+        ech = _box_echelon(torus_relations(mirror_f(1)), 1, 3)
+        assert ech.free == [(0,), (-1,)] and ech.closure_witness() is None
+        ech.rewrites[ech.key((1,))] = {ech.key((2,)): 1}
+        assert ech.closure_witness() == ("u^(1), next to the free u^(0), "
+                                         "does not reduce onto the free monomials")
+
     def test_non_integral_q_power_raises(self):
         J = jacobian_algebra(mirror_f(1))
         J._grading = ((1,), 4)  # a wrong grading: u^2 = q would need q^(1/2)
@@ -188,20 +210,20 @@ def macaulay_order(n, B):
     return flags + sorted(inner, key=graded_lex) + sorted(shell, key=graded_lex)
 
 
-def macaulay_echelon(f, B):
+def macaulay_echelon(rels, n, B):
     """(free, rewrites) of the padded box [-B-1,B+1]^n by a dense route.
 
-    Every relation shift inside the padded box is a row over Fraction at
-    q = 1, and the columns run least preferred first (the reverse of
-    ``macaulay_order``), so ``row_reduce`` takes each row's least preferred
-    column as its pivot.
+    Every shift of a relation over ``torus_vars(n)`` inside the padded box
+    is a row over Fraction at q = 1, and the columns run least preferred
+    first (the reverse of ``macaulay_order``), so ``row_reduce`` takes each
+    row's least preferred column as its pivot.
     """
-    n, R = len(f.vars) - 1, B + 1
+    R = B + 1
     order = macaulay_order(n, B)
     cols = order[::-1]
     at = {m: j for j, m in enumerate(cols)}
     rows = []
-    for rel in torus_relations(f):
+    for rel in rels:
         for shift in product(range(-2 * R, 2 * R + 1), repeat=n):
             row = {tuple(a + b for a, b in zip(e[1:], shift)): Fraction(c)
                    for e, c in rel.terms.items()}
@@ -247,7 +269,7 @@ class TestBoxEchelon:
         f = ECHELON_CASES[name][0]
         n = len(f.vars) - 1
         ech = _box_echelon(torus_relations(f), n, B)
-        free, rewrites = macaulay_echelon(f, B)
+        free, rewrites = macaulay_echelon(torus_relations(f), n, B)
         assert (ech.dim, ech.free, ech.reach) == (len(free), free, B + 1)
         assert decoded(ech) == rewrites
 
@@ -287,6 +309,77 @@ class TestBoxEchelon:
         monkeypatch.setattr("altfrob.mirror._box_echelon", no_box)
         with pytest.raises(NotTame, match="did not stabilize"):
             jacobian_algebra(mirror_f(9), box_max=2)
+
+
+def by_both_routes(rels, n, B):
+    """_box_echelon by its union-find route, which it must take, and by the
+    general elimination run in its place on the same rows."""
+    def refuse(rows):
+        raise AssertionError("binomial rows reached the general elimination")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("altfrob.mirror._elimination", refuse)
+        got = _box_echelon(rels, n, B)
+        mp.setattr("altfrob.mirror._binomial_echelon", _elimination)
+        return got, _box_echelon(rels, n, B)
+
+
+# binomial: every relation has two terms; line-plus-line is the
+# Thom-Sebastiani sum of two mirrors of the line
+BINOMIAL_CASES = ([(f"mirror{n}", mirror_f(n), B) for n in (1, 2, 3, 4) for B in (1, 2, 3)]
+                  + [("mirror5", mirror_f(5), B) for B in (1, 2)]
+                  + [(name, f, B) for name, (f, top) in ECHELON_CASES.items()
+                     if all(len(r.terms) == 2 for r in torus_relations(f))
+                     for B in range(1, top + 1)])
+# u1 = u2 and u1 = 2 u2: every component with a row has a cycle whose weights disagree
+ZERO_CYCLES = [torus_poly(2, {(1, 0): 1, (0, 1): -1}), torus_poly(2, {(1, 0): 1, (0, 1): -2})]
+
+
+class TestBinomialEchelon:
+    @pytest.mark.parametrize("name,f,B", BINOMIAL_CASES,
+                             ids=[f"{name}-B{B}" for name, _, B in BINOMIAL_CASES])
+    def test_union_find_matches_the_general_elimination(self, name, f, B):
+        n = len(f.vars) - 1
+        got, ref = by_both_routes(torus_relations(f), n, B)
+        assert (got.dim, got.free, got.reach) == (ref.dim, ref.free, ref.reach)
+        assert decoded(got) == decoded(ref)
+
+    def test_the_three_term_case_takes_the_general_elimination(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("three-term rows reached the union-find")
+
+        monkeypatch.setattr("altfrob.mirror._binomial_echelon", refuse)
+        f = ECHELON_CASES["cancelling"][0]
+        assert _box_echelon(torus_relations(f), 2, 2).dim == 4
+
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_a_cycle_whose_weights_disagree_is_zero(self, B):
+        got, ref = by_both_routes(ZERO_CYCLES, 2, B)
+        assert decoded(got) == decoded(ref) == macaulay_echelon(ZERO_CYCLES, 2, B)[1]
+        assert got.dim == 0 and got.rewrites and not any(got.rewrites.values())
+
+    def test_a_zero_component_absorbs_the_one_it_meets(self):
+        # {3, 5} is zero by its cycle, {1, 2} then joins it; {7, 9} stays alive
+        rows = [[(3, 1), (5, -1)], [(3, 1), (5, -2)], [(1, 1), (2, 1)], [(2, 1), (5, 1)],
+                [(7, 2), (9, 3)], [(9, 1), (7, Fraction(2, 3))]]
+        got = _binomial_echelon(iter(rows))
+        assert got == _elimination(iter(rows))
+        assert got == {2: {}, 3: {}, 5: {}, 1: {}, 9: {7: Fraction(-2, 3)}}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_binomial_systems_match_the_dense_route(self, data):
+        n, B = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        exponent = st.tuples(*[st.integers(-2, 2)] * n)
+        coefficient = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+        rels = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b = data.draw(st.lists(exponent, min_size=2, max_size=2, unique=True))
+            rels.append(torus_poly(n, {a: data.draw(coefficient), b: data.draw(coefficient)}))
+        got, _ = by_both_routes(rels, n, B)
+        free, rewrites = macaulay_echelon(rels, n, B)
+        assert (got.dim, got.free) == (len(free), free)
+        assert decoded(got) == rewrites
 
 
 class TestGrading:

@@ -693,6 +693,18 @@ def test_laurent_matmul_matches_pairwise_sum(variables, seed):
             assert all(type(c) is Fraction and c for c in product[i, j].terms.values())
 
 
+def test_laurent_product_visits_only_pairs_of_nonzero_entries():
+    q, p = Laurent.gen(QV, "q"), Laurent.gen(("p",), "p")
+    zero = Laurent.zero(QV)
+    P = Mat([[q, zero], [zero, zero]]) @ Mat([[q, zero], [Laurent.zero(("p",)), q]])
+    assert P == Mat([[q * q, zero], [zero, zero]])
+    assert P[0, 1] is P[1, 0] is P[1, 1]  # one shared zero of the ring
+    # a nonzero entry of another ring raises, even where its partner is zero
+    for A, B in ((Mat([[q, zero]]), Mat([[q], [p]])), (Mat([[zero, p]]), Mat([[q], [q]]))):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            A @ B
+
+
 def test_laurent_dot_cancels_and_rejects_mismatched_variables():
     q, p = Laurent.gen(QV, "q"), Laurent.gen(("p",), "p")
     assert laurent_dot([(q, q), (q, -q)]).terms == {}
