@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import Mat, permutation_sign, wedge_indices, wedge_metric
 from .projective import build_pn
-from .rings import Laurent, fraction_from_str, fraction_to_str, json_field
+from .rings import QVARS, Laurent, fraction_from_str, fraction_to_str, json_field
 
 Partition = tuple[int, ...]
 
@@ -166,47 +166,48 @@ class QLRTable:
     def basis(self) -> list[Partition]:
         return rect_partitions(self.r, self.n)
 
+    def _fit(self, parts) -> tuple[Partition, ...]:
+        """The partitions normalized; ValueError unless each fits the rectangle."""
+        key = tuple(map(normalize_partition, parts))
+        if any(p not in self._order for p in key):
+            raise ValueError(f"partitions must fit the {self.r} x {self.n + 1 - self.r} "
+                             f"rectangle, got {parts!r}")
+        return key
+
     def product(self, lam, mu) -> dict[Partition, Laurent]:
-        lam = normalize_partition(lam)
-        mu = normalize_partition(mu)
-        return dict(self._products.get(self._canon(lam, mu), {}))
+        return dict(self._products.get(self._canon(*self._fit((lam, mu))), {}))
 
     def entry(self, lam, mu, nu) -> Laurent:
-        a, b = self._canon(normalize_partition(lam), normalize_partition(mu))
-        return self.entries.get((a, b, normalize_partition(nu)),
-                                Laurent.zero(("q",)))
+        lam, mu, nu = self._fit((lam, mu, nu))
+        return self.entries.get((*self._canon(lam, mu), nu), Laurent.zero(QVARS))
 
     def __eq__(self, other):
         if not isinstance(other, QLRTable):
             return NotImplemented
         return (self.r, self.n, self.entries) == (other.r, other.n, other.entries)
 
-    def _integer_terms(self, key) -> list[list[int]]:
-        """The [q-power, coefficient] pairs of one entry; raises unless integral."""
-        out = []
-        for (e,), c in self.entries[key].sorted_terms():
-            if c.denominator != 1:
-                raise ValueError(f"non-integer coefficient at {key}")
-            out.append([e, c.numerator])
-        return out
-
     def to_json_text(self) -> str:
         """The table document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
-        Written in one pass over the sorted entries, each rectangle partition's
-        list text rendered once, and joined once.  Every int goes through
-        ``int.__repr__``, so a value that is not an int raises TypeError
-        instead of reaching the text.
+        Written in one pass over the sorted entries, each reading its terms
+        directly, each rectangle partition's list text rendered once, and
+        joined once.  Every int goes through ``int.__repr__``, so a value that
+        is not an int raises TypeError instead of reaching the text; a
+        coefficient that is not integral raises ValueError.
         """
         rep, at = int.__repr__, "\n        "
         part = {lam: f"[{at}{(',' + at).join(map(rep, lam))}\n      ]" if lam else "[]"
                 for lam in self._order}
         out, sep = ['{\n  "entries": ['], "\n    "
         for key in sorted(self.entries):
+            terms = self.entries[key].terms
+            q = []
+            for (e,), c in terms.items() if len(terms) == 1 else sorted(terms.items()):
+                if c.denominator != 1:
+                    raise ValueError(f"non-integer coefficient at {key}")
+                q.append(f"[\n          {rep(e)},\n          {rep(c.numerator)}\n        ]")
+            q = f"[{at}{(',' + at).join(q)}\n      ]" if q else "[]"
             lam, mu, nu = key
-            q = ",\n        ".join([f"[\n          {rep(e)},\n          {rep(c)}\n        ]"
-                                    for e, c in self._integer_terms(key)])
-            q = f"[\n        {q}\n      ]" if q else "[]"
             out.append(f'{sep}{{\n      "lambda": {part[lam]},\n      "mu": {part[mu]},\n'
                        f'      "nu": {part[nu]},\n      "q": {q}\n    }}')
             sep = ",\n    "
@@ -215,15 +216,19 @@ class QLRTable:
         return "".join(out)
 
     def to_csv(self) -> str:
+        """One row per term, sorted; a coefficient that is not integral raises ValueError."""
+        text = {lam: " ".join(map(str, lam)) for lam in self._order}
+        rows = []
+        for key, cf in self.entries.items():
+            lam, mu, nu = key
+            for (e,), c in cf.terms.items():
+                if c.denominator != 1:
+                    raise ValueError(f"non-integer coefficient at {key}")
+                rows.append((text[lam], text[mu], text[nu], e, c.numerator))
+        rows.sort()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "qpow", "coef"])
-        rows = []
-        for lam, mu, nu in self.entries:
-            for e, c in self._integer_terms((lam, mu, nu)):
-                rows.append((" ".join(map(str, lam)), " ".join(map(str, mu)),
-                             " ".join(map(str, nu)), e, c))
-        rows.sort()
         writer.writerows(rows)
         return buf.getvalue()
 
@@ -258,10 +263,7 @@ class QLRTable:
                     or type(t[1]) not in (int, str) for t in pairs):
                 raise ValueError("q must be a list of [integer exponent, rational string "
                                  f"or integer coefficient] pairs, got {pairs!r}")
-            key = tuple(map(normalize_partition, parts))
-            if any(p not in empty._order for p in key):
-                raise ValueError(f"partitions must fit the {r} x {n + 1 - r} rectangle, "
-                                 f"got {parts!r}")
+            key = empty._fit(parts)
             if empty._canon(*key[:2]) != key[:2]:
                 raise ValueError(f"lambda, mu must be in wedge order, got {parts!r}")
             if key in entries:
@@ -281,6 +283,62 @@ def _ordered_pairs(parts: list[Partition]) -> Iterator[tuple[Partition, Partitio
             yield lam, mu
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)``: one lookup on a hit."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# Fractions for the small nonzero coefficients, shared by the entries of both tables
+# and never changed; a larger coefficient gets its own.
+_FRACTION = {c: Fraction(c) for c in range(-32, 33) if c}
+
+
+def _exponent_code(v: Sequence[int], radix: int) -> int:
+    """The int sum of v_i * radix^i: codes add as vectors while no entry of a sum reaches radix."""
+    code = 0
+    for x in reversed(v):
+        code = code * radix + x
+    return code
+
+
+def _exponent_digits(code: int, r: int, radix: int) -> tuple[int, ...]:
+    """The r-vector whose ``_exponent_code`` is code."""
+    out = []
+    for _ in range(r):
+        code, x = divmod(code, radix)
+        out.append(x)
+    return tuple(out)
+
+
+def _straightening(r: int, n: int) -> _Memo:
+    """Exponent code -> (wedge position of I, sign * (-1)^((r-1) * carries)), or None.
+
+    The memo of ``_straighten`` on ``_exponent_code`` keys with radix 2n+2:
+    the position is that of I in ``wedge_indices(n + 1, r)``, and the sign
+    already carries the twist q -> (-1)^(r-1) q of every wrap.
+    """
+    radix = 2 * n + 2
+    position = {I: i for i, I in enumerate(wedge_indices(n + 1, r))}
+
+    def reduce(code: int):
+        st = _straighten(_exponent_digits(code, r, radix), n)
+        if st is None:
+            return None
+        sign, carries, I = st
+        return position[I], -sign if (r - 1) * carries & 1 else sign
+
+    return _Memo(reduce)
+
+
 def alt_structure_constants(r: int, n: int) -> QLRTable:
     """Products [s_lam s_mu Delta] reduced and twisted by q -> (-1)^(r-1) q.
 
@@ -288,40 +346,42 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     a_(mu+delta+w) over the tableau weights w of SSYT(lam, [r]) with
     multiplicity K_{lam, w}; each such alternant straightens in one step.
     The product commutes, so the factor with fewer weights is expanded.
+
+    Shifted indices mu+delta (entries at most n) and weights w (entries at
+    most lam_1 <= n+1-r) are ``_exponent_code``s with radix 2n+2: every
+    entry of a sum is at most 2n+1-r, so no digit carries, one int add is
+    the vector sum and one lookup in ``_straightening`` its reduction.  The
+    exponents of a_(mu+delta+w) sum to |lam| + |mu| + |delta| and those of
+    a_(nu+delta) to |nu| + |delta|, so the wraps, one q each, number
+    (|lam| + |mu| - |nu|) / (n+1): one q-power per (lam, mu, nu).
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    part_of = {I: partition_from_indices(I, r) for I in wedge_indices(n + 1, r)}
-    parts = list(part_of.values())
-    shifted = {lam: I[::-1] for I, lam in part_of.items()}
+    radix = 2 * n + 2
+    indices = wedge_indices(n + 1, r)
+    parts = [partition_from_indices(I, r) for I in indices]
+    size = [sum(lam) for lam in parts]
+    shifted = [_exponent_code(I[::-1], radix) for I in indices]
     memo: dict = {}
-    weights = {lam: _tableau_weights(lam, r, memo) for lam in parts}
-    straightened: dict = {}     # exponent vector -> _straighten of it, each done once
-    coefficient: dict[int, Fraction] = {}   # one shared Fraction per value
+    weights = [[(_exponent_code(w, radix), k) for w, k in _tableau_weights(lam, r, memo).items()]
+               for lam in parts]
+    straightened = _straightening(r, n)
     entries = {}
-    for lam, mu in _ordered_pairs(parts):
-        a, b = (lam, mu) if len(weights[lam]) <= len(weights[mu]) else (mu, lam)
-        acc: dict[tuple[int, ...], dict[int, int]] = {}
-        for w, k in weights[a].items():
-            exps = tuple([s + x for s, x in zip(shifted[b], w)])
-            if exps not in straightened:
-                straightened[exps] = _straighten(exps, n)
-            st = straightened[exps]
-            if st is None:
-                continue
-            sign, carries, I = st
-            bucket = acc.setdefault(I, {})
-            twisted = sign * k * (-1) ** ((r - 1) * carries)
-            bucket[carries] = bucket.get(carries, 0) + twisted
-        for I, bucket in acc.items():
-            terms = {}
-            for e, c in bucket.items():
+    for i, lam in enumerate(parts):
+        for j in range(i, len(parts)):
+            a, b = (i, j) if len(weights[i]) <= len(weights[j]) else (j, i)
+            base, acc = shifted[b], {}
+            for w, k in weights[a]:
+                st = straightened[base + w]
+                if st is not None:
+                    nu, sign = st
+                    acc[nu] = acc.get(nu, 0) + sign * k
+            degree = size[i] + size[j]
+            for nu, c in acc.items():
                 if c:
-                    if c not in coefficient:
-                        coefficient[c] = Fraction(c)
-                    terms[(e,)] = coefficient[c]
-            if terms:
-                entries[(lam, mu, part_of[I])] = Laurent._trusted(("q",), terms)
+                    e = (degree - size[nu]) // (n + 1)
+                    entries[lam, parts[j], parts[nu]] = Laurent._trusted(
+                        QVARS, {(e,): _FRACTION.get(c) or Fraction(c)})
     return QLRTable(r, n, entries)
 
 
@@ -439,22 +499,20 @@ def rimhook_oracle(r: int, n: int) -> QLRTable:
     """Classical LR numbers reduced by rim hooks: the combinatorial route."""
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    reduced: dict[Partition, tuple[Partition, int, int] | None] = {}
+    reduced = _Memo(lambda nu: rimhook_reduce(nu, r, n))
     entries: dict[tuple[Partition, Partition, Partition], Laurent] = {}
     for lam, mu in _ordered_pairs(rect_partitions(r, n)):
         acc: dict[Partition, dict[int, int]] = {}
         for nutil, c in lr_products(lam, mu, r).items():
-            if nutil not in reduced:
-                reduced[nutil] = rimhook_reduce(nutil, r, n)
-            if reduced[nutil] is None:
-                continue
-            core, qpow, sign = reduced[nutil]
-            bucket = acc.setdefault(core, {})
-            bucket[qpow] = bucket.get(qpow, 0) + sign * c
+            st = reduced[nutil]
+            if st is not None:
+                core, qpow, sign = st
+                bucket = acc.setdefault(core, {})
+                bucket[qpow] = bucket.get(qpow, 0) + sign * c
         for core, bucket in acc.items():
-            cf = Laurent(("q",), {(e,): Fraction(c) for e, c in bucket.items()})
-            if not cf.is_zero():
-                entries[(lam, mu, core)] = cf
+            terms = {(e,): _FRACTION.get(c) or Fraction(c) for e, c in bucket.items() if c}
+            if terms:
+                entries[lam, mu, core] = Laurent._trusted(QVARS, terms)
     return QLRTable(r, n, entries)
 
 

@@ -1,7 +1,10 @@
 """Grassmannian structure constants: two routes, one table."""
 
+import csv
+import io
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -9,9 +12,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from altfrob import grassmann
+from altfrob.cli import _pretty_table
 from altfrob.grassmann import (
     QLRTable,
+    _exponent_code,
+    _exponent_digits,
     _straighten,
+    _straightening,
+    _tableau_weights,
     alt_metric,
     alt_structure_constants,
     alternant,
@@ -26,6 +35,7 @@ from altfrob.grassmann import (
     schur_poly,
     vandermonde,
 )
+from altfrob.linalg import wedge_indices
 from altfrob.rings import Laurent
 
 
@@ -130,6 +140,37 @@ class TestBialternantReduce:
     def test_repeated_residues_annihilate(self):
         assert _straighten((3, 0), 2) is None
 
+    @pytest.mark.parametrize("r,n", [(2, 5), (3, 6)])
+    def test_codes_add_and_straighten_as_tuples(self, r, n):
+        """Every shifted index plus every tableau weight, the full rectangle's too.
+
+        The code sum decodes to the tuple sum, so no digit carried, and its
+        memo entry is _straighten's on that tuple with the q twist; the wraps
+        are the degree drop |lam| + |mu| - |nu| over n+1.
+        """
+        radix = 2 * n + 2
+        straightened = _straightening(r, n)
+        indices = wedge_indices(n + 1, r)
+        top = 0
+        for I in indices:
+            mu = partition_from_indices(I, r)
+            for lam in rect_partitions(r, n):
+                for w in _tableau_weights(lam, r, {}):
+                    exps = tuple(s + x for s, x in zip(I[::-1], w))
+                    code = _exponent_code(I[::-1], radix) + _exponent_code(w, radix)
+                    assert _exponent_digits(code, r, radix) == exps, (I, w)
+                    top = max(top, *exps)
+                    st = _straighten(exps, n)
+                    if st is None:
+                        assert straightened[code] is None, exps
+                        continue
+                    sign, carries, J = st
+                    assert straightened[code] == (indices.index(J),
+                                                  sign * (-1) ** ((r - 1) * carries)), exps
+                    nu = partition_from_indices(J, r)
+                    assert carries * (n + 1) == sum(lam) + sum(mu) - sum(nu), exps
+        assert top == 2 * n + 1 - r
+
 
 class TestLittlewoodRichardson:
     def test_pieri_rule(self):
@@ -226,6 +267,13 @@ class TestOracleAgreement:
                              + [(2, 10), (3, 8), (5, 7), (4, 8)])
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
+
+    def test_coefficients_outside_the_shared_fractions(self, monkeypatch):
+        """With no shared Fraction, each entry makes its own, and the tables are unchanged."""
+        want = alt_structure_constants(4, 7)
+        assert max(abs(c) for cf in want.entries.values() for c in cf.terms.values()) > 1
+        monkeypatch.setattr(grassmann, "_FRACTION", {})
+        assert alt_structure_constants(4, 7) == want == rimhook_oracle(4, 7)
 
 
 @pytest.fixture(scope="module")
@@ -419,6 +467,49 @@ class TestSerialization:
     def test_entry_is_order_insensitive(self):
         T = alt_structure_constants(2, 3)
         assert T.entry((1, 1), (2,), ()) == T.entry((2,), (1, 1), ())
+
+    @pytest.mark.parametrize("call", [
+        lambda T: T.entry((5,), (1,), (1,)),
+        lambda T: T.entry((1,), (1,), (1, 1, 1)),
+        lambda T: T.product((1,), (4,)),
+    ], ids=["entry-lambda", "entry-nu", "product-mu"])
+    def test_partition_outside_the_rectangle_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="partitions must fit the 2 x 3 rectangle"):
+            call(alt_structure_constants(2, 4))
+
+    def test_json_csv_and_pretty_agree_entry_by_entry(self):
+        """Keyed by the unordered pair: the pretty table writes lambda <= mu as tuples."""
+        T = alt_structure_constants(3, 7)
+
+        def part(text):
+            return tuple(int(x) for x in text.split() if x != "-")
+
+        def put(table, lam, mu, nu, e, c):
+            table.setdefault((min(lam, mu), max(lam, mu), nu), {})[e] = c
+
+        want, got_json, got_csv, got_pretty = {}, {}, {}, {}
+        for (lam, mu, nu), cf in T.entries.items():
+            for (e,), c in cf.terms.items():
+                put(want, lam, mu, nu, e, c)
+        for d in json.loads(T.to_json_text())["entries"]:
+            for e, c in d["q"]:
+                put(got_json, tuple(d["lambda"]), tuple(d["mu"]), tuple(d["nu"]), e, c)
+        for row in csv.DictReader(io.StringIO(T.to_csv())):
+            put(got_csv, part(row["lambda"]), part(row["mu"]), part(row["nu"]),
+                int(row["qpow"]), int(row["coef"]))
+        header, *lines = _pretty_table(T).splitlines()
+        assert header == "alternate product on G(3, 8)"
+        for line in lines:
+            left, right = line.split(" = ")
+            lam, mu = (part(p.strip("()")) for p in left.split(" . "))
+            for nu, poly in re.findall(r"\(([^)]*)\) \* \[([^\]]*)\]", right):
+                for mono in poly.replace(" - ", " + -").split(" + "):
+                    sign, digits, q, e = re.fullmatch(
+                        r"(-?)(\d*)\*?(q)?(?:\^(-?\d+))?", mono).groups()
+                    put(got_pretty, lam, mu, part(nu), int(e) if e else int(bool(q)),
+                        int(sign + (digits or "1")))
+        assert len(want) == len(T.entries)
+        assert got_json == got_csv == got_pretty == want
 
 
 class TestWedgeMetric:
