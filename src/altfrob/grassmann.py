@@ -154,9 +154,7 @@ class QLRTable:
         self.n = n
         self.entries = dict(entries)
         self._order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
-        self._products: dict[tuple[Partition, Partition], dict[Partition, Laurent]] = {}
-        for (lam, mu, nu), cf in self.entries.items():
-            self._products.setdefault((lam, mu), {})[nu] = cf
+        self._products: dict[tuple[Partition, Partition], dict[Partition, Laurent]] | None = None
 
     def _canon(self, lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
         if self._order[lam] <= self._order[mu]:
@@ -175,6 +173,10 @@ class QLRTable:
         return key
 
     def product(self, lam, mu) -> dict[Partition, Laurent]:
+        if self._products is None:
+            self._products = {}
+            for (a, b, nu), cf in self.entries.items():
+                self._products.setdefault((a, b), {})[nu] = cf
         return dict(self._products.get(self._canon(*self._fit((lam, mu))), {}))
 
     def entry(self, lam, mu, nu) -> Laurent:
@@ -420,7 +422,8 @@ def lr_products(lam: Partition, mu: Partition, r: int) -> dict[Partition, int]:
                 cur[v - 1] -= 1
 
     rec(0)
-    return {tuple(p for p in nu if p): c for nu, c in out.items()}
+    # cur stays weakly decreasing, so the zeros of nu trail
+    return {nu[:len(nu) - nu.count(0)]: c for nu, c in out.items()}
 
 
 def lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:

@@ -153,8 +153,9 @@ class NotTame(ValueError):
 class _Echelon(NamedTuple):
     """A reduced echelon of the padded box [-reach, reach]^n, n = len(flags) - 1.
 
-    ``rewrites`` maps a pivot column to {column: value}, both as the
-    integer keys of ``_box_echelon``; ``key`` and ``cell`` translate them.
+    ``rewrites`` maps a pivot column to {column: value}, or to (column,
+    value) from the union-find, value 0 for {}; ``rewrite`` reads both, and
+    ``key``/``cell`` translate these integer keys of ``_box_echelon``.
     """
 
     dim: int
@@ -187,6 +188,13 @@ class _Echelon(NamedTuple):
             out.append(d - R)
         return tuple(out[::-1])
 
+    def rewrite(self, key: int) -> dict | None:
+        """The rewrite {column: value} of the pivot ``key``; None if it is free."""
+        rw = self.rewrites.get(key)
+        if type(rw) is tuple:
+            return {rw[0]: rw[1]} if rw[1] else {}
+        return rw
+
     def closure_witness(self) -> str | None:
         """None when every neighbour u_i^(+-1) u^m of a free monomial m lies
         in the inner box and reduces onto the free monomials, else the first
@@ -204,7 +212,7 @@ class _Echelon(NamedTuple):
                     nb = m[:i] + (m[i] + step,) + m[i + 1:]
                     if abs(nb[i]) < self.reach:
                         k = self.key(nb)
-                        if k in free or free.issuperset(self.rewrites[k]):
+                        if k in free or free.issuperset(self.rewrite(k)):
                             continue
                         why = "does not reduce onto the free monomials"
                     else:
@@ -326,26 +334,26 @@ def _elimination(rows: Iterable[list]) -> dict:
     return rewrites
 
 
-def _binomial_echelon(rows: Iterable[list]) -> dict:
-    """The reduced echelon of two-term rows a*x + b*y, as a weighted union-find.
+def _binomial_echelon(rows: Iterable[tuple]) -> dict:
+    """The reduced echelon of two-term rows (x, a, y, b), a*u^x + b*u^y, as
+    a weighted union-find.
 
     ``parent`` maps a column x to (p, w), p < x, with u^x = w * u^p; a root
     has no entry.  A row points the larger of the roots of x and y at the
     smaller, or, when they share one, puts it in ``dead`` if its weights
-    disagree.  ``find`` is iterative, since chains grow long.  At the end
-    ``parent`` becomes the rewrites in place: {root: w}, or {} on a dead
-    component, whose root is a pivot too (see ``_box_echelon``).
+    disagree.  A root or a root's child is resolved inline, and ``find``
+    walks longer chains iteratively.  Every path is then compressed and
+    ``parent`` is the echelon: (root, w), w = 0 on a dead component, whose
+    root is a pivot too (see ``_box_echelon`` and ``_Echelon.rewrite``).
     """
     parent: dict = {}
     dead: set = set()
+    get = parent.get
 
     def find(x):
-        """(root, w) with u^x = w * u^root; a longer path is compressed."""
-        link = parent.get(x)
-        if link is None or link[0] not in parent:
-            return link or (x, 1)
+        """(root, w) with u^x = w * u^root, x two or more links below it."""
         path = [x]
-        x = link[0]
+        x = parent[x][0]
         while x in parent:
             path.append(x)
             x = parent[x][0]
@@ -355,9 +363,11 @@ def _binomial_echelon(rows: Iterable[list]) -> dict:
             parent[y] = (x, w)
         return x, w
 
-    for (x, a), (y, b) in rows:
-        x, wx = find(x)
-        y, wy = find(y)
+    for x, a, y, b in rows:
+        link = get(x)
+        x, wx = (x, 1) if link is None else find(x) if link[0] in parent else link
+        link = get(y)
+        y, wy = (y, 1) if link is None else find(y) if link[0] in parent else link
         if x == y:
             if a * wx + b * wy:
                 dead.add(x)
@@ -368,11 +378,12 @@ def _binomial_echelon(rows: Iterable[list]) -> dict:
         if x in dead:
             dead.discard(x)
             dead.add(y)
-    for x in parent:
-        find(x)
-    for x, (root, w) in parent.items():
-        parent[x] = {} if root in dead else {root: w}
-    parent.update((root, {}) for root in dead)
+    for x, (p, _) in parent.items():
+        if p in parent:
+            find(x)
+    if dead:
+        parent.update((root, (root, 0)) for root in dead)
+        parent.update({x: (root, 0) for x, (root, _) in parent.items() if root in dead})
     return parent
 
 
@@ -458,14 +469,14 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
     # graded: each u-exponent carries one q-power, which q = 1 drops
     supports = [{e[1:]: _quotient(c, 1) for e, c in rel.terms.items()} for rel in rels]
 
-    def rows():
-        for terms, offsets in zip(supports, _kept_shifts(supports, n, R)):
-            base = [(index(e), c) for e, c in terms.items()]
-            for off in offsets:
-                yield [(keys[k + off], c) for k, c in base]
-
-    binomial = all(len(terms) == 2 for terms in supports)
-    rewrites = (_binomial_echelon if binomial else _elimination)(rows())
+    bases = [[(index(e), c) for e, c in terms.items()] for terms in supports]
+    kept = zip(bases, _kept_shifts(supports, n, R))
+    if all(len(base) == 2 for base in bases):
+        rewrites = _binomial_echelon((keys[i + off], a, keys[j + off], b)
+                                     for ((i, a), (j, b)), offsets in kept for off in offsets)
+    else:
+        rewrites = _elimination([(keys[k + off], c) for k, c in base]
+                                for base, offsets in kept for off in offsets)
 
     ech = _Echelon(0, [], rewrites, R, flags)
     free = [ech.cell(k) for k in sorted(k for k in keys if k < SH and k not in rewrites)]
@@ -526,7 +537,7 @@ class JacobianAlgebra:
         if len(exps) != self.n:
             raise ValueError(f"expected an exponent of length {self.n}, got {exps}")
         self._ensure_reach(max(map(abs, exps)))
-        rw = self._ech.rewrites.get(self._ech.key(exps))
+        rw = self._ech.rewrite(self._ech.key(exps))
         if rw is None:
             return {exps: Laurent.const(QVARS, 1)}
         w, wq = self._grading
@@ -723,7 +734,8 @@ def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
                witness=f"{Wm.d} vs {quantum.d}")
 
     cp_mirror = charpoly(Wm.B0)
-    cp_quantum = charpoly(quantum.B0)
+    # equal matrices, as the mirror and the quantum family of P^n are, share it
+    cp_quantum = cp_mirror if quantum.B0 == Wm.B0 else charpoly(quantum.B0)
     rep.record("multiplication charpolys agree over Q[q]",
                cp_mirror == cp_quantum,
                witness=" vs ".join(_poly_str(c)
