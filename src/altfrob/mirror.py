@@ -195,30 +195,36 @@ class _Echelon(NamedTuple):
             return {rw[0]: rw[1]} if rw[1] else {}
         return rw
 
-    def closure_witness(self) -> str | None:
-        """None when every neighbour u_i^(+-1) u^m of a free monomial m lies
-        in the inner box and reduces onto the free monomials, else the first
-        that does not.
+    def torus_action(self) -> tuple[list | None, str | None]:
+        """(action, None) when every neighbour u_i^(+-1) u^m of a free
+        monomial m lies in the inner box and reduces onto the free ones,
+        else (None, a witness naming the first that does not).
 
-        Every rewrite is a consequence of the relations, so then the span of
-        the free classes is closed under the torus action; it holds the
-        class of 1, the most preferred column, which is free unless it is
-        zero, so it is the whole quotient and dim bounds its dimension.
+        ``action[2i + (step > 0)][k]`` is the class of u_i^step times free
+        monomial k, as {free index: value} at q = 1.  Every rewrite is a
+        consequence of the relations, so the span of the free classes is
+        closed under the torus action; it holds the class of 1, the most
+        preferred column, which is free unless it is zero, so it is the
+        whole quotient and dim bounds its dimension.
         """
-        free = {self.key(m) for m in self.free}
-        for m in self.free:
+        free = {self.key(m): k for k, m in enumerate(self.free)}
+        action = [[None] * len(self.free) for _ in range(2 * (len(self.flags) - 1))]
+        for k, m in enumerate(self.free):
             for i in range(len(m)):
                 for step in (-1, 1):
                     nb = m[:i] + (m[i] + step,) + m[i + 1:]
                     if abs(nb[i]) < self.reach:
-                        k = self.key(nb)
-                        if k in free or free.issuperset(self.rewrite(k)):
+                        key = self.key(nb)
+                        rw = {key: 1} if key in free else self.rewrite(key)
+                        if free.keys() >= rw.keys():
+                            action[2 * i + (step > 0)][k] = {free[c]: v for c, v in rw.items()}
                             continue
                         why = "does not reduce onto the free monomials"
                     else:
                         why = "leaves the inner box"
-                    return f"u^{_exponent_str(nb)}, next to the free u^{_exponent_str(m)}, {why}"
-        return None
+                    return None, (f"u^{_exponent_str(nb)}, next to the free "
+                                  f"u^{_exponent_str(m)}, {why}")
+        return action, None
 
 
 def _exponent_str(m: tuple[int, ...]) -> str:
@@ -484,25 +490,25 @@ def _box_echelon(rels: Sequence[Laurent], n: int, B: int) -> _Echelon:
 
 
 class JacobianAlgebra:
-    """The quotient of the torus Laurent ring by a Jacobian ideal, in a box.
+    """The quotient of the torus Laurent ring by a Jacobian ideal, as a torus action.
 
     ``basis`` lists the surviving monomial exponents, most preferred first;
     ``dressing[k]`` is the q-power attached to basis monomial k so that the
     dressed classes match the quantum normalization (0 on the unit, 1 on
-    everything else).
+    everything else).  ``box`` is the box B at which the search stopped.
     """
 
-    __slots__ = ("f", "n", "dim", "basis", "dressing", "box", "_ech", "_grading")
+    __slots__ = ("f", "n", "dim", "basis", "dressing", "box", "action", "_grading")
 
-    def __init__(self, f: Laurent, dim: int, basis, box: int,
-                 ech: _Echelon, grading: tuple[tuple[int, ...], int]):
+    def __init__(self, f: Laurent, basis, box: int, action: list,
+                 grading: tuple[tuple[int, ...], int]):
         self.f = f
         self.n = len(f.vars) - 1
-        self.dim = dim
         self.basis = tuple(basis)
+        self.dim = len(self.basis)
         self.dressing = tuple(0 if not any(m) else 1 for m in self.basis)
         self.box = box
-        self._ech = ech
+        self.action = action
         self._grading = grading
 
     def labels(self) -> tuple[str, ...]:
@@ -515,35 +521,31 @@ class JacobianAlgebra:
                 out.append(head + "u^" + _exponent_str(m))
         return tuple(out)
 
-    def _ensure_reach(self, norm: int) -> None:
-        """Grow the box so that its inner part, which alone reduces onto
-        the basis, holds every monomial of this norm."""
-        if norm < self._ech.reach:
-            return
-        ech = _box_echelon(torus_relations(self.f), self.n, norm)
-        if ech.dim != self.dim or ech.free != list(self.basis):
-            raise ValueError("the quotient changed when the box grew; "
-                             "the stabilized dimension was spurious")
-        self._ech = ech
-
     def reduce_monomial(self, exps: Sequence[int]) -> dict:
         """Coordinates of the class of u^exps on the free monomials.
 
-        Each coordinate is a Laurent monomial v*q^k: the echelon holds v,
-        and the grading fixes k by w.exps = w.c + w_q*k for free monomial c.
-        An exponent whose length is not n raises ValueError.
+        The class of 1, basis monomial 0 or zero, is walked to u^exps one
+        u_i^(+-1) step of ``action`` at a time, at q = 1.  Each coordinate
+        is then a Laurent monomial v*q^k: the grading fixes k by w.exps =
+        w.c + w_q*k for free monomial c.  An exponent whose length is not n
+        raises ValueError.
         """
         exps = tuple(exps)
         if len(exps) != self.n:
             raise ValueError(f"expected an exponent of length {self.n}, got {exps}")
-        self._ensure_reach(max(map(abs, exps)))
-        rw = self._ech.rewrite(self._ech.key(exps))
-        if rw is None:
-            return {exps: Laurent.const(QVARS, 1)}
+        vec = {0: 1} if self.basis and not any(self.basis[0]) else {}
+        for i, e in enumerate(exps):
+            step = self.action[2 * i + (e > 0)]
+            for _ in range(abs(e)):
+                nxt: dict = {}
+                for k, v in vec.items():
+                    for c, a in step[k].items():
+                        nxt[c] = nxt.get(c, 0) + v * a
+                vec = {c: v for c, v in nxt.items() if v}
         w, wq = self._grading
         out = {}
-        for key, v in rw.items():
-            c = self._ech.cell(key)
+        for index, v in sorted(vec.items()):
+            c = self.basis[index]
             k, rest = divmod(sum(wi * (a - b) for wi, a, b in zip(w, exps, c)), wq)
             if rest:
                 raise ValueError(f"u^{exps} rewrites onto u^{c} at the "
@@ -567,13 +569,13 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
     The quotient dimension is evaluated in growing exponent boxes until
     three consecutive boxes agree, so a ``box_max`` below 3 raises NotTame
     before any box is built.  At that box the free monomials must be closed
-    under the torus action (``_Echelon.closure_witness``), which certifies
-    the dimension as an upper bound; otherwise this raises NotTame.  The
-    support must be convenient (0 in the interior of the Newton polytope)
-    for the quotient to be finite at all.  When ``expected_dim`` is given
-    (for example the Kouchnirenko volume bound), a mismatch with the
-    stabilized dimension raises.  f must also be quasi-homogeneous (see
-    ``_grading``); otherwise this raises ValueError.
+    under the torus action (``_Echelon.torus_action``), which certifies
+    the dimension as an upper bound and is all the result keeps; otherwise
+    this raises NotTame.  The support must be convenient (0 in the interior
+    of the Newton polytope) for the quotient to be finite at all.  When
+    ``expected_dim`` is given (for example the Kouchnirenko volume bound),
+    a mismatch with the stabilized dimension raises.  f must also be
+    quasi-homogeneous (see ``_grading``); otherwise this raises ValueError.
     """
     witness = convenience_witness(f)
     if witness is not None:
@@ -589,7 +591,7 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
         ech = _box_echelon(rels, n, B)
         dims.append(ech.dim)
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            witness = ech.closure_witness()
+            action, witness = ech.torus_action()
             if witness is not None:
                 raise NotTame(f"dimensions {dims} stopped in box [-{B},{B}]^{n}, "
                               f"but its free monomials are not closed: {witness}")
@@ -597,7 +599,7 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
                 raise ValueError(
                     f"stabilized dimension {ech.dim} does not match the "
                     f"expected value {expected_dim}")
-            return JacobianAlgebra(f, ech.dim, ech.free, B, ech, grading)
+            return JacobianAlgebra(f, ech.free, B, action, grading)
         del ech  # not held while the next box is reduced
     raise NotTame(f"not tame in box [-{box_max},{box_max}]^{n}: "
                   f"dimensions {dims} did not stabilize")
@@ -620,9 +622,6 @@ def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
         vec = J.reduce_poly(g * Laurent(g.vars, {(0,) + mj: Fraction(1)}))
         col = [Laurent.zero(QVARS)] * J.dim
         for b, v in vec.items():
-            if b not in index:
-                raise ValueError(f"the product leaves the basis at {b}; "
-                                 "the box is too small for this multiplier")
             k = index[b]
             col[k] = v * Laurent.gen(QVARS, "q", aj - J.dressing[k])
         cols.append(col)

@@ -92,12 +92,12 @@ def json_field(doc: dict, key: str, name: str | None = None):
 
 
 def json_text(doc) -> str:
-    """The one JSON writer: ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+    """A JSON writer: ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
     Byte for byte the same text, without the stdlib's pure-Python indenting
-    encoder.  Only dicts with ``str`` keys, lists, tuples, ints, strings,
-    booleans and None are written; anything else, a float or a Fraction
-    included, raises TypeError.
+    encoder; ``QLRTable.to_json_text`` writes Grassmann tables.  Only dicts
+    with ``str`` keys, lists, tuples, ints, strings, booleans and None are
+    written; anything else, a float or a Fraction included, raises TypeError.
     """
     return _json_value(doc, "\n") + "\n"
 

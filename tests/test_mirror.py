@@ -139,7 +139,6 @@ class TestJacobianAlgebra:
         # echelon leaves it free; its class is the unit, as for u^(-3,3)
         f = mirror_f(2)
         J = jacobian_algebra(f)
-        assert J._ech.reach == 4
         assert J.reduce_monomial((-4, 4)) == {(0, 0): ONE}
         assert J.reduce_monomial((-3, 3)) == {(0, 0): ONE}
         ech = _box_echelon(torus_relations(f), 2, 5)
@@ -184,9 +183,9 @@ class TestJacobianAlgebra:
 
     def test_a_neighbour_that_reduces_off_the_free_set_is_named(self):
         ech = _box_echelon(torus_relations(mirror_f(1)), 1, 3)
-        assert ech.free == [(0,), (-1,)] and ech.closure_witness() is None
+        assert ech.free == [(0,), (-1,)] and ech.torus_action()[1] is None
         ech.rewrites[ech.key((1,))] = {ech.key((2,)): 1}
-        assert ech.closure_witness() == ("u^(1), next to the free u^(0), "
+        assert ech.torus_action()[1] == ("u^(1), next to the free u^(0), "
                                          "does not reduce onto the free monomials")
 
     def test_non_integral_q_power_raises(self):
@@ -299,7 +298,7 @@ class TestBoxEchelon:
                             lambda *args: calls.append(args[1:]) or _box_echelon(*args))
         J = jacobian_algebra(mirror_f(2))
         J.reduce_monomial((5, 0))
-        assert calls == [(2, 1), (2, 2), (2, 3), (2, 5)]
+        assert calls == [(2, 1), (2, 2), (2, 3)]
         assert len(_box_echelon(torus_relations(mirror_f(4)), 4, 3).rewrites) == 5786
 
     def test_too_small_a_box_bound_fails_before_any_box(self, monkeypatch):
@@ -385,6 +384,54 @@ class TestBinomialEchelon:
         free, rewrites = macaulay_echelon(rels, n, B)
         assert (got.dim, got.free) == (len(free), free)
         assert decoded(got) == rewrites
+
+
+def box_coordinates(f, ech, m):
+    """The class of u^m read off a box echelon through ``rewrite`` and the grading."""
+    rw = ech.rewrite(ech.key(m))
+    if rw is None:
+        return {m: ONE}
+    (w, wq), out = _grading(f), {}
+    for key, v in rw.items():
+        c = ech.cell(key)
+        k, rest = divmod(sum(wi * (a - b) for wi, a, b in zip(w, m, c)), wq)
+        assert rest == 0, (m, c)
+        out[c] = Laurent(QV, {(k,): Fraction(v)})
+    return out
+
+
+WALK_CASES = {"mirror1": mirror_f(1), "mirror2": mirror_f(2), "mirror3": mirror_f(3),
+              "scaled-line": SCALED_LINE, "weighted": WEIGHTED_PLANE,
+              "line-plus-line": ECHELON_CASES["line-plus-line"][0]}
+
+
+class TestTorusAction:
+    @pytest.mark.parametrize("name", list(WALK_CASES))
+    def test_walk_matches_the_grown_box(self, name):
+        # the box B = 5 is the route a monomial past the stop box used to take
+        f = WALK_CASES[name]
+        n = len(f.vars) - 1
+        J = jacobian_algebra(f)
+        ech = _box_echelon(torus_relations(f), n, 5)
+        assert ech.free == list(J.basis)
+        top = 4 if n <= 2 else 3
+        for m in product(range(-top, top + 1), repeat=n):
+            assert J.reduce_monomial(m) == box_coordinates(f, ech, m), m
+
+    def test_the_walk_builds_no_box(self, monkeypatch):
+        J = jacobian_algebra(mirror_f(4))
+
+        def no_box(*args):
+            raise AssertionError("a box was built")
+
+        monkeypatch.setattr("altfrob.mirror._box_echelon", no_box)
+        assert J.reduce_monomial((5, 0, 0, -2)) == {(0, 0, -1, -1): Q}
+
+    def test_the_action_is_indexed_by_axis_and_step(self):
+        # on the line u^2 = q: u sends 1 to u and u^(-1) to 1 at q = 1
+        J = jacobian_algebra(mirror_f(1))
+        assert J.basis == ((0,), (-1,))
+        assert J.action == [[{1: 1}, {0: 1}], [{1: 1}, {0: 1}]]
 
 
 class TestGrading:
