@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .linalg import Mat, permutation_sign, wedge_indices, wedge_metric
 from .projective import build_pn
-from .rings import QVARS, Laurent, fraction_from_str, fraction_to_str, json_field
+from .rings import QVARS, Laurent, fraction_to_str, json_field
 
 Partition = tuple[int, ...]
 
@@ -142,19 +142,21 @@ def _straighten(exps: Sequence[int], n: int) -> tuple[int, int, tuple[int, ...]]
 class QLRTable:
     """Structure constants of a rank-|rectangle| Frobenius algebra over Q[q].
 
-    Keys are canonically ordered pairs (lambda, mu) in wedge order plus the
-    output partition nu; coefficients are nonzero Laurent polynomials in q.
+    ``entries`` maps (lambda, mu, nu), the pair in wedge order, to a nonzero
+    int c: the constant is c * q^d with d = (|lambda| + |mu| - |nu|) / (n+1),
+    the degree drop, since q has degree n+1 (``alt_structure_constants``).
+    ``entry`` and ``product`` return these as Laurent polynomials in q.
     """
 
     __slots__ = ("r", "n", "entries", "_order", "_products")
 
     def __init__(self, r: int, n: int,
-                 entries: dict[tuple[Partition, Partition, Partition], Laurent]):
+                 entries: dict[tuple[Partition, Partition, Partition], int]):
         self.r = r
         self.n = n
         self.entries = dict(entries)
         self._order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
-        self._products: dict[tuple[Partition, Partition], dict[Partition, Laurent]] | None = None
+        self._products: dict[tuple[Partition, Partition], dict[Partition, int]] | None = None
 
     def _canon(self, lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
         if self._order[lam] <= self._order[mu]:
@@ -172,16 +174,27 @@ class QLRTable:
                              f"rectangle, got {parts!r}")
         return key
 
-    def product(self, lam, mu) -> dict[Partition, Laurent]:
+    def _degree(self, lam: Partition, mu: Partition, nu: Partition) -> int:
+        """The q-power d of an entry: the degree drop over deg q = n+1."""
+        return (sum(lam) + sum(mu) - sum(nu)) // (self.n + 1)
+
+    def _term(self, lam: Partition, mu: Partition, nu: Partition, c: int) -> Laurent:
+        return Laurent(QVARS, {(self._degree(lam, mu, nu),): Fraction(c)})
+
+    def coefficients(self, lam, mu) -> dict[Partition, int]:
+        """nu -> c with lam * mu = sum of c * q^d * nu, d the degree drop."""
         if self._products is None:
             self._products = {}
-            for (a, b, nu), cf in self.entries.items():
-                self._products.setdefault((a, b), {})[nu] = cf
+            for (a, b, nu), c in self.entries.items():
+                self._products.setdefault((a, b), {})[nu] = c
         return dict(self._products.get(self._canon(*self._fit((lam, mu))), {}))
+
+    def product(self, lam, mu) -> dict[Partition, Laurent]:
+        return {nu: self._term(lam, mu, nu, c) for nu, c in self.coefficients(lam, mu).items()}
 
     def entry(self, lam, mu, nu) -> Laurent:
         lam, mu, nu = self._fit((lam, mu, nu))
-        return self.entries.get((*self._canon(lam, mu), nu), Laurent.zero(QVARS))
+        return self._term(lam, mu, nu, self.entries.get((*self._canon(lam, mu), nu), 0))
 
     def __eq__(self, other):
         if not isinstance(other, QLRTable):
@@ -191,43 +204,31 @@ class QLRTable:
     def to_json_text(self) -> str:
         """The table document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
-        Written in one pass over the sorted entries, each reading its terms
-        directly, each rectangle partition's list text rendered once, and
-        joined once.  Every int goes through ``int.__repr__``, so a value that
-        is not an int raises TypeError instead of reaching the text; a
-        coefficient that is not integral raises ValueError.
+        Written in one pass over the sorted entries, each rectangle
+        partition's list text rendered once, and joined once; "q" is the one
+        term [d, c].  Every int goes through ``int.__repr__``, so a value that
+        is not an int raises TypeError instead of reaching the text.
         """
-        rep, at = int.__repr__, "\n        "
+        rep, at, m = int.__repr__, "\n        ", self.n + 1
         part = {lam: f"[{at}{(',' + at).join(map(rep, lam))}\n      ]" if lam else "[]"
                 for lam in self._order}
+        size = {lam: sum(lam) for lam in self._order}
         out, sep = ['{\n  "entries": ['], "\n    "
-        for key in sorted(self.entries):
-            terms = self.entries[key].terms
-            q = []
-            for (e,), c in terms.items() if len(terms) == 1 else sorted(terms.items()):
-                if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient at {key}")
-                q.append(f"[\n          {rep(e)},\n          {rep(c.numerator)}\n        ]")
-            q = f"[{at}{(',' + at).join(q)}\n      ]" if q else "[]"
-            lam, mu, nu = key
+        for (lam, mu, nu), c in sorted(self.entries.items()):
+            d = (size[lam] + size[mu] - size[nu]) // m
             out.append(f'{sep}{{\n      "lambda": {part[lam]},\n      "mu": {part[mu]},\n'
-                       f'      "nu": {part[nu]},\n      "q": {q}\n    }}')
+                       f'      "nu": {part[nu]},\n      "q": [{at}[{at}  {rep(d)},'
+                       f'{at}  {rep(c)}{at}]\n      ]\n    }}')
             sep = ",\n    "
         out.append("\n  ]," if self.entries else "],")
         out.append(f'\n  "n": {rep(self.n)},\n  "r": {rep(self.r)}\n}}\n')
         return "".join(out)
 
     def to_csv(self) -> str:
-        """One row per term, sorted; a coefficient that is not integral raises ValueError."""
+        """One row (lambda, mu, nu, d, c) per entry, sorted."""
         text = {lam: " ".join(map(str, lam)) for lam in self._order}
-        rows = []
-        for key, cf in self.entries.items():
-            lam, mu, nu = key
-            for (e,), c in cf.terms.items():
-                if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient at {key}")
-                rows.append((text[lam], text[mu], text[nu], e, c.numerator))
-        rows.sort()
+        rows = sorted((text[lam], text[mu], text[nu], self._degree(lam, mu, nu), c)
+                      for (lam, mu, nu), c in self.entries.items())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "qpow", "coef"])
@@ -238,8 +239,9 @@ class QLRTable:
     def from_json(cls, doc: dict) -> "QLRTable":
         """Decode a table document; a mistyped or missing field raises ValueError.
 
-        So does a pair (lambda, mu) out of wedge order, a repeated entry or q
-        exponent, and a zero coefficient: a computed table holds none of them.
+        So does a pair (lambda, mu) out of wedge order, a repeated entry, and a
+        "q" other than one [d, c] with d = (|lambda| + |mu| - |nu|) / (n+1) an
+        integer and c a nonzero int or integer string: nothing else is a table.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"a table must be a JSON object, got {type(doc).__name__}")
@@ -260,22 +262,25 @@ class QLRTable:
             if any(not isinstance(p, list) or any(type(x) is not int for x in p)
                    for p in parts):
                 raise ValueError(f"partitions must be lists of integers, got {parts!r}")
-            if not isinstance(pairs, list) or any(
-                    not isinstance(t, list) or len(t) != 2 or type(t[0]) is not int
-                    or type(t[1]) not in (int, str) for t in pairs):
-                raise ValueError("q must be a list of [integer exponent, rational string "
-                                 f"or integer coefficient] pairs, got {pairs!r}")
             key = empty._fit(parts)
             if empty._canon(*key[:2]) != key[:2]:
                 raise ValueError(f"lambda, mu must be in wedge order, got {parts!r}")
             if key in entries:
                 raise ValueError(f"repeated entry {parts!r}")
-            coeffs = {(e,): fraction_from_str(c) for e, c in pairs}
-            if len(coeffs) < len(pairs):
-                raise ValueError(f"repeated q exponent at {parts!r}")
-            if not any(coeffs.values()):
-                raise ValueError(f"zero coefficient at {parts!r}")
-            entries[key] = Laurent(("q",), coeffs)
+            if (not isinstance(pairs, list) or len(pairs) != 1 or not isinstance(pairs[0], list)
+                    or len(pairs[0]) != 2):
+                raise ValueError(f"q must be one [degree, coefficient] pair, got {pairs!r} "
+                                 f"at {parts!r}")
+            (d, c), drop = pairs[0], sum(key[0]) + sum(key[1]) - sum(key[2])
+            if drop % (n + 1) or type(d) is not int or d != drop // (n + 1):
+                raise ValueError(f"q exponent must be the degree drop (|lambda| + |mu| - |nu|)"
+                                 f" / (n + 1) = {drop} / {n + 1}, got {d!r} at {parts!r}")
+            if type(c) is str and c.isascii() and c.removeprefix("-").isdigit():
+                c = int(c)
+            if type(c) is not int or not c:
+                raise ValueError(f"coefficient must be a nonzero integer, got {c!r} "
+                                 f"at {parts!r}")
+            entries[key] = c
         return cls(r, n, entries)
 
 
@@ -297,11 +302,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.fn(key)
         return value
-
-
-# Fractions for the small nonzero coefficients, shared by the entries of both tables
-# and never changed; a larger coefficient gets its own.
-_FRACTION = {c: Fraction(c) for c in range(-32, 33) if c}
 
 
 def _exponent_code(v: Sequence[int], radix: int) -> int:
@@ -355,14 +355,14 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     the vector sum and one lookup in ``_straightening`` its reduction.  The
     exponents of a_(mu+delta+w) sum to |lam| + |mu| + |delta| and those of
     a_(nu+delta) to |nu| + |delta|, so the wraps, one q each, number
-    (|lam| + |mu| - |nu|) / (n+1): one q-power per (lam, mu, nu).
+    (|lam| + |mu| - |nu|) / (n+1): one q-power per (lam, mu, nu), so the
+    table keeps only the int coefficient.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     radix = 2 * n + 2
     indices = wedge_indices(n + 1, r)
     parts = [partition_from_indices(I, r) for I in indices]
-    size = [sum(lam) for lam in parts]
     shifted = [_exponent_code(I[::-1], radix) for I in indices]
     memo: dict = {}
     weights = [[(_exponent_code(w, radix), k) for w, k in _tableau_weights(lam, r, memo).items()]
@@ -378,12 +378,9 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
                 if st is not None:
                     nu, sign = st
                     acc[nu] = acc.get(nu, 0) + sign * k
-            degree = size[i] + size[j]
             for nu, c in acc.items():
                 if c:
-                    e = (degree - size[nu]) // (n + 1)
-                    entries[lam, parts[j], parts[nu]] = Laurent._trusted(
-                        QVARS, {(e,): _FRACTION.get(c) or Fraction(c)})
+                    entries[lam, parts[j], parts[nu]] = c
     return QLRTable(r, n, entries)
 
 
@@ -499,23 +496,24 @@ def rimhook_reduce(nu: Partition, r: int, n: int):
 
 
 def rimhook_oracle(r: int, n: int) -> QLRTable:
-    """Classical LR numbers reduced by rim hooks: the combinatorial route."""
+    """Classical LR numbers reduced by rim hooks: the combinatorial route.
+
+    Each nu~ in lr_products(lam, mu) has |nu~| = |lam| + |mu|, and k hooks of
+    size n+1 strip it to its core, so every nu~ reaching one core carries
+    the same q^k: the entry is the signed sum of their LR numbers.
+    """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     reduced = _Memo(lambda nu: rimhook_reduce(nu, r, n))
-    entries: dict[tuple[Partition, Partition, Partition], Laurent] = {}
+    entries: dict[tuple[Partition, Partition, Partition], int] = {}
     for lam, mu in _ordered_pairs(rect_partitions(r, n)):
-        acc: dict[Partition, dict[int, int]] = {}
+        acc: dict[Partition, int] = {}
         for nutil, c in lr_products(lam, mu, r).items():
             st = reduced[nutil]
             if st is not None:
-                core, qpow, sign = st
-                bucket = acc.setdefault(core, {})
-                bucket[qpow] = bucket.get(qpow, 0) + sign * c
-        for core, bucket in acc.items():
-            terms = {(e,): _FRACTION.get(c) or Fraction(c) for e, c in bucket.items() if c}
-            if terms:
-                entries[lam, mu, core] = Laurent._trusted(QVARS, terms)
+                core, _, sign = st
+                acc[core] = acc.get(core, 0) + sign * c
+        entries.update(((lam, mu, core), c) for core, c in acc.items() if c)
     return QLRTable(r, n, entries)
 
 

@@ -93,9 +93,8 @@ def test_criterion_03_positivity_and_associativity():
     t0 = time.perf_counter()
     for r, n in GRASSMANN_RANGE:
         table = alt_structure_constants(r, n)
-        for key, cf in table.entries.items():
-            for _, c in cf.terms.items():
-                assert c.denominator == 1 and c >= 0, (key, c)
+        for key, c in table.entries.items():
+            assert type(c) is int and c > 0, (key, c)
         basis = table.basis()
         rng = random.Random(300 + 10 * r + n)
         for _ in range(100):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altfrob import grassmann
 from altfrob.cli import _pretty_table
 from altfrob.grassmann import (
     QLRTable,
@@ -215,6 +214,23 @@ class TestRimHooks:
     def test_double_removal(self):
         assert rimhook_reduce((3, 3), 2, 2) == ((), 2, 1)
 
+    def test_hooks_account_for_the_degree_drop(self):
+        """Each hook removes n+1 boxes: k (n+1) = |nu~| - |core| for every LR product.
+
+        So all nu~ of one (lam, mu) that reach a core carry one q-power, the
+        degree drop the table derives from its key.
+        """
+        for r in range(1, 4):
+            for n in range(r, 6):
+                parts = rect_partitions(r, n)
+                for i, lam in enumerate(parts):
+                    for mu in parts[i:]:
+                        for nutil in lr_products(lam, mu, r):
+                            st = rimhook_reduce(nutil, r, n)
+                            if st is not None:
+                                core, k, _ = st
+                                assert k * (n + 1) == sum(nutil) - sum(core), (r, n, nutil)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_straightening_shape_by_shape(self, n):
         """nu strips to its core as a_(nu + delta) straightens, up to the q twist.
@@ -268,12 +284,13 @@ class TestOracleAgreement:
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
 
-    def test_coefficients_outside_the_shared_fractions(self, monkeypatch):
-        """With no shared Fraction, each entry makes its own, and the tables are unchanged."""
-        want = alt_structure_constants(4, 7)
-        assert max(abs(c) for cf in want.entries.values() for c in cf.terms.values()) > 1
-        monkeypatch.setattr(grassmann, "_FRACTION", {})
-        assert alt_structure_constants(4, 7) == want == rimhook_oracle(4, 7)
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 5), (4, 7)])
+    def test_entries_are_nonzero_ints(self, r, n):
+        """Both tables and their JSON round trip hold one nonzero int per entry."""
+        T = alt_structure_constants(r, n)
+        back = QLRTable.from_json(json.loads(T.to_json_text()))
+        for table in (T, rimhook_oracle(r, n), back):
+            assert all(type(c) is int and c for c in table.entries.values()), (r, n)
 
 
 @pytest.fixture(scope="module")
@@ -286,15 +303,8 @@ class TestTableInvariants:
 
     def test_positivity(self, tables):
         for T in tables.values():
-            for key, cf in T.entries.items():
-                for _, c in cf.terms.items():
-                    assert c.denominator == 1 and c > 0, (key, str(cf))
-
-    def test_degree_constraint(self, tables):
-        for (r, n), T in tables.items():
-            for (lam, mu, nu), cf in T.entries.items():
-                for (qpow,), _ in cf.terms.items():
-                    assert sum(lam) + sum(mu) == sum(nu) + qpow * (n + 1)
+            for key, c in T.entries.items():
+                assert type(c) is int and c > 0, (key, c)
 
     def test_classical_stratum_is_littlewood_richardson(self, tables):
         for (r, n), T in tables.items():
@@ -340,45 +350,50 @@ class TestTableInvariants:
 
 @st.composite
 def mutated_table(draw, doc):
-    """A copy of a valid table document with one entry reordered, repeated or zeroed.
+    """A copy of a valid table document with one entry reordered, repeated, zeroed,
+    given a second q term or moved off its degree drop.
 
     Returns the document and the start of the error it must raise.
     """
     doc = json.loads(json.dumps(doc))
     entries = doc["entries"]
-    how = draw(st.sampled_from(["swap", "repeat", "zero", "repeat-q"]))
+    how = draw(st.sampled_from(["swap", "repeat", "zero", "two-terms", "degree"]))
     if how == "swap":  # the pair out of wedge order
         item = draw(st.sampled_from([e for e in entries if e["lambda"] != e["mu"]]))
         item["lambda"], item["mu"] = item["mu"], item["lambda"]
         return doc, "lambda, mu must be in wedge order"
     item = draw(st.sampled_from(entries))
     if how == "repeat":  # the same (lambda, mu, nu), its coefficient kept or changed
-        twin = {**item, "q": draw(st.sampled_from([item["q"], [[0, 7]]]))}
+        twin = {**item, "q": draw(st.sampled_from([item["q"], [[item["q"][0][0], 7]]]))}
         entries.insert(draw(st.integers(0, len(entries))), twin)
         return doc, "repeated entry"
-    if how == "zero":
-        item["q"] = draw(st.sampled_from([[], [[e, 0] for e, _ in item["q"]]]))
-        return doc, "zero coefficient"
     e, c = item["q"][0]
-    item["q"].append([e, draw(st.sampled_from([c, 7]))])
-    return doc, "repeated q exponent"
+    if how == "zero":
+        item["q"] = [[e, draw(st.sampled_from([0, "0", "-0"]))]]
+        return doc, "coefficient must be a nonzero integer"
+    if how == "two-terms":
+        item["q"] = draw(st.sampled_from([[], [[e, c], [e, c]], [[e, c], [e + 1, 7]]]))
+        return doc, "q must be one"
+    item["q"] = [[e + draw(st.sampled_from([-1, 1])), c]]
+    return doc, "q exponent must be the degree drop"
 
 
 @st.composite
 def table_documents(draw):
-    """A valid table document: entries and q exponents in any order, coefficients
-    small or large, negative, and as integers or integer strings."""
+    """A valid table document: entries in any order, each one term at its degree
+    drop, coefficients small or large, negative, and as integers or integer strings."""
     r = draw(st.integers(1, 3))
     n = draw(st.integers(r, r + 2))
     parts = rect_partitions(r, n)
     triples = [(lam, mu, nu) for i, lam in enumerate(parts) for mu in parts[i:]
-               for nu in parts]
+               for nu in parts if (sum(lam) + sum(mu) - sum(nu)) % (n + 1) == 0]
     coef = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)).filter(bool)
     entries = []
     for lam, mu, nu in draw(st.lists(st.sampled_from(triples), unique=True, max_size=12)):
-        q = draw(st.dictionaries(st.integers(-4, 6), coef, min_size=1, max_size=4))
+        c = draw(coef)
         entries.append({"lambda": list(lam), "mu": list(mu), "nu": list(nu),
-                        "q": [[e, draw(st.sampled_from([c, str(c)]))] for e, c in q.items()]})
+                        "q": [[(sum(lam) + sum(mu) - sum(nu)) // (n + 1),
+                               draw(st.sampled_from([c, str(c)]))]]})
     return {"r": r, "n": n, "entries": entries}
 
 
@@ -401,8 +416,10 @@ class TestSerialization:
         assert QLRTable.from_json(json.loads(T.to_json_text())) == T
 
     @pytest.mark.parametrize("mutate,message", [
-        (lambda d: d["entries"][0]["q"][0].__setitem__(1, 0.1), "q must be a list of"),
-        (lambda d: d["entries"][0]["q"][0].__setitem__(0, True), "q must be a list of"),
+        (lambda d: d["entries"][0]["q"][0].__setitem__(1, 0.1),
+         "coefficient must be a nonzero integer, got 0.1 at"),
+        (lambda d: d["entries"][0]["q"][0].__setitem__(0, True),
+         "q exponent must be the degree drop"),
         (lambda d: d.__setitem__("r", "1"), "r must be an integer, got '1'"),
         (lambda d: d.__setitem__("entries", 3), "entries must be a list of objects, got 3"),
         (lambda d: d["entries"].__setitem__(0, 5), "entries must be a list of objects"),
@@ -412,14 +429,18 @@ class TestSerialization:
         (lambda d: d.pop("entries"), "missing field entries"),
         (lambda d: d["entries"][0].pop("nu"), "missing field nu"),
         (lambda d: d["entries"][0].pop("q"), "missing field q"),
-        (lambda d: d["entries"][0]["q"][0].__setitem__(1, "1/0"), "zero denominator in '1/0'"),
+        (lambda d: d["entries"][0]["q"][0].__setitem__(1, "1/0"),
+         "coefficient must be a nonzero integer, got '1/0' at"),
+        (lambda d: d["entries"][0].__setitem__("mu", [1]),
+         r"degree drop \(\|lambda\| \+ \|mu\| - \|nu\|\) / \(n \+ 1\) = 1 / 4, got 0 at"),
         (lambda d: d.__setitem__("r", 0), "need 1 <= r <= n, got r = 0, n = 3"),
         (lambda d: d.__setitem__("r", 4), "need 1 <= r <= n, got r = 4, n = 3"),
         (lambda d: d["entries"][0].__setitem__("lambda", [5]),
          "partitions must fit the 2 x 2 rectangle"),
     ], ids=["float-coefficient", "bool-exponent", "r-str", "entries-int",
             "entry-int", "mu-str", "not-an-object", "missing-entries", "missing-nu",
-            "missing-q", "zero-denominator", "r-zero", "r-above-n", "lambda-outside"])
+            "missing-q", "zero-denominator", "drop-not-divisible", "r-zero", "r-above-n",
+            "lambda-outside"])
     def test_mistyped_table_is_rejected(self, mutate, message):
         doc = json.loads(alt_structure_constants(2, 3).to_json_text())
         if mutate is None:
@@ -438,13 +459,17 @@ class TestSerialization:
             QLRTable.from_json(doc)
         assert "\n" not in str(info.value)
 
-    @pytest.mark.parametrize("write", [QLRTable.to_json_text, QLRTable.to_csv],
-                             ids=["json", "csv"])
-    def test_non_integer_coefficient_is_rejected(self, write):
+    @pytest.mark.parametrize("coef", ["1/2", "-3/1", "1e3", "+4", "--4", "\u0663", ""],
+                             ids=["half", "integral-fraction", "exponent", "plus", "double-minus",
+                                  "non-ascii-digit", "empty"])
+    def test_non_integer_coefficient_is_rejected(self, coef):
+        """An int table cannot hold it, so the decoder refuses it, naming the entry."""
         doc = json.loads(alt_structure_constants(2, 3).to_json_text())
-        doc["entries"][0]["q"][0][1] = "1/2"
-        with pytest.raises(ValueError, match="non-integer coefficient"):
-            write(QLRTable.from_json(doc))
+        item = doc["entries"][0]
+        item["q"][0][1] = coef
+        with pytest.raises(ValueError, match="coefficient must be a nonzero integer") as info:
+            QLRTable.from_json(doc)
+        assert str(info.value).endswith(f"at {[item['lambda'], item['mu'], item['nu']]!r}")
 
     def test_json_is_deterministic(self):
         assert (alt_structure_constants(2, 4).to_json_text()
@@ -488,9 +513,8 @@ class TestSerialization:
             table.setdefault((min(lam, mu), max(lam, mu), nu), {})[e] = c
 
         want, got_json, got_csv, got_pretty = {}, {}, {}, {}
-        for (lam, mu, nu), cf in T.entries.items():
-            for (e,), c in cf.terms.items():
-                put(want, lam, mu, nu, e, c)
+        for (lam, mu, nu), c in T.entries.items():
+            put(want, lam, mu, nu, (sum(lam) + sum(mu) - sum(nu)) // 8, c)
         for d in json.loads(T.to_json_text())["entries"]:
             for e, c in d["q"]:
                 put(got_json, tuple(d["lambda"]), tuple(d["mu"]), tuple(d["nu"]), e, c)
