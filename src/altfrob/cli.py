@@ -17,7 +17,7 @@ rationals are rendered as ``num/den`` strings, and q-polynomials as
 ``[power, coefficient]`` pairs in ascending power order.
 
 Defaults can be placed in an ``altfrob.json`` file in the working directory
-(keys ``K``, ``B_max``, ``format``, ``out``, ``seed``, ``verbosity``);
+(keys ``K``, ``format``, ``out``, ``seed``, ``verbosity``);
 command-line flags override the file.  A truncation order (``--order`` or
 ``K``) below 0, or above the truncation of the data it is applied to, is an
 input error.
@@ -35,8 +35,7 @@ from .deform import (GW_DMAX, InvariantViolation, NotPrePrimitive, gw_pn2, hm_ex
                      problem_from_json, wdvv_oracle)
 from .grassmann import alt_metric, alt_structure_constants, rimhook_oracle
 from .linalg import charpoly, wedge_indices
-from .mirror import (NotTame, compare_quantum_gm, jacobian_algebra, kouchnirenko_bound,
-                     mirror_brieskorn, mirror_f, mult_f_matrix)
+from .mirror import NotTame, compare_quantum_gm, mirror_brieskorn
 from .presaito import (_encode_laurent, check_metric, check_pre_saito, dumps_family,
                        loads_family, wedge)
 from .projective import pn_small_family
@@ -47,14 +46,13 @@ FORMATS = ("json", "csv", "pretty")
 
 DEFAULTS = {
     "K": None,          # truncation order; None means "whatever the data carries"
-    "B_max": 8,         # largest box tried when stabilizing a Jacobian quotient
     "format": "json",
     "out": None,        # None means stdout
     "seed": 0,
     "verbosity": 1,
 }
 # the flag (argparse dest) that overrides a config key, where the names differ
-FLAG_OF = {"K": "order", "B_max": "b_max"}
+FLAG_OF = {"K": "order"}
 
 
 class UsageError(Exception):
@@ -247,24 +245,19 @@ def cmd_gw(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_mirror(args: argparse.Namespace) -> tuple[str, int]:
-    n, box_max = args.n, args.b_max
+    n, r = args.n, args.wedge
     if n < 1:
         raise UsageError("--n must be at least 1")
-    if box_max < 1:
-        raise UsageError("--b-max must be at least 1")
+    if r is not None and not 1 <= r <= n:
+        raise UsageError("need 1 <= wedge degree <= n")
 
     if args.compare:
-        rs = [args.wedge] if args.wedge is not None else list(range(1, n + 1))
-        for r in rs:
-            if not 1 <= r <= n:
-                raise UsageError("need 1 <= wedge degree <= n")
-        return _report([compare_quantum_gm(r, n, box_max=box_max) for r in rs])
+        rs = [r] if r is not None else range(1, n + 1)
+        return _report([compare_quantum_gm(k, n) for k in rs])
 
-    if args.wedge is not None:
-        r = args.wedge
-        if not 1 <= r <= n:
-            raise UsageError("need 1 <= wedge degree <= n")
-        F, labels = mirror_brieskorn(n, box_max=box_max)
+    F, J = mirror_brieskorn(n)
+    if r is not None:
+        labels = J.labels()
         W = wedge(F, r)
         return json_text({
             "n": n,
@@ -274,15 +267,12 @@ def cmd_mirror(args: argparse.Namespace) -> tuple[str, int]:
             "charpoly": [_encode_laurent(c) for c in charpoly(W.B0)],
         }), 0
 
-    f = mirror_f(n)
-    J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
-    M = mult_f_matrix(J)
     return json_text({
         "n": n,
         "dim": J.dim,
         "box": J.box,
         "basis": J.labels(),
-        "matrix": [[_encode_laurent(M[i, j]) for j in range(J.dim)] for i in range(J.dim)],
+        "matrix": [[_encode_laurent(F.B0[i, j]) for j in range(J.dim)] for i in range(J.dim)],
     }), 0
 
 
@@ -378,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true",
                    help="compare against the quantum side (all wedge degrees, "
                         "or just --wedge R when given)")
-    p.add_argument("--b-max", type=int, default=None, dest="b_max",
-                   help="largest box tried when stabilizing the quotient")
     p.set_defaults(handler=cmd_mirror)
 
     p = sub.add_parser("hm", parents=[common],

@@ -562,8 +562,7 @@ class JacobianAlgebra:
         return {b: v for b, v in vec.items() if not v.is_zero()}
 
 
-def jacobian_algebra(f: Laurent, box_max: int = 8,
-                     expected_dim: int | None = None) -> JacobianAlgebra:
+def jacobian_algebra(f: Laurent, box_max: int = 8) -> JacobianAlgebra:
     """The Jacobian quotient of f, computed exactly by box stabilization.
 
     The quotient dimension is evaluated in growing exponent boxes until
@@ -572,10 +571,13 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
     under the torus action (``_Echelon.torus_action``), which certifies
     the dimension as an upper bound and is all the result keeps; otherwise
     this raises NotTame.  The support must be convenient (0 in the interior
-    of the Newton polytope) for the quotient to be finite at all.  When
-    ``expected_dim`` is given (for example the Kouchnirenko volume bound),
-    a mismatch with the stabilized dimension raises.  f must also be
-    quasi-homogeneous (see ``_grading``); otherwise this raises ValueError.
+    of the Newton polytope) for the quotient to be finite at all.  A
+    convenient simplex support (n+1 points, as for the mirror of projective
+    n-space) is nondegenerate, so its dimension is exactly the Kouchnirenko
+    number ``kouchnirenko_bound(f)`` (Kouchnirenko, Invent. Math. 32, 1976);
+    the stabilized dimension is compared with it and a mismatch raises
+    ValueError.  f must also be quasi-homogeneous (see ``_grading``);
+    otherwise this raises ValueError.
     """
     witness = convenience_witness(f)
     if witness is not None:
@@ -595,10 +597,9 @@ def jacobian_algebra(f: Laurent, box_max: int = 8,
             if witness is not None:
                 raise NotTame(f"dimensions {dims} stopped in box [-{B},{B}]^{n}, "
                               f"but its free monomials are not closed: {witness}")
-            if expected_dim is not None and ech.dim != expected_dim:
-                raise ValueError(
-                    f"stabilized dimension {ech.dim} does not match the "
-                    f"expected value {expected_dim}")
+            if len(_by_u(f)) == n + 1 and ech.dim != (volume := kouchnirenko_bound(f)):
+                raise ValueError(f"stabilized dimension {ech.dim} does not match the "
+                                 f"Kouchnirenko number {volume}")
             return JacobianAlgebra(f, ech.free, B, action, grading)
         del ech  # not held while the next box is reduced
     raise NotTame(f"not tame in box [-{box_max},{box_max}]^{n}: "
@@ -633,29 +634,21 @@ def mult_f_matrix(J: JacobianAlgebra, g: Laurent | None = None) -> Mat:
 # ---------------------------------------------------------------------------
 
 
-def mirror_brieskorn(n: int, box_max: int = 8) -> tuple[PreSaitoFamily, tuple[str, ...]]:
+@lru_cache(maxsize=None)
+def mirror_brieskorn(n: int) -> tuple[PreSaitoFamily, JacobianAlgebra]:
     """The Brieskorn lattice of the mirror of projective n-space over the
-    q-line, with the labels of its dressed Jacobian basis.
+    q-line, with the Jacobian algebra J on whose dressed basis it is written.
 
     On that basis B_0 is multiplication by f, C_q is minus multiplication
     by the q-term q*df/dq = q/(u_1...u_n), and B_inf = diag(0..n) is the
-    cohomological grading of the flag classes.  Cached on (n, box_max),
-    however the call spells them.
+    cohomological grading of the flag classes.  J's dimension n+1 is
+    certified by ``jacobian_algebra``'s Kouchnirenko check, and its labels
+    name the basis.  Cached on n.
     """
-    return _mirror_brieskorn(n, box_max)
-
-
-@lru_cache(maxsize=None)
-def _mirror_brieskorn(n: int, box_max: int) -> tuple[PreSaitoFamily, tuple[str, ...]]:
-    f = mirror_f(n)
-    J = jacobian_algebra(f, box_max=box_max, expected_dim=kouchnirenko_bound(f))
+    J = jacobian_algebra(mirror_f(n))
     Binf = Mat.diag([Fraction(k) for k in range(n + 1)])
-    C = -mult_f_matrix(J, f.log_deriv("q"))
-    return PreSaitoFamily((("q", "q"),), n + 1, Binf, mult_f_matrix(J), {"q": C}), J.labels()
-
-
-# the hit and miss counts stay readable under the public name
-mirror_brieskorn.cache_info = _mirror_brieskorn.cache_info
+    C = -mult_f_matrix(J, J.f.log_deriv("q"))
+    return PreSaitoFamily((("q", "q"),), n + 1, Binf, mult_f_matrix(J), {"q": C}), J
 
 
 # ---------------------------------------------------------------------------
@@ -713,19 +706,20 @@ def subset_sum_charpoly(p: Sequence, r: int) -> list[Laurent]:
 # ---------------------------------------------------------------------------
 
 
-def compare_quantum_gm(r: int, n: int, box_max: int = 8) -> Report:
+def compare_quantum_gm(r: int, n: int) -> Report:
     """Wedge of the mirror lattice against the wedge of the quantum family.
 
-    Records whether the characteristic polynomials of the two induced
-    multiplication operators agree over Q[q], whether the subset-sum route
-    reproduces the same polynomial, and whether the integer spectra of the
-    residues at infinity match.
+    The mirror side is the cached ``mirror_brieskorn(n)``, so the wedges of
+    one n share one Jacobian algebra.  Records whether the characteristic
+    polynomials of the two induced multiplication operators agree over Q[q],
+    whether the subset-sum route reproduces the same polynomial, and whether
+    the integer spectra of the residues at infinity match.
     """
     if not 0 < r <= n:
         raise ValueError("need 0 < r <= n")
     rep = Report(f"quantum vs Gauss-Manin, wedge {r} of the n={n} mirror")
 
-    mirror, _ = mirror_brieskorn(n, box_max=box_max)
+    mirror, _ = mirror_brieskorn(n)
     Wm = wedge(mirror, r)
     quantum = wedge(pn_small_family(n), r)
 

@@ -1,9 +1,12 @@
 """Exit codes, pinned outputs, determinism, and config resolution."""
 
+import argparse
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from altfrob.deform import (GW_DMAX, DeformationProblem, hm_extend, problem_from
                             problem_to_json, trivial_deformation_problem, universal_big_quantum)
 from altfrob.grassmann import QLRTable, alt_metric, alt_structure_constants
 from altfrob.linalg import Mat
-from altfrob.mirror import mirror_brieskorn
+from altfrob.mirror import NotTame, kouchnirenko_bound, mirror_brieskorn
 from altfrob.presaito import PreSaitoFamily, dumps_family, loads_family, wedge
 from altfrob.projective import build_pn, pn_small_family
 from altfrob.rings import KEY_LIMIT, Laurent, Series, json_text
@@ -89,14 +92,16 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in err
 
-    @pytest.mark.parametrize("argv,message", [
-        (["mirror", "--n", "2", "--b-max", "0"], "--b-max must be at least 1"),
-        (["mirror", "--n", "2", "--b-max", "2"], "did not stabilize"),
-        (["mirror", "--n", "2", "--compare", "--b-max", "2"], "did not stabilize"),
-        (["mirror", "--n", "9", "--b-max", "2"], "did not stabilize"),
-    ], ids=["zero", "algebra", "compare", "n9"])
-    def test_mirror_box_bound(self, capsys, argv, message):
-        assert_one_line_usage_error(*run(argv, capsys), message)
+    @pytest.mark.parametrize("extra", [[], ["--wedge", "2"], ["--compare"]],
+                             ids=["algebra", "wedge", "compare"])
+    def test_not_tame_exits_2(self, capsys, monkeypatch, extra):
+        def refuse(f):
+            raise NotTame("dimensions [3, 4, 5] did not stabilize")
+
+        mirror_brieskorn.cache_clear()  # a cached lattice would skip the search
+        monkeypatch.setattr("altfrob.mirror.jacobian_algebra", refuse)
+        assert_one_line_usage_error(*run(["mirror", "--n", "2"] + extra, capsys),
+                                    "did not stabilize")
 
     def test_out_into_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "counts.txt"
@@ -564,12 +569,11 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("doc,message", [
         ('{"verbosity": "x"}', "verbosity must be an integer"),
-        ('{"B_max": "x"}', "B_max must be an integer"),
         ('{"seed": 1.5}', "seed must be an integer"),
         ('{"K": true}', "K must be an integer or null"),
         ('{"format": "xml"}', "format must be one of json, csv, pretty"),
         ('{"out": 5}', "out must be a string or null"),
-    ], ids=["verbosity", "B_max", "seed", "K", "format", "out"])
+    ], ids=["verbosity", "seed", "K", "format", "out"])
     def test_mistyped_config_value_is_rejected(self, capsys, tmp_path, monkeypatch,
                                                doc, message):
         monkeypatch.chdir(tmp_path)
@@ -579,21 +583,24 @@ class TestConfigFile:
     def test_every_config_key_accepts_its_type(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "altfrob.json").write_text(json.dumps(
-            {"K": None, "B_max": 3, "format": "json", "out": None,
-             "seed": 1, "verbosity": 0}))
+            {"K": None, "format": "json", "out": None, "seed": 1, "verbosity": 0}))
         code, out, _ = run(["gw", "--dmax", "1"], capsys)
         assert code == 0 and out == "N=[1]\n"
 
     def test_renamed_keys_reach_their_flags(self, capsys, tmp_path, monkeypatch):
-        # K is --order and B_max is --b-max; each flag still overrides its key
+        # K is --order; the flag still overrides the key
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "altfrob.json").write_text('{"K": -1, "B_max": 0}')
+        (tmp_path / "altfrob.json").write_text('{"K": -1}')
         assert_one_line_usage_error(*run(["pn", "--n", "2", "--check"], capsys),
                                     "--order must be at least 0, got -1")
-        assert_one_line_usage_error(*run(["mirror", "--n", "1"], capsys),
-                                    "--b-max must be at least 1")
         assert run(["pn", "--n", "2", "--check", "--order", "1"], capsys)[0] == 0
-        assert run(["mirror", "--n", "1", "--b-max", "8"], capsys)[0] == 0
+
+    def test_b_max_is_an_unknown_key(self, capsys, tmp_path, monkeypatch):
+        # the mirror search takes no box bound, so its old key is refused
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "altfrob.json").write_text('{"B_max": 8}')
+        assert_one_line_usage_error(*run(["mirror", "--n", "1"], capsys),
+                                    "unknown config keys in altfrob.json: B_max")
 
     def test_explicit_config_path(self, capsys, tmp_path):
         cfg = tmp_path / "other.json"
@@ -623,13 +630,15 @@ class TestMirrorPayloads:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_algebra_dimension_is_certified(self, capsys, monkeypatch, n):
-        # the algebra branch passes the Kouchnirenko bound, n + 1, as the expected dimension
-        real, calls = cli.jacobian_algebra, []
-        monkeypatch.setattr(cli, "jacobian_algebra",
-                            lambda f, **kw: calls.append(kw) or real(f, **kw))
+        # the one Jacobian algebra of the run checks its simplex support's
+        # Kouchnirenko number, n + 1, once
+        calls = []
+        mirror_brieskorn.cache_clear()
+        monkeypatch.setattr("altfrob.mirror.kouchnirenko_bound",
+                            lambda f: calls.append(f) or kouchnirenko_bound(f))
         _, out, _ = run(["mirror", "--n", str(n)], capsys)
-        assert calls == [{"box_max": 8, "expected_dim": n + 1}]
-        assert json.loads(out)["dim"] == n + 1
+        assert [len(f.vars) for f in calls] == [n + 1]
+        assert json.loads(out)["dim"] == kouchnirenko_bound(calls[0]) == n + 1
 
     def test_wedge_payload(self, capsys):
         _, out, _ = run(["mirror", "--n", "2", "--wedge", "2"], capsys)
@@ -650,8 +659,11 @@ class TestMirrorPayloads:
         assert out.count("== quantum vs Gauss-Manin") == 1
 
     def test_wedge_out_of_range(self, capsys):
-        code, _, _ = run(["mirror", "--n", "2", "--wedge", "3"], capsys)
-        assert code == 2
+        # one range check serves the wedge and the compare branch
+        for extra in [], ["--compare"]:
+            assert_one_line_usage_error(
+                *run(["mirror", "--n", "2", "--wedge", "3"] + extra, capsys),
+                "need 1 <= wedge degree <= n")
 
 
 # -- malformed family documents, fuzzed ---------------------------------------
@@ -904,3 +916,28 @@ class TestCorruptedExtensionWitnesses:
         code, out, err = run(["hm", "--family", str(fam_path), "--psi", str(psi_path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"altfrob: check failed: extension failed: {self.HM_WITNESS[name]}\n"
+
+
+class TestReadme:
+    """The README's command-line section documents the parser and the config keys."""
+
+    @staticmethod
+    def section():
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_every_documented_flag_is_an_option(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {opt for p in subparsers.choices.values() for opt in p._option_string_actions}
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", self.section()))
+        assert flags and flags <= options, sorted(flags - options)
+
+    def test_config_example_and_keys_match_the_defaults(self):
+        section = self.section()
+        example = re.search(r"```json\n(.*?)\n```", section, re.S).group(1)
+        assert set(json.loads(example)) == set(cli.DEFAULTS)
+        # the keys whose types the README lists
+        types = re.search(r"mistyped values \((.*?)\)", section, re.S).group(1)
+        keys = set(re.findall(r"`(\w+)`", types))
+        assert keys and keys <= set(cli.DEFAULTS), sorted(keys - set(cli.DEFAULTS))
