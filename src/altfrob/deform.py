@@ -276,8 +276,8 @@ def hm_extend(problem: DeformationProblem) -> PreSaitoFamily:
 # ---------------------------------------------------------------------------
 
 
-def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence, order: int,
-                                var: str = "y") -> DeformationProblem:
+def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence,
+                                order: int) -> DeformationProblem:
     """Period data whose extension is the trivial deformation in y = log(lambda).
 
     P is a point (a family over the empty base) and omega a rational vector.
@@ -287,7 +287,7 @@ def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence, order: int,
     m = 0), truncated at the requested order.
     """
     dvals = residue_grading(P)
-    svars = (var,)
+    svars = ("y",)
     omega = tuple(as_fraction(c) for c in omega)
     degs = {dvals[i] for i, c in enumerate(omega) if c != 0}
     if len(degs) != 1:
@@ -307,18 +307,17 @@ def trivial_deformation_problem(P: PreSaitoFamily, omega: Sequence, order: int,
                     terms[(j,)] = Laurent.const(
                         P.params, coord * Fraction(m) ** (j - 1) / math.factorial(j))
         psi.append(Series(svars, order, terms))
-    return DeformationProblem(P, (var,), tuple(psi), omega, order)
+    return DeformationProblem(P, svars, tuple(psi), omega, order)
 
 
-def expand_trivial_in_log(P: PreSaitoFamily, order: int,
-                          var: str = "y") -> PreSaitoFamily:
+def expand_trivial_in_log(P: PreSaitoFamily, order: int) -> PreSaitoFamily:
     """The trivial deformation of the point P written in the coordinate y = log(lambda).
 
     Closed form: B_0(y)_{ij} = (B_0)_{ij} e^{(1 + d_i - d_j) y} truncated,
     C^(y) = -B_0(y).  Used as the exact target for the extension recursion.
     """
     dvals = residue_grading(P)
-    svars = (var,)
+    svars = ("y",)
 
     def exp_series(m: int) -> Series:
         terms = {(j,): Laurent.const(P.params, Fraction(m) ** j / math.factorial(j))
@@ -332,7 +331,7 @@ def expand_trivial_in_log(P: PreSaitoFamily, order: int,
         return exp_series(1 + dvals[i] - dvals[j]).scale(x)
 
     B0 = Mat([[entry(i, j) for j in range(P.d)] for i in range(P.d)])
-    return PreSaitoFamily(((var, "series"),), P.d, P.Binf, B0, {var: -B0},
+    return PreSaitoFamily((("y", "series"),), P.d, P.Binf, B0, {"y": -B0},
                           P.G, P.w, order, P.params)
 
 

@@ -16,7 +16,7 @@ import csv
 import io
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import Mat, permutation_sign, wedge_indices, wedge_metric
 from .projective import build_pn
@@ -142,21 +142,21 @@ def _straighten(exps: Sequence[int], n: int) -> tuple[int, int, tuple[int, ...]]
 class QLRTable:
     """Structure constants of a rank-|rectangle| Frobenius algebra over Q[q].
 
-    ``entries`` maps (lambda, mu, nu), the pair in wedge order, to a nonzero
-    int c: the constant is c * q^d with d = (|lambda| + |mu| - |nu|) / (n+1),
-    the degree drop, since q has degree n+1 (``alt_structure_constants``).
-    ``entry`` and ``product`` return these as Laurent polynomials in q.
+    ``pairs`` maps each pair (lambda, mu) in wedge order whose product is
+    nonzero to its row {nu: c}, c a nonzero int: lambda * mu is the sum of
+    c * q^d * nu with d = (|lambda| + |mu| - |nu|) / (n+1), the degree drop,
+    since q has degree n+1 (``alt_structure_constants``).  ``entry`` and
+    ``product`` return these as Laurent polynomials in q.
     """
 
-    __slots__ = ("r", "n", "entries", "_order", "_products")
+    __slots__ = ("r", "n", "pairs", "_order")
 
     def __init__(self, r: int, n: int,
-                 entries: dict[tuple[Partition, Partition, Partition], int]):
+                 pairs: dict[tuple[Partition, Partition], dict[Partition, int]]):
         self.r = r
         self.n = n
-        self.entries = dict(entries)
+        self.pairs = pairs
         self._order = {lam: i for i, lam in enumerate(rect_partitions(r, n))}
-        self._products: dict[tuple[Partition, Partition], dict[Partition, int]] | None = None
 
     def _canon(self, lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
         if self._order[lam] <= self._order[mu]:
@@ -182,45 +182,43 @@ class QLRTable:
         return Laurent(QVARS, {(self._degree(lam, mu, nu),): Fraction(c)})
 
     def coefficients(self, lam, mu) -> dict[Partition, int]:
-        """nu -> c with lam * mu = sum of c * q^d * nu, d the degree drop."""
-        if self._products is None:
-            self._products = {}
-            for (a, b, nu), c in self.entries.items():
-                self._products.setdefault((a, b), {})[nu] = c
-        return dict(self._products.get(self._canon(*self._fit((lam, mu))), {}))
+        """nu -> c with lam * mu = sum of c * q^d * nu, d the degree drop: a copy of the row."""
+        return dict(self.pairs.get(self._canon(*self._fit((lam, mu))), {}))
 
     def product(self, lam, mu) -> dict[Partition, Laurent]:
         return {nu: self._term(lam, mu, nu, c) for nu, c in self.coefficients(lam, mu).items()}
 
     def entry(self, lam, mu, nu) -> Laurent:
         lam, mu, nu = self._fit((lam, mu, nu))
-        return self._term(lam, mu, nu, self.entries.get((*self._canon(lam, mu), nu), 0))
+        return self._term(lam, mu, nu, self.pairs.get(self._canon(lam, mu), {}).get(nu, 0))
 
     def __eq__(self, other):
         if not isinstance(other, QLRTable):
             return NotImplemented
-        return (self.r, self.n, self.entries) == (other.r, other.n, other.entries)
+        return (self.r, self.n, self.pairs) == (other.r, other.n, other.pairs)
 
     def to_json_text(self) -> str:
         """The table document as ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
 
-        Written in one pass over the sorted entries, each rectangle
-        partition's list text rendered once, and joined once; "q" is the one
-        term [d, c].  Every int goes through ``int.__repr__``, so a value that
-        is not an int raises TypeError instead of reaching the text.
+        Written in one pass over the sorted pairs and each row's sorted nu,
+        each rectangle partition's list text rendered once, and joined once;
+        "q" is the one term [d, c].  Every int goes through ``int.__repr__``,
+        so a value that is not an int raises TypeError instead of reaching
+        the text.
         """
         rep, at, m = int.__repr__, "\n        ", self.n + 1
         part = {lam: f"[{at}{(',' + at).join(map(rep, lam))}\n      ]" if lam else "[]"
                 for lam in self._order}
         size = {lam: sum(lam) for lam in self._order}
         out, sep = ['{\n  "entries": ['], "\n    "
-        for (lam, mu, nu), c in sorted(self.entries.items()):
-            d = (size[lam] + size[mu] - size[nu]) // m
-            out.append(f'{sep}{{\n      "lambda": {part[lam]},\n      "mu": {part[mu]},\n'
-                       f'      "nu": {part[nu]},\n      "q": [{at}[{at}  {rep(d)},'
-                       f'{at}  {rep(c)}{at}]\n      ]\n    }}')
-            sep = ",\n    "
-        out.append("\n  ]," if self.entries else "],")
+        for (lam, mu), row in sorted(self.pairs.items()):  # unique keys: no two rows compare
+            for nu in sorted(row):
+                d = (size[lam] + size[mu] - size[nu]) // m
+                out.append(f'{sep}{{\n      "lambda": {part[lam]},\n      "mu": {part[mu]},\n'
+                           f'      "nu": {part[nu]},\n      "q": [{at}[{at}  {rep(d)},'
+                           f'{at}  {rep(row[nu])}{at}]\n      ]\n    }}')
+                sep = ",\n    "
+        out.append("\n  ]," if self.pairs else "],")
         out.append(f'\n  "n": {rep(self.n)},\n  "r": {rep(self.r)}\n}}\n')
         return "".join(out)
 
@@ -228,7 +226,7 @@ class QLRTable:
         """One row (lambda, mu, nu, d, c) per entry, sorted."""
         text = {lam: " ".join(map(str, lam)) for lam in self._order}
         rows = sorted((text[lam], text[mu], text[nu], self._degree(lam, mu, nu), c)
-                      for (lam, mu, nu), c in self.entries.items())
+                      for (lam, mu), row in self.pairs.items() for nu, c in row.items())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["lambda", "mu", "nu", "qpow", "coef"])
@@ -254,24 +252,24 @@ class QLRTable:
         items = json_field(doc, "entries")
         if not isinstance(items, list) or any(not isinstance(i, dict) for i in items):
             raise ValueError(f"entries must be a list of objects, got {items!r}")
-        empty = cls(r, n, {})  # its wedge order checks the keys
-        entries = {}
+        table = cls(r, n, {})  # its wedge order checks the keys
         for item in items:
             parts = [json_field(item, name) for name in ("lambda", "mu", "nu")]
-            pairs = json_field(item, "q")
+            terms = json_field(item, "q")
             if any(not isinstance(p, list) or any(type(x) is not int for x in p)
                    for p in parts):
                 raise ValueError(f"partitions must be lists of integers, got {parts!r}")
-            key = empty._fit(parts)
-            if empty._canon(*key[:2]) != key[:2]:
+            lam, mu, nu = table._fit(parts)
+            if table._canon(lam, mu) != (lam, mu):
                 raise ValueError(f"lambda, mu must be in wedge order, got {parts!r}")
-            if key in entries:
+            row = table.pairs.setdefault((lam, mu), {})
+            if nu in row:
                 raise ValueError(f"repeated entry {parts!r}")
-            if (not isinstance(pairs, list) or len(pairs) != 1 or not isinstance(pairs[0], list)
-                    or len(pairs[0]) != 2):
-                raise ValueError(f"q must be one [degree, coefficient] pair, got {pairs!r} "
+            if (not isinstance(terms, list) or len(terms) != 1 or not isinstance(terms[0], list)
+                    or len(terms[0]) != 2):
+                raise ValueError(f"q must be one [degree, coefficient] pair, got {terms!r} "
                                  f"at {parts!r}")
-            (d, c), drop = pairs[0], sum(key[0]) + sum(key[1]) - sum(key[2])
+            (d, c), drop = terms[0], sum(lam) + sum(mu) - sum(nu)
             if drop % (n + 1) or type(d) is not int or d != drop // (n + 1):
                 raise ValueError(f"q exponent must be the degree drop (|lambda| + |mu| - |nu|)"
                                  f" / (n + 1) = {drop} / {n + 1}, got {d!r} at {parts!r}")
@@ -280,14 +278,8 @@ class QLRTable:
             if type(c) is not int or not c:
                 raise ValueError(f"coefficient must be a nonzero integer, got {c!r} "
                                  f"at {parts!r}")
-            entries[key] = c
-        return cls(r, n, entries)
-
-
-def _ordered_pairs(parts: list[Partition]) -> Iterator[tuple[Partition, Partition]]:
-    for i, lam in enumerate(parts):
-        for mu in parts[i:]:
-            yield lam, mu
+            row[nu] = c
+        return table
 
 
 class _Memo(dict):
@@ -356,7 +348,7 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     exponents of a_(mu+delta+w) sum to |lam| + |mu| + |delta| and those of
     a_(nu+delta) to |nu| + |delta|, so the wraps, one q each, number
     (|lam| + |mu| - |nu|) / (n+1): one q-power per (lam, mu, nu), so the
-    table keeps only the int coefficient.
+    row of (lam, mu) keeps only the int coefficient of each nu.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
@@ -368,7 +360,7 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
     weights = [[(_exponent_code(w, radix), k) for w, k in _tableau_weights(lam, r, memo).items()]
                for lam in parts]
     straightened = _straightening(r, n)
-    entries = {}
+    pairs = {}
     for i, lam in enumerate(parts):
         for j in range(i, len(parts)):
             a, b = (i, j) if len(weights[i]) <= len(weights[j]) else (j, i)
@@ -378,10 +370,10 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
                 if st is not None:
                     nu, sign = st
                     acc[nu] = acc.get(nu, 0) + sign * k
-            for nu, c in acc.items():
-                if c:
-                    entries[lam, parts[j], parts[nu]] = c
-    return QLRTable(r, n, entries)
+            row = {parts[nu]: c for nu, c in acc.items() if c}
+            if row:
+                pairs[lam, parts[j]] = row
+    return QLRTable(r, n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +497,20 @@ def rimhook_oracle(r: int, n: int) -> QLRTable:
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     reduced = _Memo(lambda nu: rimhook_reduce(nu, r, n))
-    entries: dict[tuple[Partition, Partition, Partition], int] = {}
-    for lam, mu in _ordered_pairs(rect_partitions(r, n)):
-        acc: dict[Partition, int] = {}
-        for nutil, c in lr_products(lam, mu, r).items():
-            st = reduced[nutil]
-            if st is not None:
-                core, _, sign = st
-                acc[core] = acc.get(core, 0) + sign * c
-        entries.update(((lam, mu, core), c) for core, c in acc.items() if c)
-    return QLRTable(r, n, entries)
+    parts = rect_partitions(r, n)
+    pairs = {}
+    for i, lam in enumerate(parts):
+        for mu in parts[i:]:
+            acc: dict[Partition, int] = {}
+            for nutil, c in lr_products(lam, mu, r).items():
+                st = reduced[nutil]
+                if st is not None:
+                    core, _, sign = st
+                    acc[core] = acc.get(core, 0) + sign * c
+            row = {core: c for core, c in acc.items() if c}
+            if row:
+                pairs[lam, mu] = row
+    return QLRTable(r, n, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def residue_grading(P: PreSaitoFamily) -> list[int]:
     return [int(R[i, i]) for i in range(P.d)]
 
 
-def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamily:
+def trivial_deformation(P: PreSaitoFamily) -> PreSaitoFamily:
     """Spread a point over the lambda-line along its R_inf grading.
 
     With integer R_inf eigenvalues d_i, the deformed matrix is
@@ -370,8 +370,8 @@ def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamil
     family restricts to the point.
     """
     dvals = residue_grading(P)
-    qvars = P.params + (var,)
-    lam = Laurent.gen(qvars, var)
+    qvars = P.params + ("lambda",)
+    lam = Laurent.gen(qvars, "lambda")
 
     def spread(i: int, j: int) -> Laurent:
         x = P.B0[i, j]
@@ -381,7 +381,7 @@ def trivial_deformation(P: PreSaitoFamily, var: str = "lambda") -> PreSaitoFamil
 
     B0 = Mat([[spread(i, j) for j in range(P.d)] for i in range(P.d)])
     return PreSaitoFamily(
-        base=((var, "q"),), d=P.d, Binf=P.Binf, B0=B0, C={var: -B0},
+        base=(("lambda", "q"),), d=P.d, Binf=P.Binf, B0=B0, C={"lambda": -B0},
         G=P.G, w=P.w, params=P.params)
 
 

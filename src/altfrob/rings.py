@@ -164,11 +164,10 @@ class Laurent:
         return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
-    def gen(cls, variables: tuple[str, ...], name: str, power: int = 1,
-            coeff: int | Fraction = 1) -> "Laurent":
+    def gen(cls, variables: tuple[str, ...], name: str, power: int = 1) -> "Laurent":
         i = variables.index(name)
         exps = tuple(power if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: as_fraction(coeff)})
+        return cls(variables, {exps: Fraction(1)})
 
     # -- predicates --------------------------------------------------------
 

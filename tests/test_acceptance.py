@@ -93,8 +93,9 @@ def test_criterion_03_positivity_and_associativity():
     t0 = time.perf_counter()
     for r, n in GRASSMANN_RANGE:
         table = alt_structure_constants(r, n)
-        for key, c in table.entries.items():
-            assert type(c) is int and c > 0, (key, c)
+        for key, row in table.pairs.items():
+            for nu, c in row.items():
+                assert type(c) is int and c > 0, (key, nu, c)
         basis = table.basis()
         rng = random.Random(300 + 10 * r + n)
         for _ in range(100):

@@ -94,3 +94,68 @@ def test_no_unreferenced_definitions():
                 unused.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
     assert not unused, "not named elsewhere in src/:\n" + "\n".join(unused)
     assert kept == set(ORACLES), f"stale ORACLES entries: {sorted(set(ORACLES) - kept)}"
+
+
+def test_every_default_is_set_by_some_call():
+    """Every defaulted parameter of a src/ function is passed by some call.
+
+    A default that no call in src/, tests/ or bench/ overrides is a
+    constant, not an option.  Calls are matched by the called name (``f(...)``
+    or ``x.f(...)``), so a call to any function of that name counts; a call
+    to a class counts for its ``__init__``; a call with ``*args`` counts as
+    passing every positional parameter, one with ``**kwargs`` every one.
+    Positions of a method, ``__init__`` and classmethods included, start
+    after its first parameter; those of a staticmethod do not.
+    """
+    import ast
+    from collections import defaultdict
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text()) for folder in ("src", "tests", "bench")
+             for path in (root / folder).rglob("*.py")}
+    most_positional: dict[str, float] = defaultdict(int)
+    keywords = defaultdict(set)
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            count = float("inf") if starred else len(call.args)
+            most_positional[name] = max(most_positional[name], count)
+            for kw in call.keywords:
+                keywords[name].add(kw.arg)  # None: a **kwargs call
+
+    def defaulted(fn, skip):
+        """(name, position or None) of each parameter with a default."""
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i in range(first, len(positional)):
+            yield positional[i].arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield arg.arg, None
+
+    unset = []
+    for path, tree in trees.items():
+        if root / "src" not in path.parents:
+            continue
+        owner = {id(node): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for node in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(id(fn))
+            decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+            skip = 0 if cls is None or "staticmethod" in decorators else 1
+            name = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            for param, position in defaulted(fn, skip):
+                if None in keywords[name] or param in keywords[name]:
+                    continue
+                if position is not None and most_positional[name] > position:
+                    continue
+                unset.append(f"{path.relative_to(root)}:{fn.lineno} {fn.name}({param}=...)")
+    assert not unset, "defaults that no call sets:\n" + "\n".join(unset)

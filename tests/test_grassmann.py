@@ -1,6 +1,7 @@
 """Grassmannian structure constants: two routes, one table."""
 
 import csv
+import functools
 import io
 import json
 import random
@@ -290,7 +291,8 @@ class TestOracleAgreement:
         T = alt_structure_constants(r, n)
         back = QLRTable.from_json(json.loads(T.to_json_text()))
         for table in (T, rimhook_oracle(r, n), back):
-            assert all(type(c) is int and c for c in table.entries.values()), (r, n)
+            assert all(type(c) is int and c for row in table.pairs.values()
+                       for c in row.values()), (r, n)
 
 
 @pytest.fixture(scope="module")
@@ -303,8 +305,9 @@ class TestTableInvariants:
 
     def test_positivity(self, tables):
         for T in tables.values():
-            for key, c in T.entries.items():
-                assert type(c) is int and c > 0, (key, c)
+            for key, row in T.pairs.items():
+                for nu, c in row.items():
+                    assert type(c) is int and c > 0, (key, nu, c)
 
     def test_classical_stratum_is_littlewood_richardson(self, tables):
         for (r, n), T in tables.items():
@@ -513,8 +516,9 @@ class TestSerialization:
             table.setdefault((min(lam, mu), max(lam, mu), nu), {})[e] = c
 
         want, got_json, got_csv, got_pretty = {}, {}, {}, {}
-        for (lam, mu, nu), c in T.entries.items():
-            put(want, lam, mu, nu, (sum(lam) + sum(mu) - sum(nu)) // 8, c)
+        for (lam, mu), row in T.pairs.items():
+            for nu, c in row.items():
+                put(want, lam, mu, nu, (sum(lam) + sum(mu) - sum(nu)) // 8, c)
         for d in json.loads(T.to_json_text())["entries"]:
             for e, c in d["q"]:
                 put(got_json, tuple(d["lambda"]), tuple(d["mu"]), tuple(d["nu"]), e, c)
@@ -532,8 +536,47 @@ class TestSerialization:
                         r"(-?)(\d*)\*?(q)?(?:\^(-?\d+))?", mono).groups()
                     put(got_pretty, lam, mu, part(nu), int(e) if e else int(bool(q)),
                         int(sign + (digits or "1")))
-        assert len(want) == len(T.entries)
+        assert len(want) == sum(map(len, T.pairs.values()))
         assert got_json == got_csv == got_pretty == want
+
+
+class TestTableContract:
+    """``pairs`` holds the table: rows are handed out as copies, and every
+    stored row is a nonzero product of a pair in wedge order."""
+
+    @staticmethod
+    @functools.cache
+    def built(r, n):
+        T = alt_structure_constants(r, n)
+        return {"bialternant": T, "oracle": rimhook_oracle(r, n),
+                "round-trip": QLRTable.from_json(json.loads(T.to_json_text()))}
+
+    @pytest.mark.parametrize("r,n", [(2, 5), (3, 6), (4, 8)])
+    def test_rows_are_nonempty_and_keys_in_wedge_order(self, r, n):
+        for name, T in self.built(r, n).items():
+            order = {lam: i for i, lam in enumerate(T.basis())}
+            assert all(T.pairs.values()), (name, r, n)
+            assert all(order[lam] <= order[mu] for lam, mu in T.pairs), (name, r, n)
+
+    @pytest.mark.parametrize("r,n", [(2, 5), (3, 6), (4, 8)])
+    def test_mutating_a_returned_row_leaves_the_table(self, r, n):
+        for name, T in self.built(r, n).items():
+            parts = T.basis()
+            rng = random.Random(10 * r + n)
+            chosen = rng.sample([(lam, mu) for i, lam in enumerate(parts) for mu in parts[i:]],
+                                k=min(60, len(parts) ** 2 // 4))
+            before = {key: dict(row) for key, row in T.pairs.items()}
+            text = T.to_json_text()
+            entries = {(lam, mu, nu): T.entry(lam, mu, nu)
+                       for lam, mu in chosen for nu in parts}
+            for lam, mu in chosen:
+                T.coefficients(lam, mu)[parts[0]] = 7
+                T.coefficients(mu, lam).clear()
+                T.product(mu, lam)[parts[-1]] = ONE
+                T.product(lam, mu).clear()
+            assert T.pairs == before, (name, r, n)
+            assert T.to_json_text() == text, (name, r, n)
+            assert all(T.entry(*key) == value for key, value in entries.items()), (name, r, n)
 
 
 class TestWedgeMetric:
