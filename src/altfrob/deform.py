@@ -457,27 +457,26 @@ def potential(F: PreSaitoFamily, omega: Sequence, order: int | None = None) -> S
     return phi
 
 
-# the largest degree for gw_pn2: its potential has Series order 3 * dmax + 2
-GW_DMAX = (KEY_LIMIT - 2) // 3
+# the largest degree for gw_pn2: its potential has Series order max(5, 3 * dmax - 1)
+GW_DMAX = (KEY_LIMIT + 1) // 3
 
 
 def gw_pn2(dmax: int) -> list[int]:
     """Degree-d counts of rational plane curves through 3d-1 points, d <= dmax.
 
     Read off the potential of the big-quantum plane:
-    N_d = (3d-1)! * [q^d t_2^(3d-1)] Phi.
+    N_d = (3d-1)! * [q^d t_2^(3d-1)] Phi.  The family is built at order
+    K = 3 dmax - 4 (at least 2, the least ``universal_big_quantum`` takes),
+    the least whose potential, of Series order K + 3, holds t_2^(3 dmax - 1).
     """
     if not 1 <= dmax <= GW_DMAX:
         raise ValueError(f"dmax must be in 1..{GW_DMAX}")
-    K = max(2, 3 * dmax - 1)
-    F = universal_big_quantum(pn_small_family(2), K)
+    F = universal_big_quantum(pn_small_family(2), max(2, 3 * dmax - 4))
     phi = potential(F, (1, 0, 0))
     out, flat = [], phi.flat
     t2 = F.svars.index("t2")
     for dd in range(1, dmax + 1):
         exps = tuple((3 * dd - 1) if i == t2 else 0 for i in range(len(F.svars)))
-        if sum(exps) > phi.order:
-            raise ValueError("truncation order too small for the requested degree")
         nd = flat.get(exps + (dd,), 0) * math.factorial(3 * dd - 1)
         if nd.denominator != 1:
             raise InvariantViolation(f"non-integer curve count at degree {dd}")

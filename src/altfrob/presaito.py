@@ -33,10 +33,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Sequence
 
 from .linalg import (
     Mat,
+    det,
     divide_exact,
     inv_field,
     inv_laurent,
@@ -44,6 +46,7 @@ from .linalg import (
     kron,
     kron_sum,
     product_sum,
+    series_constant_slice,
     wedge_metric,
     wedge_of_sum,
 )
@@ -51,15 +54,17 @@ from .rings import (
     Exponents,
     Laurent,
     Series,
+    _json_value,
     as_fraction,
     fraction_from_str,
     fraction_to_str,
     is_zero,
     json_field,
-    json_text,
+    ratio_from_str,
 )
 
 VAR_KINDS = ("q", "series")
+_INT = {int}
 
 
 class BaseVar(NamedTuple):
@@ -263,11 +268,34 @@ def _diff_witness(A: Mat, B: Mat, k: int | None = None) -> str | None:
 # ---------------------------------------------------------------------------
 
 
+def _cyclic_at_closed_point(F: PreSaitoFamily) -> bool:
+    """Whether e_0 is cyclic for B0 at the closed point: det(e_0, B0 e_0, ...) != 0."""
+    B = series_constant_slice(F.B0, F.qvars) if F.svars else F.B0
+    cols = [Mat.column([Laurent.const(F.qvars, int(i == 0)) for i in range(F.d)])]
+    while len(cols) < F.d:
+        cols.append(B @ cols[-1])
+    return not is_zero(det(Mat.from_columns([c.column_vector() for c in cols])))
+
+
 def check_pre_saito(F: PreSaitoFamily, order: int | None = None) -> Report:
     """Verify the flatness relations, to total degree ``order`` when truncated.
 
     A derivative in a series direction is only known one order below the
     truncation, so relations involving one are compared at order-1.
+
+    The commutators [C(i), C(j)] = 0 follow from the [B0, C(i)] = 0 when B0
+    is cyclic, and are then recorded without forming the products.  Let R be
+    Q(q)[t]/(t)^(K+1), t the series directions, and suppose the Krylov matrix
+    (e_0, B0 e_0, ..., B0^(d-1) e_0) of B0's closed-point slice has a nonzero
+    determinant.  The Krylov matrix of B0 over R has that determinant as its
+    constant term, so it is a unit of the local ring R and the B0^k e_0 are a
+    basis of R^d.  A C with [B0, C] = 0 in R sends e_0 to p(B0) e_0 for a
+    polynomial p over R, so C B0^k e_0 = B0^k p(B0) e_0 = p(B0) B0^k e_0 and
+    C = p(B0) on that basis: every such C is a polynomial in B0, and any two
+    commute.  Laurent entries embed in Q(q), and a product cut to degree K
+    depends only on its factors cut to degree K, so the certificate holds at
+    the checked order.  Otherwise (a G(2,4)-type wedge, whose B0 has a
+    repeated eigenvalue) each pair is computed.
     """
     rep = Report("pre-Saito relations")
     if F.svars:
@@ -291,6 +319,10 @@ def check_pre_saito(F: PreSaitoFamily, order: int | None = None) -> Report:
     Binf = F.lift_fraction_matrix(F.Binf)
 
     names = [v.name for v in F.base]
+    with_b0 = {i: _witness(product_sum([(1, F.B0, F.C[i]), (-1, F.C[i], F.B0)]), drop())
+               for i in names}
+    by_b0 = (len(names) > 1 and all(w is None for w in with_b0.values())
+             and _cyclic_at_closed_point(F))
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             i, j = names[a], names[b]
@@ -298,10 +330,11 @@ def check_pre_saito(F: PreSaitoFamily, order: int | None = None) -> Report:
             rhs = F.dmat(F.C[j], i)
             w = _diff_witness(lhs, rhs, drop(i, j))
             rep.record(f"d_{j} C({i}) = d_{i} C({j})", w is None, w or "")
-            w = _witness(product_sum([(1, F.C[i], F.C[j]), (-1, F.C[j], F.C[i])]), drop())
+            w = None if by_b0 else _witness(
+                product_sum([(1, F.C[i], F.C[j]), (-1, F.C[j], F.C[i])]), drop())
             rep.record(f"[C({i}), C({j})] = 0", w is None, w or "")
     for i in names:
-        w = _witness(product_sum([(1, F.B0, F.C[i]), (-1, F.C[i], F.B0)]), drop())
+        w = with_b0[i]
         rep.record(f"[B0, C({i})] = 0", w is None, w or "")
         lhs = F.C[i] + F.dmat(F.B0, i)
         w = _witness(product_sum([(-1, Binf, F.C[i]), (1, F.C[i], Binf)], lhs), drop(i))
@@ -534,13 +567,13 @@ def _encode_laurent(x: Laurent) -> list:
 
 
 def _exponent_list(key, n: int) -> Exponents:
-    if not isinstance(key, list) or len(key) != n or any(type(x) is not int for x in key):
+    if not isinstance(key, list) or len(key) != n or not _INT.issuperset(map(type, key)):
         raise ValueError(f"expected a list of {n} integer exponents, got {key!r}")
     return tuple(key)
 
 
-def _laurent_terms(data: list, qvars: tuple[str, ...]) -> dict[Exponents, Fraction]:
-    """The {exponents: coefficient} pairs of a Laurent entry, zero coefficients kept."""
+def _laurent_terms(data: list, qvars: tuple[str, ...]) -> dict[Exponents, tuple[int, int]]:
+    """The {exponents: (numerator, denominator)} pairs of a Laurent entry, zeros kept."""
     if not isinstance(data, list) or any(not isinstance(t, list) or len(t) != 2 for t in data):
         raise ValueError(f"a Laurent entry must be a list of [exponent, coefficient] "
                          f"pairs, got {data!r}")
@@ -561,7 +594,7 @@ def _laurent_terms(data: list, qvars: tuple[str, ...]) -> dict[Exponents, Fracti
             raise ValueError("multivariate entries need exponent lists")
         if e in terms:
             raise ValueError(f"repeated exponent {key!r} in a Laurent entry")
-        terms[e] = fraction_from_str(cs)
+        terms[e] = ratio_from_str(cs)
     return terms
 
 
@@ -579,18 +612,19 @@ def _encode_entry(x) -> object:
 
 
 def _decode_entry(data, qvars, svars, order):
-    """A Series over svars read straight into its packed terms, or a Laurent."""
+    """A Series over svars packed straight from its integer ratios, or a Laurent."""
     if not svars:
-        return Laurent(qvars, _laurent_terms(data, qvars))
+        return Laurent(qvars, {k: Fraction(*c) for k, c in _laurent_terms(data, qvars).items()})
     if not isinstance(data, list) or any(not isinstance(t, dict) for t in data):
         raise ValueError(f"a series entry must be a list of objects, got {data!r}")
-    terms = {}
+    terms, seen = [], set()
     for item in data:
         e = _exponent_list(json_field(item, "exps"), len(svars))
-        if e in terms:
+        if e in seen:
             raise ValueError(f"repeated exponent {list(e)} in a series entry")
-        terms[e] = _laurent_terms(json_field(item, "coef"), qvars)
-    return Series.from_fractions(svars, order, qvars, terms)
+        seen.add(e)
+        terms.append((e, _laurent_terms(json_field(item, "coef"), qvars)))
+    return Series.from_ratios(svars, order, qvars, terms)
 
 
 def _encode_matrix(M: Mat) -> list:
@@ -601,15 +635,15 @@ def _encode_fraction_matrix(M: Mat) -> list:
     return [[fraction_to_str(x) for x in row] for row in M.rows]
 
 
-def family_to_json(F: PreSaitoFamily) -> dict:
-    """Serialize to the interchange dict (deterministic, exact)."""
+def _family_doc(F: PreSaitoFamily, B0, C) -> dict:
+    """The interchange dict of F with B0 and C as given, encoded or as text."""
     doc = {
         "rank": F.d,
         "vars": [v.name for v in F.base],
         "kinds": [v.kind for v in F.base],
         "Binf": _encode_fraction_matrix(F.Binf),
-        "B0": _encode_matrix(F.B0),
-        "C": {v.name: _encode_matrix(F.C[v.name]) for v in F.base},
+        "B0": B0,
+        "C": C,
         "G": _encode_fraction_matrix(F.G) if F.G is not None else None,
         "w": fraction_to_str(F.w) if F.w is not None else None,
     }
@@ -618,6 +652,12 @@ def family_to_json(F: PreSaitoFamily) -> dict:
     if F.params:
         doc["params"] = list(F.params)
     return doc
+
+
+def family_to_json(F: PreSaitoFamily) -> dict:
+    """Serialize to the interchange dict (deterministic, exact)."""
+    return _family_doc(F, _encode_matrix(F.B0),
+                       {v.name: _encode_matrix(F.C[v.name]) for v in F.base})
 
 
 def _strings(key: str, value) -> list:
@@ -680,8 +720,50 @@ def family_from_json(doc: dict) -> PreSaitoFamily:
         order=order, params=params)
 
 
+def _entry_text(x, at: str) -> str:
+    """``_encode_entry(x)`` as ``json_text`` writes it on a line indented by ``at``.
+
+    A Series is written from its packed terms, sorted by (e, k), each
+    numerator reduced over the common denominator; a Laurent entry, which
+    only a family without series directions has, by ``json_text``'s writer.
+    """
+    if not isinstance(x, Series):
+        return _json_value(_encode_laurent(x), at)
+    if not x.num:
+        return "[]"
+    a1, a2, a3, a4 = (at + "  " * i for i in range(1, 5))
+    den, groups = x.den, {}
+    for e, k, n in x.sorted_numerators():
+        g = math.gcd(n, den)
+        c = str(n // g) if g == den else f"{n // g}/{den // g}"
+        k = str(k[0]) if len(k) == 1 else _json_value(_json_exponent(k), a4)
+        groups.setdefault(e, []).append(f'[{a4}{k},{a4}"{c}"{a3}]')
+    return "[" + a1 + ("," + a1).join(
+        [f'{{{a2}"coef": [{a3}' + ("," + a3).join(t) + f'{a2}],{a2}"exps": [{a3}'
+         + ("," + a3).join(map(str, e)) + f"{a2}]{a1}}}" for e, t in groups.items()]
+    ) + at + "]"
+
+
+def _matrix_text(M: Mat, at: str) -> str:
+    """``_encode_matrix(M)`` as ``json_text`` writes it on a line indented by ``at``."""
+    a1, a2 = at + "  ", at + "    "
+    return "[" + a1 + ("," + a1).join(
+        ["[" + a2 + ("," + a2).join([_entry_text(x, a2) for x in row]) + a1 + "]"
+         for row in M.rows]
+    ) + at + "]"
+
+
 def dumps_family(F: PreSaitoFamily) -> str:
-    return json_text(family_to_json(F))
+    """``json_text(family_to_json(F))``, with B0 and C written straight from the entries."""
+    at, inner = "\n  ", "\n    "
+    C = "{" + inner + ("," + inner).join(
+        [_json_str(n) + ": " + _matrix_text(F.C[n], inner) for n in sorted(F.C)]
+    ) + at + "}" if F.C else "{}"
+    doc = _family_doc(F, _matrix_text(F.B0, at), C)
+    return "{" + at + ("," + at).join(
+        [_json_str(k) + ": " + (v if k in ("B0", "C") else _json_value(v, at))
+         for k, v in sorted(doc.items())]
+    ) + "\n}\n"
 
 
 def loads_family(text: str) -> PreSaitoFamily:

@@ -21,8 +21,9 @@ A ``Series`` is a positive integer denominator and a dict from one packed
 integer key per monomial (its exponents as 16-bit digits, total degree on
 top) to a nonzero integer numerator, in lowest terms, so every ``Series``
 operation is integer arithmetic; the tuple-keyed views ``Series.terms`` and
-``Series.flat`` are built on demand for the JSON encoder, the potential and
-printing, and ``Series.from_fractions`` packs decoded rationals directly.
+``Series.flat`` are built on demand for the document encoder, the potential
+and printing, ``Series.sorted_numerators`` gives the family text writer its
+integer terms, and ``Series.from_ratios`` packs decoded integer ratios directly.
 Every ``Series`` product, a single ``a * b``, a ``series_dot``, a whole
 ``Series`` matrix product or a signed sum of matrix products plus an addend
 (a residual C - A B, a commutator A B - B A), goes through one matrix-level
@@ -68,8 +69,8 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def fraction_from_str(text: str | int) -> Fraction:
-    """Read a "num/den" string or an integer; anything else raises ValueError."""
+def ratio_from_str(text: str | int) -> tuple[int, int]:
+    """(numerator, positive denominator), not reduced, of what ``fraction_from_str`` reads."""
     if type(text) is not int and not isinstance(text, str):
         raise ValueError(f"expected a rational string or an integer, got {text!r}")
     num, slash, den = str(text).partition("/")
@@ -77,11 +78,17 @@ def fraction_from_str(text: str | int) -> Fraction:
     if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
         d = int(den) if slash else 1
         if d:  # the plain "num/den" form, read without Fraction's parser
-            return Fraction(int(num), d)
+            return int(num), d
     try:
-        return Fraction(text)
+        f = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    return f.numerator, f.denominator
+
+
+def fraction_from_str(text: str | int) -> Fraction:
+    """Read a "num/den" string or an integer; anything else raises ValueError."""
+    return Fraction(*ratio_from_str(text))
 
 
 def json_field(doc: dict, key: str, name: str | None = None):
@@ -420,28 +427,35 @@ def _pack(ns: int, nq: int, e: Exponents, k: Exponents) -> int:
     return int.from_bytes(_layout(ns, nq)[0].pack(*e, *[x + _BIAS for x in k], degree), "little")
 
 
-def _packed(ns: int, nq: int,
-            items: Sequence[tuple[Exponents, Mapping[Exponents, Fraction]]]) -> tuple[int, dict]:
-    """(den, num) of the terms q^k t^e over nonzero Fractions, from [(e, {k: coefficient})].
+def _packed(ns: int, nq: int, order: int,
+            items: Sequence[tuple[Exponents, Mapping[Exponents, tuple[int, int]]]]
+            ) -> tuple[int, dict]:
+    """(den, num) of the terms (n/d) q^k t^e, from [(e, {k: (n, d)})] with 0 < d.
 
-    den is the lcm of the reduced denominators, so the numerators have gcd 1
-    with it.  Keys are those of ``_pack``, summed digit by digit: e once per
-    term, then each k; an exponent that ``_pack`` rejects raises its error.
+    Terms past ``order`` and zero numerators are dropped.  den is the lcm of
+    the denominators; when every kept n/d is in lowest terms, the numerators
+    have gcd 1 with it.  Keys are those of ``_pack``, summed digit by digit:
+    e once per term, then each k; an exponent that ``_pack`` rejects raises
+    its error.
     """
-    den = lcm(*[f.denominator for _, t in items for f in t.values()])
+    den = lcm(*[d for _, t in items for _, d in t.values()])
     _, zero, shift = _layout(ns, nq)
     eshifts = range(0, _BITS * ns, _BITS)
     kshifts = range(_BITS * ns, shift, _BITS)
     num = {}
     for e, t in items:
         degree = sum(e)
-        if len(e) != ns or e and min(e) < 0 or degree > KEY_LIMIT:
+        if degree > order:
+            continue
+        if len(e) != ns or e and min(e) < 0:
             _pack(ns, nq, e, (0,) * nq)  # raises
         base = sum(map(lshift, e, eshifts)) + zero + (degree << shift)
-        for k, f in t.items():
+        for k, (n, d) in t.items():
+            if not n:
+                continue
             if k and (min(k) < -KEY_LIMIT or max(k) > KEY_LIMIT):
                 _pack(ns, nq, e, k)  # raises
-            num[base + sum(map(lshift, k, kshifts))] = f.numerator * (den // f.denominator)
+            num[base + sum(map(lshift, k, kshifts))] = n * (den // d)
     return den, num
 
 
@@ -487,8 +501,8 @@ class Series:
                 if qvars is not None:
                     raise ValueError(f"variable mismatch: {qvars} vs {c.vars}")
                 qvars = c.vars
-            items.append((e, c.terms))
-        den, num = _packed(len(variables), len(qvars), items) if items else (1, {})
+            items.append((e, {k: (f.numerator, f.denominator) for k, f in c.terms.items()}))
+        den, num = _packed(len(variables), len(qvars), order, items) if items else (1, {})
         self.vars, self.order, self.qvars, self.den, self.num = variables, order, qvars, den, num
         self._terms = self._prep = None
 
@@ -518,13 +532,18 @@ class Series:
 
     def _unpacked(self):
         """(series exponents, Laurent exponents, Fraction coefficient) of each term."""
-        ns, den = len(self.vars), self.den
+        den = self.den
+        for e, k, n in self.sorted_numerators():
+            yield e, k, Fraction(n) if den == 1 else Fraction(n, den)
+
+    def sorted_numerators(self) -> list[tuple[Exponents, Exponents, int]]:
+        """(e, k, numerator over ``den``) of each term q^k t^e, sorted by (e, k)."""
+        ns = len(self.vars)
         codec = _layout(ns, len(self.qvars or ()))[0]
         unpack, size = codec.unpack, codec.size
-        for key, n in self.num.items():
-            d = unpack(key.to_bytes(size, "little"))
-            yield (d[:ns], tuple([x - _BIAS for x in d[ns:-1]]),
-                   Fraction(n) if den == 1 else Fraction(n, den))
+        # the digits are e, then k + 2^15, then sum(e), so they sort by (e, k)
+        digits = sorted([(unpack(key.to_bytes(size, "little")), n) for key, n in self.num.items()])
+        return [(d[:ns], tuple([x - _BIAS for x in d[ns:-1]]), n) for d, n in digits]
 
     # -- constructors -------------------------------------------------------
 
@@ -537,20 +556,18 @@ class Series:
         return cls(variables, order, {(0,) * len(variables): value})
 
     @classmethod
-    def from_fractions(cls, variables: tuple[str, ...], order: int, qvars: tuple[str, ...],
-                       terms: Mapping[Exponents, Mapping[Exponents, Fraction]]) -> "Series":
-        """The series with coefficient sum_k c_k q^k at t^e, from {e: {k: c_k}} over Q.
+    def from_ratios(cls, variables: tuple[str, ...], order: int, qvars: tuple[str, ...],
+                    terms: Sequence[tuple[Exponents, Mapping[Exponents, tuple[int, int]]]]
+                    ) -> "Series":
+        """The series with coefficient sum_k (n_k/d_k) q^k at t^e, from [(e, {k: (n_k, d_k)})].
 
         What ``Series(variables, order, {e: Laurent(qvars, ...)})`` builds, with
-        the same checks, but packed straight from the rationals: zero
-        coefficients and terms past the order are dropped.
+        the same checks, but packed straight from integer ratios (d_k > 0, not
+        necessarily reduced): zero numerators and terms past the order are
+        dropped, and the result is reduced once.
         """
         _check_order(order)
-        items = [(e, nz) for e, t in terms.items()
-                 if sum(e) <= order and (nz := {k: c for k, c in t.items() if c})]
-        if not items:
-            return cls._reduced(variables, order, None, 1, {})
-        den, num = _packed(len(variables), len(qvars), items)
+        den, num = _packed(len(variables), len(qvars), order, terms)
         return cls._reduced(variables, order, qvars, den, num)
 
     @classmethod

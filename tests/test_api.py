@@ -31,6 +31,7 @@ ORACLES = {
     "coeff": "public accessor: a Series coefficient, as acceptance criterion 5 reads it",
     "entry": "public accessor: a pairing (criterion 9) or structure-constant entry",
     "from_json": "public codec: QLRTable documents",
+    "family_to_json": "public codec: family documents, the reference dumps_family writes",
     "indices_from_partition": "public codec: a partition's wedge indices",
     "potential_to_json": "public codec: potential documents",
     "problem_to_json": "bench input: the deform workload writes its problem files with it",

@@ -77,15 +77,15 @@ class TestExitCodes:
             *run(["grassmann", "--r", "2", "--n", "3", "--oracle", "--metric"], capsys),
             "--oracle and --metric cannot be combined")
 
-    @pytest.mark.parametrize("dmax", [10922, 10923])
+    @pytest.mark.parametrize("dmax", [10923, 10924])
     def test_gw_dmax_past_the_series_key_limit(self, capsys, dmax):
-        # rejected before any work: the potential would need Series order 3 * dmax + 2
+        # rejected before any work: the potential would need Series order 3 * dmax - 1
         assert_one_line_usage_error(*run(["gw", "--dmax", str(dmax)], capsys),
-                                    f"--dmax {dmax} exceeds the largest degree 10921")
-        assert GW_DMAX == 10921
-        Series.zero(("t",), 3 * GW_DMAX + 2)
+                                    f"--dmax {dmax} exceeds the largest degree 10922")
+        assert GW_DMAX == 10922
+        Series.zero(("t",), 3 * GW_DMAX - 1)
         with pytest.raises(ValueError, match="order is at most"):
-            Series.zero(("t",), 3 * dmax + 2)
+            Series.zero(("t",), 3 * dmax - 1)
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(["verify", "--family", str(tmp_path / "nope.json")], capsys)

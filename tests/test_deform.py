@@ -358,8 +358,14 @@ class TestCurveCounts:
     def test_gw_matches_oracle_through_degree_3(self):
         assert gw_pn2(3) == wdvv_oracle(3) == [1, 1, 12]
 
-    def test_gw_matches_oracle_through_degree_12(self):
-        assert gw_pn2(12) == wdvv_oracle(12)
+    @pytest.mark.parametrize("dmax", range(1, 13))
+    def test_gw_matches_oracle_at_the_least_order_its_potential_reads(self, monkeypatch, dmax):
+        # order 3 dmax - 4: the potential, of Series order K + 3, just holds t2^(3 dmax - 1)
+        orders, build = [], deform.universal_big_quantum
+        monkeypatch.setattr(deform, "universal_big_quantum",
+                            lambda F, K: orders.append(K) or build(F, K))
+        assert gw_pn2(dmax) == wdvv_oracle(dmax)
+        assert orders == [max(2, 3 * dmax - 4)]
 
 
 class TestProblemSerialization:

@@ -1,11 +1,13 @@
 """Family checkers, trivial deformation, tensor, wedge, frobenius data, io."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from altfrob.deform import universal_big_quantum
-from altfrob.linalg import Mat, charpoly
+from altfrob import presaito
+from altfrob.deform import DeformationProblem, hm_extend, universal_big_quantum
+from altfrob.linalg import Mat, charpoly, product_sum
 from altfrob.presaito import (
     BaseVar,
     NotPrimitive,
@@ -22,7 +24,7 @@ from altfrob.presaito import (
     wedge,
 )
 from altfrob.projective import build_pn, pn_small_family
-from altfrob.rings import Laurent, Series, qlaurent
+from altfrob.rings import Laurent, Series, is_zero, json_text, qlaurent
 
 F = Fraction
 
@@ -399,3 +401,126 @@ def test_wedge_of_a_series_family(n, K):
     assert check_metric(W).ok
     text = dumps_family(W)
     assert dumps_family(loads_family(text)) == text
+
+
+# -- the commutator certificate by a cyclic B0 --------------------------------
+
+
+def hm_output(n, K):
+    """What ``hm`` writes for the bench's problem: P^n's q-line, Psi = sum_{j != 1} t_j omega_j."""
+    fam = pn_small_family(n)
+    new_vars = tuple(f"t{j}" for j in range(n + 1) if j != 1)
+    one = Laurent.const(fam.qvars, 1)
+    psi = tuple(Series.zero(new_vars, K) if i == 1 else Series.gen(new_vars, K, f"t{i}", one)
+                for i in range(fam.d))
+    omega = tuple(F(int(i == 0)) for i in range(fam.d))
+    return hm_extend(DeformationProblem(fam, new_vars, psi, omega, K))
+
+
+@pytest.fixture(scope="module")
+def hm_outputs():
+    return {(n, K): hm_output(n, K) for n, K in [(1, 3), (4, 6)]}
+
+
+def checked(monkeypatch, fam):
+    """check_pre_saito(fam) and the number of product_sum passes it made."""
+    calls = []
+
+    def spy(products, addend=None):
+        calls.append(len(products))
+        return product_sum(products, addend)
+    monkeypatch.setattr(presaito, "product_sum", spy)
+    return check_pre_saito(fam), len(calls)
+
+
+def pairwise_commutators_vanish(fam):
+    names = [v.name for v in fam.base]
+    return all(is_zero(x) for a, i in enumerate(names) for j in names[a + 1:]
+               for row in product_sum([(1, fam.C[i], fam.C[j]), (-1, fam.C[j], fam.C[i])]).rows
+               for x in row)
+
+
+@pytest.mark.parametrize("case", ["P2", "P3", "P4", "hm-P4-o6", "G(2,5)"])
+def test_cyclic_b0_certifies_the_pairwise_commutators(monkeypatch, hm_outputs, case):
+    fam = {"P2": lambda: universal_big_quantum(pn_small_family(2), 4),
+           "P3": lambda: universal_big_quantum(pn_small_family(3), 3),
+           "P4": lambda: universal_big_quantum(pn_small_family(4), 3),
+           "hm-P4-o6": lambda: hm_outputs[(4, 6)],
+           "G(2,5)": lambda: wedge(universal_big_quantum(pn_small_family(4), 2), 2)}[case]()
+    m = len(fam.base)
+    rep, passes = checked(monkeypatch, fam)
+    assert rep.ok, rep.first_witness()
+    # one [B0, C] and one [Binf, C] pass per direction, none for the m(m-1)/2 pairs
+    assert presaito._cyclic_at_closed_point(fam)
+    assert passes == 2 * m
+    assert sum(line.startswith("PASS  [C(") for line in rep.lines()) == m * (m - 1) // 2
+    assert pairwise_commutators_vanish(fam)
+
+
+def test_a_repeated_subset_sum_keeps_the_pairwise_check(monkeypatch):
+    # G(2,4): the 2-subset sums of the fourth roots of q meet at 0, so the
+    # Krylov matrix of B0 at the closed point is singular
+    fam = wedge(universal_big_quantum(pn_small_family(3), 3), 2)
+    m = len(fam.base)
+    assert not presaito._cyclic_at_closed_point(fam)
+    rep, passes = checked(monkeypatch, fam)
+    assert rep.ok, rep.first_witness()
+    assert passes == 2 * m + m * (m - 1) // 2
+
+
+def test_a_non_cyclic_b0_does_not_certify_a_failing_pair():
+    # B0 = x id commutes with everything and is not cyclic; C(x) and C(y) do not commute
+    qv = ("x", "y")
+    one, zero, x = Laurent.const(qv, 1), Laurent.zero(qv), Laurent.gen(qv, "x")
+    fam = PreSaitoFamily((("x", "q"), ("y", "q")), 2, Mat([[0, 0], [0, 0]]),
+                         Mat([[x, zero], [zero, x]]),
+                         {"x": Mat([[zero, one], [zero, zero]]),
+                          "y": Mat([[zero, zero], [one, zero]])})
+    assert check_pre_saito(fam).lines() == [
+        "PASS  Binf constant",
+        "PASS  d_y C(x) = d_x C(y)",
+        "FAIL  [C(x), C(y)] = 0  [entry (0,0): 1]",
+        "PASS  [B0, C(x)] = 0",
+        "FAIL  C(x) + d_x B0 = [Binf, C(x)]  [entry (0,0): x]",
+        "PASS  [B0, C(y)] = 0",
+        "FAIL  C(y) + d_y B0 = [Binf, C(y)]  [entry (1,0): 1]",
+    ]
+
+
+# -- the family codec against the document route -----------------------------
+
+
+def series_family(qvars, params):
+    """A rank-2 family over a series line t with rational, zero and non-integer entries."""
+    def entry(terms):  # {(t-power, k): c}
+        return Series.from_ratios(("t",), 3, qvars, [
+            ((e,), {k: (c.numerator, c.denominator) for (e2, k), c in terms.items() if e2 == e})
+            for e in {e for e, _ in terms}])
+    k0, k1 = (0,) * len(qvars), (1,) + (0,) * (len(qvars) - 1) if qvars else ()
+    k2 = (-2,) + (3,) * (len(qvars) - 1) if qvars else ()
+    B0 = Mat([[entry({(0, k0): F(1, 3), (2, k1): F(-5, 4)}), entry({})],
+              [entry({(1, k2): F(7)}), entry({(0, k1): F(2, 9), (0, k2): F(-1, 2), (3, k0): 1})]])
+    base = (("t", "series"),) + tuple((v, "q") for v in qvars[len(params):])
+    C = {v: B0 for v, _ in base}
+    return PreSaitoFamily(base, 2, Mat([[F(1, 2), 0], [0, F(-1, 2)]]), B0, C,
+                          Mat([[0, 1], [1, 0]]), F(1), 3, params)
+
+
+CODEC_CASES = {
+    **{f"big-P{n}": (lambda n=n: universal_big_quantum(pn_small_family(n), 3)) for n in (1, 2, 3, 4)},
+    "small-P3": lambda: pn_small_family(3),
+    "point": lambda: build_pn(2),
+    "lambda-line": lambda: trivial_deformation(build_pn(2)),
+    "params": lambda: series_family(("a", "b", "q"), ("a", "b")),
+    "one-param": lambda: series_family(("a",), ("a",)),
+    "no-laurent-variable": lambda: series_family((), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(CODEC_CASES) + ["hm-P1-o3", "hm-P4-o6"])
+def test_family_text_is_the_document_text(hm_outputs, case):
+    fam = (hm_outputs[(1, 3) if case == "hm-P1-o3" else (4, 6)] if case.startswith("hm")
+           else CODEC_CASES[case]())
+    text = dumps_family(fam)
+    assert text == json_text(family_to_json(fam))
+    assert loads_family(text) == family_from_json(json.loads(text)) == fam
