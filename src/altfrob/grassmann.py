@@ -381,38 +381,73 @@ def alt_structure_constants(r: int, n: int) -> QLRTable:
 # ---------------------------------------------------------------------------
 
 
+def _lr_base(base: Partition, r: int, radix: int) -> tuple[int, ...]:
+    """(code, gap_2, ..., gap_r) of base padded to r parts, gap_v = base_(v-1) - base_v."""
+    padded = tuple(base) + (0,) * (r - len(base))
+    return (_exponent_code(padded, radix),) + tuple(
+        padded[v - 2] - padded[v - 1] for v in range(2, r + 1))
+
+
+def _lr_walk(shape: Partition, bases: list[tuple], r: int,
+             radix: int) -> list[tuple[int, list[tuple]]]:
+    """The lattice fillings of shape in 1..r over every base at once, one walk.
+
+    The walk of ``lr_products``: the fillings do not depend on the base,
+    which enters only through the gap thresholds, and every base clears a
+    negative threshold.  So each node keeps the alive bases whose gap
+    clears its threshold, one comparison each, and a branch ends when none
+    does.  A base is a tuple that starts with ``_lr_base`` of a partition
+    of at most r parts; what follows rides along.  Each finished filling is
+    one leaf (w, alive): w the ``_exponent_code`` of its weight with radix,
+    and alive the bases it counts for.
+    """
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row - 1, -1, -1)]
+    fill = [[r] * (row + 1) for row in shape]
+    count = [0] * (r + 1)
+    step = [0] + [radix ** v for v in range(r)]
+    leaves: list[tuple[int, list[tuple]]] = []
+
+    def rec(pos: int, alive: list[tuple], w: int) -> None:
+        if pos == len(cells):
+            leaves.append((w, alive))
+            return
+        i, j = cells[pos]
+        for v in range(fill[i - 1][j] + 1 if i else 1, fill[i][j + 1] + 1):
+            t = count[v] - count[v - 1] if v > 1 else -1
+            live = alive if t < 0 else [g for g in alive if g[v - 1] > t]
+            if not live:
+                continue
+            count[v] += 1
+            fill[i][j] = v
+            rec(pos + 1, live, w + step[v])
+            count[v] -= 1
+
+    rec(0, bases, 0)
+    del rec  # its cell refers to it: a cycle that would hold the leaves until a full collection
+    return leaves
+
+
 def lr_products(lam: Partition, mu: Partition, r: int) -> dict[Partition, int]:
     """The nonzero Littlewood-Richardson numbers c^nu_(lam mu) with len(nu) <= r.
 
     Remmel-Whitney: the smaller shape is filled as an SSYT in 1..r, read
     row by row from the top, each row right to left.  A filling survives
-    while the larger partition plus the weight read so far stays a
-    partition, and each finished filling adds 1 to nu = larger + weight.
+    while the larger partition plus the weight c read so far stays a
+    partition, that is while each v >= 2 it places clears the gap threshold
+    larger_(v-1) - larger_v > c_v - c_(v-1), and each finished filling adds
+    1 to nu = larger + weight: the one-base case of ``_lr_walk``.  No part
+    of nu exceeds |nu|, so with radix |nu| + 1 the codes of base and weight
+    add without a carry.
     """
     base, shape = (lam, mu) if sum(lam) >= sum(mu) else (mu, lam)
     if len(base) > r:
         return {}
-    cur = list(base) + [0] * (r - len(base))
-    cells = [(i, j) for i, row in enumerate(shape) for j in range(row - 1, -1, -1)]
-    fill = [[r] * (row + 1) for row in shape]
-    out: dict[Partition, int] = {}
-
-    def rec(pos: int) -> None:
-        if pos == len(cells):
-            nu = tuple(cur)
-            out[nu] = out.get(nu, 0) + 1
-            return
-        i, j = cells[pos]
-        for v in range(fill[i - 1][j] + 1 if i else 1, fill[i][j + 1] + 1):
-            if v == 1 or cur[v - 2] > cur[v - 1]:
-                cur[v - 1] += 1
-                fill[i][j] = v
-                rec(pos + 1)
-                cur[v - 1] -= 1
-
-    rec(0)
-    # cur stays weakly decreasing, so the zeros of nu trail
-    return {nu[:len(nu) - nu.count(0)]: c for nu, c in out.items()}
+    radix = sum(lam) + sum(mu) + 1
+    head = _lr_base(base, r, radix)
+    out: dict[int, int] = {}
+    for w, _ in _lr_walk(shape, [head], r, radix):
+        out[head[0] + w] = out.get(head[0] + w, 0) + 1
+    return {normalize_partition(_exponent_digits(code, r, radix)): c for code, c in out.items()}
 
 
 def lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -492,24 +527,41 @@ def rimhook_oracle(r: int, n: int) -> QLRTable:
 
     Each nu~ in lr_products(lam, mu) has |nu~| = |lam| + |mu|, and k hooks of
     size n+1 strip it to its core, so every nu~ reaching one core carries
-    the same q^k: the entry is the signed sum of their LR numbers.
+    the same q^k: the entry is the signed sum of their LR numbers.  Only
+    the gap thresholds of ``lr_products`` see the larger partition, so the
+    pairs are grouped by their filled (smaller) shape and ``_lr_walk`` fills
+    each shape once over all of its bases; every finished filling adds the
+    reduction of base + weight to the row of each base alive at it.  Bases
+    and weights are ``_exponent_code``s with radix 2n+2: every part of nu~
+    is at most lam_1 + mu_1 <= 2(n+1-r), so no digit carries, and
+    ``rimhook_reduce`` is memoised on the code.
     """
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    reduced = _Memo(lambda nu: rimhook_reduce(nu, r, n))
+    radix = 2 * n + 2
+    reduced = _Memo(lambda code: rimhook_reduce(_exponent_digits(code, r, radix), r, n))
     parts = rect_partitions(r, n)
-    pairs = {}
+    size = {lam: sum(lam) for lam in parts}
+    head = {lam: _lr_base(lam, r, radix) for lam in parts}
+    groups: dict[Partition, list[tuple]] = {}
     for i, lam in enumerate(parts):
         for mu in parts[i:]:
-            acc: dict[Partition, int] = {}
-            for nutil, c in lr_products(lam, mu, r).items():
-                st = reduced[nutil]
+            base, shape = (lam, mu) if size[lam] >= size[mu] else (mu, lam)
+            groups.setdefault(shape, []).append(head[base] + ((lam, mu), {}))
+    pairs = {}
+    while groups:  # popped, so a group's running sums go once its rows are kept
+        shape, bases = groups.popitem()
+        for w, alive in _lr_walk(shape, bases, r, radix):
+            for g in alive:
+                st = reduced[g[0] + w]
                 if st is not None:
                     core, _, sign = st
-                    acc[core] = acc.get(core, 0) + sign * c
+                    acc = g[-1]
+                    acc[core] = acc.get(core, 0) + sign
+        for *_, key, acc in bases:
             row = {core: c for core, c in acc.items() if c}
             if row:
-                pairs[lam, mu] = row
+                pairs[key] = row
     return QLRTable(r, n, pairs)
 
 

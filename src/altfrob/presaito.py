@@ -363,10 +363,14 @@ def check_metric(F: PreSaitoFamily, order: int | None = None) -> Report:
     w = _diff_witness(F.Binf + Ginv @ F.Binf.transpose() @ F.G, Mat.identity(F.d, F.w))
     rep.record("Binf + Binf* = w id", w is None, w or "")
 
-    # the adjoint M* = G^{-1} M^T G, with G and G^{-1} lifted into the entry ring once
+    # the adjoint M* = G^{-1} M^T G, with G and G^{-1} lifted into the entry ring once.
+    # For symmetric G, M* = M iff G M = M^T G = (G M)^T: one product, and the
+    # witness of M* - M is built only when G M is not symmetric
     G, Ginv = F.lift_fraction_matrix(F.G), F.lift_fraction_matrix(Ginv)
     for name, M in [("B0", F.B0)] + [(f"C({v.name})", F.C[v.name]) for v in F.base]:
-        w = _diff_witness(Ginv @ M.transpose() @ G, M, K)
+        w = None
+        if not ok_sym or (GM := G @ M) != GM.transpose():
+            w = _diff_witness(Ginv @ M.transpose() @ G, M, K)
         rep.record(f"{name}* = {name}", w is None, w or "")
     return rep
 

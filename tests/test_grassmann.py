@@ -281,9 +281,28 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(1, 4)
                                      for n in range(r, 6)]
                              + [(4, n) for n in range(4, 8)]
-                             + [(2, 10), (3, 8), (5, 7), (4, 8)])
+                             + [(2, 10), (3, 8), (5, 7), (4, 8), (3, 11), (4, 9)])
     def test_tables_agree(self, r, n):
         assert alt_structure_constants(r, n) == rimhook_oracle(r, n)
+
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_one_walk_per_shape_matches_one_per_pair(self, r):
+        """The oracle's grouped walk gives the table of lr_products pair by pair."""
+        for n in range(r, 8):
+            parts = rect_partitions(r, n)
+            pairs = {}
+            for i, lam in enumerate(parts):
+                for mu in parts[i:]:
+                    acc = {}
+                    for nutil, c in lr_products(lam, mu, r).items():
+                        st = rimhook_reduce(nutil, r, n)
+                        if st is not None:
+                            core, _, sign = st
+                            acc[core] = acc.get(core, 0) + sign * c
+                    row = {core: c for core, c in acc.items() if c}
+                    if row:
+                        pairs[lam, mu] = row
+            assert rimhook_oracle(r, n) == QLRTable(r, n, pairs), (r, n)
 
     @pytest.mark.parametrize("r,n", [(2, 3), (3, 5), (4, 7)])
     def test_entries_are_nonzero_ints(self, r, n):

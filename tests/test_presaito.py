@@ -60,6 +60,29 @@ def test_adjoint_is_g_inverse_transpose_g():
     assert check_metric(bad).first_witness() == "B0* = B0: entry (0,1): 1"
 
 
+def test_non_self_adjoint_higgs_field_keeps_its_witness():
+    """Symmetric G: M* = M is tested as G M symmetric, and a failure still names M* - M."""
+    fam = pn_small_family(2)
+    rows = [list(r) for r in fam.C["q"].rows]
+    rows[1][0] = rows[1][0] + qlaurent([(1, 3)])
+    bad = PreSaitoFamily(fam.base, fam.d, fam.Binf, fam.B0, {"q": Mat(rows)}, fam.G, fam.w)
+    rep = check_metric(bad)
+    assert failures(rep) == ["FAIL  C(q)* = C(q)  [entry (1,0): -3*q]"]
+    assert rep.first_witness() == "C(q)* = C(q): entry (1,0): -3*q"
+
+
+def test_non_symmetric_metric_keeps_the_adjoint_form():
+    """G B0 symmetric does not make B0 self-adjoint when G is not symmetric."""
+    c = lambda x: Laurent.const((), F(x))
+    G = Mat([[F(1), F(1)], [F(0), F(1)]])
+    half = Mat.diag([F(1, 2), F(1, 2)])
+    swap = PreSaitoFamily((), 2, half, Mat([[c(0), c(1)], [c(1), c(0)]]), {}, G, w=1)
+    assert failures(check_metric(swap)) == ["FAIL  G symmetric  [G != G^T]",
+                                            "FAIL  B0* = B0  [entry (0,0): -1]"]
+    one = PreSaitoFamily((), 2, half, Mat([[c(1), c(0)], [c(0), c(1)]]), {}, G, w=1)
+    assert failures(check_metric(one)) == ["FAIL  G symmetric  [G != G^T]"]
+
+
 def test_corrupted_corner_fails_deformation_relation():
     fam = pn_small_family(2)
     qv = ("q",)
