@@ -42,7 +42,6 @@ from .grassmann import (
     alternant,
     complement_partition,
     lr_count,
-    lr_products,
     rect_partitions,
     rimhook_oracle,
     rimhook_reduce,
@@ -133,7 +132,6 @@ __all__ = [
     "kron_sum",
     "loads_family",
     "lr_count",
-    "lr_products",
     "mirror_brieskorn",
     "mirror_f",
     "mult_f_matrix",

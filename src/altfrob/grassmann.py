@@ -390,16 +390,21 @@ def _lr_base(base: Partition, r: int, radix: int) -> tuple[int, ...]:
 
 def _lr_walk(shape: Partition, bases: list[tuple], r: int,
              radix: int) -> list[tuple[int, list[tuple]]]:
-    """The lattice fillings of shape in 1..r over every base at once, one walk.
+    """Littlewood-Richardson fillings of shape in 1..r over many bases, one walk.
 
-    The walk of ``lr_products``: the fillings do not depend on the base,
-    which enters only through the gap thresholds, and every base clears a
-    negative threshold.  So each node keeps the alive bases whose gap
+    Remmel-Whitney: for len(nu) <= r, c^nu_(base shape) counts the fillings
+    of shape as an SSYT in 1..r, read row by row from the top, each row
+    right to left, in which base plus the weight c read so far stays a
+    partition, nu being base + weight.  Placing v >= 2 keeps it a partition
+    iff base_(v-1) - base_v > c_v - c_(v-1), a gap threshold on the counts
+    read so far, and every base clears a negative one.  So the fillings do
+    not depend on the base: each node keeps the alive bases whose gap
     clears its threshold, one comparison each, and a branch ends when none
     does.  A base is a tuple that starts with ``_lr_base`` of a partition
     of at most r parts; what follows rides along.  Each finished filling is
     one leaf (w, alive): w the ``_exponent_code`` of its weight with radix,
-    and alive the bases it counts for.
+    and alive the bases it counts for.  The code of base plus w is that of
+    nu while no part of nu reaches radix.
     """
     cells = [(i, j) for i, row in enumerate(shape) for j in range(row - 1, -1, -1)]
     fill = [[r] * (row + 1) for row in shape]
@@ -425,29 +430,6 @@ def _lr_walk(shape: Partition, bases: list[tuple], r: int,
     rec(0, bases, 0)
     del rec  # its cell refers to it: a cycle that would hold the leaves until a full collection
     return leaves
-
-
-def lr_products(lam: Partition, mu: Partition, r: int) -> dict[Partition, int]:
-    """The nonzero Littlewood-Richardson numbers c^nu_(lam mu) with len(nu) <= r.
-
-    Remmel-Whitney: the smaller shape is filled as an SSYT in 1..r, read
-    row by row from the top, each row right to left.  A filling survives
-    while the larger partition plus the weight c read so far stays a
-    partition, that is while each v >= 2 it places clears the gap threshold
-    larger_(v-1) - larger_v > c_v - c_(v-1), and each finished filling adds
-    1 to nu = larger + weight: the one-base case of ``_lr_walk``.  No part
-    of nu exceeds |nu|, so with radix |nu| + 1 the codes of base and weight
-    add without a carry.
-    """
-    base, shape = (lam, mu) if sum(lam) >= sum(mu) else (mu, lam)
-    if len(base) > r:
-        return {}
-    radix = sum(lam) + sum(mu) + 1
-    head = _lr_base(base, r, radix)
-    out: dict[int, int] = {}
-    for w, _ in _lr_walk(shape, [head], r, radix):
-        out[head[0] + w] = out.get(head[0] + w, 0) + 1
-    return {normalize_partition(_exponent_digits(code, r, radix)): c for code, c in out.items()}
 
 
 def lr_count(nu: Partition, lam: Partition, mu: Partition) -> int:
@@ -525,10 +507,10 @@ def rimhook_reduce(nu: Partition, r: int, n: int):
 def rimhook_oracle(r: int, n: int) -> QLRTable:
     """Classical LR numbers reduced by rim hooks: the combinatorial route.
 
-    Each nu~ in lr_products(lam, mu) has |nu~| = |lam| + |mu|, and k hooks of
-    size n+1 strip it to its core, so every nu~ reaching one core carries
-    the same q^k: the entry is the signed sum of their LR numbers.  Only
-    the gap thresholds of ``lr_products`` see the larger partition, so the
+    Each nu~ with c^nu~_(lam mu) nonzero has |nu~| = |lam| + |mu|, and k
+    hooks of size n+1 strip it to its core, so every nu~ reaching one core
+    carries the same q^k: the entry is the signed sum of their LR numbers.
+    Only the gap thresholds of ``_lr_walk`` see the larger partition, so the
     pairs are grouped by their filled (smaller) shape and ``_lr_walk`` fills
     each shape once over all of its bases; every finished filling adds the
     reduction of base + weight to the row of each base alive at it.  Bases

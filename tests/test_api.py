@@ -18,7 +18,6 @@ def test_alternant_layer_stays_exported():
 # src/ definitions that nothing else in src/ names, each kept for one reason
 ORACLES = {
     "lr_count": "independent route: Littlewood-Richardson numbers by lattice fillings",
-    "lr_products": "public API: the LR numbers of one pair, the one-base case of the oracle's walk",
     "schur_poly": "independent route: s_lambda from tableau weights, times the Vandermonde",
     "vandermonde": "independent route: the alternant a_delta that schur_poly multiplies",
     "complement_partition": "independent route: the dual partition the wedge metric pairs",
